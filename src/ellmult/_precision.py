@@ -18,8 +18,3 @@ def context(precision_bits: int) -> MPContext:
     ctx = MPContext()
     ctx.prec = precision_bits
     return ctx
-
-
-def guarded(precision_bits: int, guard: int = 64) -> MPContext:
-    """Context with guard bits on top of the requested precision."""
-    return context(precision_bits + guard)

@@ -28,7 +28,7 @@ GUARD_BITS = 32
 
 @dataclass(frozen=True)
 class PeriodData:
-    """Real period, a second lattice generator, and the reduced lattice ratio.
+    """Real period by AGM and by quadrature, a second lattice generator, and the reduced lattice ratio.
 
     tau lives in the fundamental domain (im > 0, |tau| >= 1, |re| <= 1/2); when
     the reduction lands on the domain boundary the representative reached by
@@ -36,6 +36,7 @@ class PeriodData:
     """
 
     omega: object
+    omega_quadrature: object
     omega2: object
     tau: object
     precision_bits: int
@@ -72,7 +73,10 @@ def _cubic_roots(c: Curve, ctx) -> Tuple[object, object, object]:
 def real_period(c: Curve, precision_bits: int = 128) -> object:
     """Real period by AGM; the quadrature route is real_period_quadrature."""
     ctx = context(precision_bits + GUARD_BITS)
-    e1, e2, e3 = _cubic_roots(c, ctx)
+    return _agm_period(c, ctx, *_cubic_roots(c, ctx))
+
+
+def _agm_period(c: Curve, ctx, e1, e2, e3):
     if c.discriminant > 0:
         return ctx.pi / ctx.agm(ctx.sqrt(e1 - e3), ctx.sqrt(e1 - e2))
     # One real root: sqrt(e1-e2) and sqrt(e1-e3) are conjugate, so the AGM
@@ -96,7 +100,10 @@ def _quad_points(ctx, dip_sq) -> list:
 def real_period_quadrature(c: Curve, precision_bits: int = 128) -> object:
     """Real period as the defining integral from the largest real root."""
     ctx = context(precision_bits + GUARD_BITS)
-    e1, _, _ = _cubic_roots(c, ctx)
+    return _quadrature_period(c, ctx, _cubic_roots(c, ctx)[0])
+
+
+def _quadrature_period(c: Curve, ctx, e1):
     A = c.A
     slope = 3 * e1 * e1 + A  # f'(e1) > 0 for a simple largest root
 
@@ -148,8 +155,8 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     """Both periods and the reduced ratio, cross-checked between the two routes."""
     ctx = context(precision_bits + GUARD_BITS)
     e1, e2, e3 = _cubic_roots(c, ctx)
-    omega = real_period(c, precision_bits)
-    check = real_period_quadrature(c, precision_bits)
+    omega = _agm_period(c, ctx, e1, e2, e3)
+    check = _quadrature_period(c, ctx, e1)
     if abs(omega - check) > abs(omega) * ctx.mpf(2) ** (-(precision_bits - 16)):
         raise PrecisionExhausted("period routes disagree beyond the working tolerance")
     omega2 = _second_period(c, ctx, e1, e2, e3, omega)
@@ -157,7 +164,7 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     eps = ctx.mpf(2) ** (-(precision_bits // 2))
     if not (tau.imag > 0 and abs(tau) >= 1 - eps and abs(tau.real) <= ctx.mpf(1) / 2 + eps):
         raise PrecisionExhausted("reduced lattice ratio violates the domain invariants")
-    return PeriodData(omega=omega, omega2=omega2, tau=tau, precision_bits=precision_bits, boundary_note=note)
+    return PeriodData(omega, check, omega2, tau, precision_bits, note)
 
 
 def omega_floor(A: int, B: int) -> float:
@@ -179,9 +186,8 @@ def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128) -> object:
     x0 = ctx.mpf(P.x.numerator) / P.x.denominator
     if c.discriminant > 0 and x0 < (e1 + e2) / 2:
         raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
-    omega = real_period(c, precision_bits)
     if P.y == 0:
-        return omega / 2
+        return _agm_period(c, ctx, e1, e2, e3) / 2
     A = c.A
 
     def piece_near(v):

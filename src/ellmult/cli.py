@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,10 +134,6 @@ def _emit_error(exc: BaseException, exit_code: int) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _mp_pair(z) -> List[float]:
     return [float(z.real), float(z.imag)]
 
@@ -158,7 +155,7 @@ def _curve_doc(curve) -> dict:
         "A": curve.A,
         "B": curve.B,
         "discriminant": curve.discriminant,
-        "j": _frac_str(curve.j),
+        "j": str(curve.j),
         "height": {
             "value": hE.value,
             "j_term": hE.j_term,
@@ -167,8 +164,7 @@ def _curve_doc(curve) -> dict:
     }
 
 
-def _height_doc(curve, point, cfg: RunConfig) -> dict:
-    estimate = heights.canonical_height(curve, point, tol=cfg.tol)
+def _height_doc(point, estimate: heights.HeightEstimate) -> dict:
     return {
         "naive_x": heights.naive_height(point.x),
         "canonical": {
@@ -176,7 +172,7 @@ def _height_doc(curve, point, cfg: RunConfig) -> dict:
             "tolerance": estimate.tolerance,
             "iterations": estimate.iterations,
         },
-        "torsion_order": heights.torsion_order(curve, point),
+        "torsion_order": estimate.torsion_order,
     }
 
 
@@ -205,11 +201,11 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     curve, point = _parse_point(args)
     terms = ward_terms(curve, point, cfg.n_max) if _is_integral(point) else None
     profile = localdata.global_M(curve, point)
-    height_doc = _height_doc(curve, point, cfg)
-    reports = [heights.height_window_check(curve, point, tol=cfg.tol)]
+    estimate = heights.canonical_height(curve, point, tol=cfg.tol)
+    reports = [heights.height_window_check(curve, point, estimate)]
     N = _congruent_parameter(curve)
-    if N is not None and heights.torsion_order(curve, point) is None:
-        reports.extend(congruent.height_windows(N, point, height_doc["canonical"]["value"]))
+    if N is not None and estimate.torsion_order is None:
+        reports.extend(congruent.height_windows(N, point, estimate.value))
         if terms is not None:
             reports.append(congruent.verify_double_not_integral(N, point))
     doc = {
@@ -217,9 +213,9 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
         "command": "analyze",
         "precision_bits": cfg.precision_bits,
         "curve": _curve_doc(curve),
-        "point": {"x": _frac_str(point.x), "y": _frac_str(point.y), "integral": _is_integral(point)},
+        "point": {"x": str(point.x), "y": str(point.y), "integral": _is_integral(point)},
         "reduction": profile.to_json(),
-        "heights": height_doc,
+        "heights": _height_doc(point, estimate),
         "analytic": _analytic_doc(curve, point, cfg),
         "ward": {"n_max": cfg.n_max, "rows": terms.json_rows()} if terms is not None else None,
         "reports": [r.to_json() for r in reports],
@@ -251,7 +247,7 @@ def cmd_eds(args: argparse.Namespace, cfg: RunConfig) -> int:
         "schema": SCHEMA_VERSION,
         "command": "eds",
         "curve": {"A": curve.A, "B": curve.B},
-        "point": {"x": _frac_str(point.x), "y": _frac_str(point.y)},
+        "point": {"x": str(point.x), "y": str(point.y)},
         "n_max": cfg.n_max,
         "rows": terms.json_rows(),
     }
@@ -262,17 +258,17 @@ def cmd_eds(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_heights(args: argparse.Namespace, cfg: RunConfig) -> int:
     curve, point = _parse_point(args)
     profile = localdata.global_M(curve, point)
-    window = heights.height_window_check(curve, point, tol=cfg.tol)
+    estimate = heights.canonical_height(curve, point, tol=cfg.tol)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "heights",
         "precision_bits": cfg.precision_bits,
         "curve": _curve_doc(curve),
-        "point": {"x": _frac_str(point.x), "y": _frac_str(point.y)},
-        "heights": _height_doc(curve, point, cfg),
+        "point": {"x": str(point.x), "y": str(point.y)},
+        "heights": _height_doc(point, estimate),
         "M": profile.M,
         "lang_floor": heights.lang_floor(curve, profile.M),
-        "reports": [window.to_json()],
+        "reports": [heights.height_window_check(curve, point, estimate).to_json()],
     }
     _emit(doc, cfg)
     return EXIT_OK
@@ -281,7 +277,6 @@ def cmd_heights(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_periods(args: argparse.Namespace, cfg: RunConfig) -> int:
     curve = make_curve(args.A, args.B)
     data = analytic.period_data(curve, cfg.precision_bits)
-    quad = analytic.real_period_quadrature(curve, cfg.precision_bits)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "periods",
@@ -289,8 +284,8 @@ def cmd_periods(args: argparse.Namespace, cfg: RunConfig) -> int:
         "curve": {"A": curve.A, "B": curve.B, "discriminant": curve.discriminant},
         "omega": float(data.omega),
         "omega_str": str(data.omega),
-        "omega_quadrature_str": str(quad),
-        "route_delta": float(abs(data.omega - quad)),
+        "omega_quadrature_str": str(data.omega_quadrature),
+        "route_delta": float(abs(data.omega - data.omega_quadrature)),
         "omega2": _mp_pair(data.omega2),
         "tau": _mp_pair(data.tau),
         "boundary_note": data.boundary_note,
@@ -499,6 +494,18 @@ def cmd_congruent_table(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes -33/8 as a value, and raises usage errors as ValueError rather than exiting."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # no flag starts with a digit, so a minus before one begins a value
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
     sp.add_argument("--x-max", dest="x_max", type=int, default=None)
@@ -517,7 +524,7 @@ def _add_curve_point(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ellmult",
         description="Exact and analytic machinery for integral multiples on elliptic curves.",
     )
@@ -548,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("name")
     for flag, conv in (
         ("--n", int),
-        ("--m", int),
         ("--n1", int),
         ("--n2", int),
         ("--M", int),
@@ -579,11 +585,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = build_config(args)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
     try:
@@ -591,7 +596,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PrecisionExhausted as exc:
         _emit_error(exc, EXIT_PRECISION)
         return EXIT_PRECISION
-    except (EllmultError, ValueError, TypeError) as exc:
+    except (EllmultError, ValueError, TypeError, ZeroDivisionError) as exc:
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
 

@@ -84,10 +84,6 @@ def _log_height(q: Fraction) -> float:
     return 0.0 if m == 1 else math.log(m)
 
 
-def j_invariant(c: Curve) -> Fraction:
-    return c.j
-
-
 def curve_height(c: Curve) -> CurveHeight:
     """h(E) = max(h(j), log max(4|A|, 4|B|)); always at least 2*log(2)."""
     j_term = _log_height(c.j)

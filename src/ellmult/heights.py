@@ -33,11 +33,12 @@ LANG_FLOOR_CITATION = "hhat(P) >= h(E) / (10^5 M^6) once h(E) >= 56 log 2 + 48 l
 
 @dataclass(frozen=True)
 class HeightEstimate:
-    """Converged limit value with the stopping tolerance and doubling count."""
+    """Converged limit value, stopping tolerance, doubling count, and the torsion scan's order or None."""
 
     value: float
     tolerance: float
     iterations: int
+    torsion_order: Optional[int]
 
     def __float__(self) -> float:
         return self.value
@@ -123,8 +124,9 @@ def canonical_height(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if torsion_order(c, P) is not None:
-        return HeightEstimate(0.0, tol, 0)
+    order = torsion_order(c, P)
+    if order is not None:
+        return HeightEstimate(0.0, tol, 0, order)
     hE = float(curve_height(c))
     depth = max(1, math.ceil(math.log(2 * hE / tol, 4)))
     if depth > depth_cap:
@@ -135,7 +137,7 @@ def canonical_height(
     est = None
     for k, s in _renormalized_doubling(c, P, depth, bits):
         est = s / (2 * 4**k)
-    return HeightEstimate(float(est), tol, depth)
+    return HeightEstimate(float(est), tol, depth, None)
 
 
 def duplication_trace(c: Curve, P: RatPoint, depth: int, precision_bits: int = 192) -> List[float]:
@@ -147,10 +149,10 @@ def duplication_trace(c: Curve, P: RatPoint, depth: int, precision_bits: int = 1
     return [float(s) for _, s in _renormalized_doubling(c, P, depth, precision_bits)]
 
 
-def height_window_check(c: Curve, P: RatPoint, tol: float = 1e-10) -> BoundReport:
-    """Check |hhat(P) - h(x_P)/2| < 2 h(E); torsion gets a not-applicable report."""
+def height_window_check(c: Curve, P: RatPoint, estimate: HeightEstimate) -> BoundReport:
+    """Check |hhat(P) - h(x_P)/2| < 2 h(E) on canonical_height's estimate; torsion is not applicable."""
     hE = float(curve_height(c))
-    if torsion_order(c, P) is not None:
+    if estimate.torsion_order is not None:
         return BoundReport(
             name="height-window",
             inputs={"curve_height": hE},
@@ -159,7 +161,7 @@ def height_window_check(c: Curve, P: RatPoint, tol: float = 1e-10) -> BoundRepor
             citation=HEIGHT_WINDOW_CITATION,
             applicable=False,
         )
-    hhat = canonical_height(c, P, tol).value
+    hhat = estimate.value
     half_naive = naive_height(P.x) / 2
     difference = abs(hhat - half_naive)
     return BoundReport(

@@ -21,15 +21,6 @@ SMALL_PRIMES = (2, 3)
 
 
 @dataclass(frozen=True)
-class LocalReduction:
-    """Reduction type of a curve at one prime."""
-
-    p: int
-    local_model: Curve
-    good: bool
-
-
-@dataclass(frozen=True)
 class ComponentProfile:
     """Component orders at the bad primes and their least common multiples.
 
@@ -49,11 +40,6 @@ class ComponentProfile:
             "M_odd": self.M_odd,
             "flagged": list(self.flagged),
         }
-
-
-def local_reduction(c: Curve, p: int) -> LocalReduction:
-    """Reduction data at p; the model is the curve itself (already quasi-minimal)."""
-    return LocalReduction(p=p, local_model=c, good=c.discriminant % p != 0)
 
 
 def bad_primes(c: Curve) -> list:

@@ -303,7 +303,7 @@ def test_criterion_08_height_machinery(capsys, table):
             ok = ok and (cap.holds if cap.applicable else cap.holds is None)
             ok = ok and cap.applicable == (P.x >= row.N)
     for c, P, _ in _sampled_pairs(20, seed=8, depth=12):
-        ok = ok and height_window_check(c, P).holds
+        ok = ok and height_window_check(c, P, canonical_height(c, P)).holds
     with capsys.disabled():
         _verdict(8, "height quadraticity, three table windows, sampled coarse window", ok, f"worst |hhat(nP)-n^2 hhat(P)| {worst_quad:.2e}")
 

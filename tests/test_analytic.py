@@ -44,6 +44,8 @@ def test_two_period_routes_agree():
         agm = real_period(c, 160)
         quad = real_period_quadrature(c, 160)
         assert abs(agm - quad) <= abs(agm) * CTX.mpf(2) ** -140
+        pd = period_data(c, 160)
+        assert pd.omega == agm and pd.omega_quadrature == quad
 
 
 def test_period_precision_is_stable():

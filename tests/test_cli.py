@@ -1,10 +1,11 @@
 """Exit codes, config precedence, and output shapes of the command line."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from ellmult import cli
+from ellmult import analytic, cli, heights
 
 
 def run(capsys, *argv):
@@ -65,6 +66,32 @@ def test_analyze_rational_point_skips_ward(capsys):
     assert code == 0
     assert doc["ward"] is None
     assert doc["point"]["integral"] is False
+
+
+def test_negative_fraction_as_separate_argument(capsys):
+    base = ["heights", "--A", "0", "--B", "17", "--x", "1/4"]
+    code, doc = run_json(capsys, *base, "--y", "-33/8")
+    assert code == 0
+    assert doc["point"]["y"] == "-33/8"
+    assert (code, doc) == run_json(capsys, *base, "--y=-33/8")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["heights", "--A", "-25", "--x", "-4", "--y", "6"], "required: --B"),
+        (["heights", "--A", "x", "--B", "0", "--x", "-4", "--y", "6"], "invalid int value"),
+        (["periods", "--A", "-25", "--B", "0", "--bogus"], "unrecognized arguments"),
+        (["no-such-command"], "invalid choice"),
+        (["heights", "--A", "0", "--B", "17", "--x", "1/0", "--y", "3"], "Fraction(1, 0)"),
+        (["bounds", "double-not-integral", "--N", "5", "--x", "1/0"], "Fraction(1, 0)"),
+    ],
+)
+def test_usage_error_is_json_exit_2(capsys, argv, message):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["error"]["exit_code"] == 2
+    assert message in doc["error"]["message"]
 
 
 def test_analyze_off_curve_exit_2(capsys):
@@ -143,6 +170,56 @@ def test_precision_exhausted_exit_4(capsys):
     assert code == 4
     assert doc["error"]["type"] == "PrecisionExhausted"
     assert doc["error"]["exit_code"] == 4
+
+
+# --- work done per command ---------------------------------------------------------
+
+
+def _count_calls(monkeypatch, *targets):
+    """Wrap each (module, name) so the returned Counter records its calls."""
+    calls = Counter()
+    for module, name in targets:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+COUNTED = ((heights, "torsion_order"), (heights, "canonical_height"), (analytic, "_cubic_roots"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "4"],
+        ["analyze", "--A", "-25", "--B", "0", "--x", "45", "--y", "300", "--n-max", "4"],
+        ["analyze", "--A", "-25", "--B", "0", "--x", "5", "--y", "0", "--n-max", "4"],
+    ],
+)
+def test_analyze_computes_each_quantity_once(capsys, monkeypatch, argv):
+    calls = _count_calls(monkeypatch, *COUNTED)
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    # root isolation runs once for the periods and once for the elliptic log
+    assert calls == {"torsion_order": 1, "canonical_height": 1, "_cubic_roots": 2}
+
+
+def test_heights_computes_each_quantity_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, *COUNTED)
+    code, _ = run(capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
+    assert code == 0
+    assert calls == {"torsion_order": 1, "canonical_height": 1}
+
+
+def test_periods_isolates_roots_once(capsys, monkeypatch):
+    calls = _count_calls(monkeypatch, *COUNTED)
+    code, _ = run(capsys, "periods", "--A", "0", "--B", "17", "--precision-bits", "128")
+    assert code == 0
+    assert calls == {"_cubic_roots": 1}
 
 
 # --- config precedence ----------------------------------------------------------

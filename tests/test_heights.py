@@ -78,11 +78,12 @@ def test_parallelogram_law():
 
 def test_height_window_reports():
     for pt in (P5, Q5):
-        rep = height_window_check(E5, pt)
+        rep = height_window_check(E5, pt, canonical_height(E5, pt))
         assert rep.holds is True
         assert rep.name == "height-window"
         assert rep.inputs["difference"] < rep.threshold
-    torsion = height_window_check(E5, rational_point(0, 0))
+    T = rational_point(0, 0)
+    torsion = height_window_check(E5, T, canonical_height(E5, T))
     assert torsion.applicable is False
     assert torsion.holds is None
 

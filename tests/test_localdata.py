@@ -9,7 +9,6 @@ from ellmult.localdata import (
     component_order,
     global_M,
     in_identity_component,
-    local_reduction,
 )
 
 E5 = make_curve(-25, 0)
@@ -38,12 +37,6 @@ def test_bad_primes_values():
     # bad primes of y^2 = x^3 - N^2 x are exactly the primes of 2N
     for N in (5, 6, 7, 15, 34):
         assert bad_primes(make_curve(-N * N, 0)) == _trial_primes(2 * N)
-
-
-def test_local_reduction_flags():
-    assert local_reduction(E5, 7).good
-    assert not local_reduction(E5, 2).good
-    assert not local_reduction(E5, 5).good
 
 
 def test_identity_component_at_five():
