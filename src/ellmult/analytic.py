@@ -18,6 +18,7 @@ from ._precision import context
 from .curves import Curve, RatPoint
 from .divpoly import psi_polynomial
 from .errors import (
+    InternalInvariantError,
     NotIdentityComponent,
     PrecisionExhausted,
     RootFindingFailed,
@@ -32,7 +33,8 @@ class PeriodData:
 
     tau lives in the fundamental domain (im > 0, |tau| >= 1, |re| <= 1/2); when
     the reduction lands on the domain boundary the representative reached by
-    the reduction is kept and described in boundary_note.
+    the reduction is kept and described in boundary_note.  roots holds the
+    cubic's (e1, e2, e3) at precision_bits, for elliptic_log to reuse.
     """
 
     omega: object
@@ -40,6 +42,7 @@ class PeriodData:
     omega2: object
     tau: object
     precision_bits: int
+    roots: Tuple[object, object, object]
     boundary_note: Optional[str] = None
 
 
@@ -164,7 +167,7 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     eps = ctx.mpf(2) ** (-(precision_bits // 2))
     if not (tau.imag > 0 and abs(tau) >= 1 - eps and abs(tau.real) <= ctx.mpf(1) / 2 + eps):
         raise PrecisionExhausted("reduced lattice ratio violates the domain invariants")
-    return PeriodData(omega, check, omega2, tau, precision_bits, note)
+    return PeriodData(omega, check, omega2, tau, precision_bits, (e1, e2, e3), note)
 
 
 def omega_floor(A: int, B: int) -> float:
@@ -172,17 +175,19 @@ def omega_floor(A: int, B: int) -> float:
     return float((1 + abs(A) + abs(B)) ** -0.5)
 
 
-def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128) -> object:
+def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Optional[Tuple] = None) -> object:
     """Principal elliptic logarithm of a real identity-component point.
 
     z lies in (-omega/2, omega/2]; |z| is half the tail integral of 1/sqrt(f)
     from x_P, and the sign is opposite to the sign of y_P.  Points on the
-    bounded real component are rejected.
+    bounded real component are rejected.  roots, when given, must be the
+    PeriodData.roots of period_data(c, precision_bits); they are isolated
+    here otherwise.
     """
-    if P.is_infinity:
-        return context(precision_bits + GUARD_BITS).mpf(0)
     ctx = context(precision_bits + GUARD_BITS)
-    e1, e2, e3 = _cubic_roots(c, ctx)
+    if P.is_infinity:
+        return ctx.mpf(0)
+    e1, e2, e3 = roots if roots is not None else _cubic_roots(c, ctx)
     x0 = ctx.mpf(P.x.numerator) / P.x.denominator
     if c.discriminant > 0 and x0 < (e1 + e2) / 2:
         raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
@@ -246,7 +251,7 @@ def principal_linear_form(n: int, z, omega) -> LinearForm:
     m = int(m)
     value = n * z + m * omega
     if abs(m) >= n:
-        raise AssertionError("principal m must satisfy |m| < n")
+        raise InternalInvariantError("principal m must satisfy |m| < n")
     return LinearForm(n=n, m=m, value=value)
 
 

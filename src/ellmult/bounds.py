@@ -16,6 +16,7 @@ from .reports import BoundReport
 
 DAVID_C = 4 * 10**41
 EVAL_BITS = 128
+N_CAP_HEIGHT_FLOOR = 2 * math.pi * math.sqrt(3)
 
 MULTIPLE_HEIGHT_CITATION = "hhat(P) <= log n + (16 M^2 / 3 + 2) h(E) when nP is integral"
 CALCULUS_CITATION = "x^2 - a log x - b >= 0 for every x >= max{e, a + b}"
@@ -24,6 +25,7 @@ DAVID_CITATION = "log|L| >= -C (log B + 1)(log log B + h(E) + 1)^3 log V1 log V2
 UPPER_FORM_CITATION = "log|L_{n,m}(z, omega)| <= -c1 n^2 h(E) for n beyond the regime constant"
 GAP_RELATION_CITATION = "c1 n1^2 h(E) + log(omega) - log(2) <= log n2"
 COMPOSITE_CAP_CITATION = "a <= max{e, (1/C_lam)(1/h(E) + 16 M^2 / 3 + 2)} for composite n = a b"
+N_CAP_GENERAL_CITATION = "n with nP integral is capped once h(E) >= 2 pi sqrt(3); below that no cap is emitted"
 
 
 def lang_constant(M: int) -> float:
@@ -170,7 +172,7 @@ def n_cap_general(M: int, hE: float) -> Optional[float]:
     log B = log V1 = 2 log n + (11 M^2 + 4) h(E) and locates the crossover of
     n^2 against the resulting floor.  Heights below 2 pi sqrt(3) return None.
     """
-    if hE < 2 * math.pi * math.sqrt(3):
+    if hE < N_CAP_HEIGHT_FLOOR:
         return None
     ctx = context(EVAL_BITS)
     c1 = linear_form_constant(M)

@@ -9,11 +9,13 @@ mirror the shared flags; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import re
 import sys
+import typing
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -24,12 +26,12 @@ from .curves import curve_height, make_curve, on_curve, rational_point
 from .divpoly import ward_terms
 from .errors import (
     EllmultError,
-    InadmissibleParameters,
     NotIdentityComponent,
     OffCurve,
     PrecisionExhausted,
     UnknownBound,
 )
+from .factorization import is_square_free
 from .reports import BoundReport
 
 SCHEMA_VERSION = "ellmult/1"
@@ -189,7 +191,7 @@ def _analytic_doc(curve, point, cfg: RunConfig) -> dict:
     }
     if point is not None:
         try:
-            z = analytic.elliptic_log(curve, point, cfg.precision_bits)
+            z = analytic.elliptic_log(curve, point, cfg.precision_bits, data.roots)
             doc["elliptic_log"] = float(z)
             doc["elliptic_log_str"] = str(z)
         except NotIdentityComponent as exc:
@@ -235,8 +237,6 @@ def _congruent_parameter(curve) -> Optional[int]:
     root = math.isqrt(-curve.A)
     if root * root != -curve.A:
         return None
-    from .factorization import is_square_free
-
     return root if is_square_free(root) else None
 
 
@@ -298,138 +298,107 @@ def cmd_periods(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- bounds registry --------------------------------------------------------
 
 
-def _require(args: argparse.Namespace, *names: str) -> List:
-    values = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise ValueError(f"bound requires --{name.replace('_', '-')}")
-        values.append(value)
-    return values
-
-
 def _value_report(name: str, inputs: dict, value: Optional[float], citation: str) -> BoundReport:
     if value is None:
         return BoundReport(name=name, inputs=inputs, threshold=None, holds=None, citation=citation, applicable=False)
     return BoundReport(name=name, inputs=inputs, threshold=float(value), holds=True, citation=citation)
 
 
-def _bound_multiple_height_cap(args, cfg) -> BoundReport:
-    n, M, hE = _require(args, "n", "M", "hE")
-    value = bounds.multiple_height_cap(int(n), int(M), hE)
-    return _value_report(
-        "multiple-height-cap", {"n": int(n), "M": int(M), "hE": hE}, value, bounds.MULTIPLE_HEIGHT_CITATION
-    )
+def _poly_growth(W: float, precision_bits: int, coeffs: Optional[str] = None) -> BoundReport:
+    if coeffs is None:
+        return bounds.poly_growth_check(congruent.growth_poly(precision_bits), W)
+    return bounds.poly_growth_check(tuple(float(part) for part in coeffs.split(",")), W)
 
 
-def _bound_calculus(args, cfg) -> BoundReport:
-    a, b = _require(args, "a", "b")
-    return _value_report("calculus", {"a": a, "b": b}, bounds.calculus_threshold(a, b), bounds.CALCULUS_CITATION)
+def _n_cap_congruent(N: int, precision_bits: int) -> BoundReport:
+    value = congruent.n_cap(N)
+    ratio = congruent.growth_ratio_check(N, precision_bits)
+    inputs = {"N": N, "g": ratio.inputs["g"], "g_holds": ratio.holds}
+    return _value_report("n-cap-congruent", inputs, value, congruent.N_CAP_CITATION)
 
 
-def _bound_poly_growth(args, cfg) -> BoundReport:
-    (W,) = _require(args, "W")
-    if args.coeffs is not None:
-        coeffs = tuple(float(part) for part in args.coeffs.split(","))
-    else:
-        coeffs = congruent.growth_poly(cfg.precision_bits)
-    return bounds.poly_growth_check(coeffs, W)
-
-
-def _bound_david_floor(args, cfg) -> BoundReport:
-    logB, logV1, logV2, hE = _require(args, "logB", "logV1", "logV2", "hE")
-    value = bounds.david_floor_log(logB, logV1, logV2, hE)
-    inputs = {"logB": logB, "logV1": logV1, "logV2": logV2, "hE": hE, "C": float(bounds.DAVID_C)}
-    return _value_report("david-floor", inputs, value, bounds.DAVID_CITATION)
-
-
-def _bound_n_cap_general(args, cfg) -> BoundReport:
-    M, hE = _require(args, "M", "hE")
-    value = bounds.n_cap_general(int(M), hE)
-    inputs = {"M": int(M), "hE": hE, "height_floor": 2 * math.pi * math.sqrt(3)}
-    citation = "n with nP integral is capped once h(E) >= 2 pi sqrt(3); below that no cap is emitted"
-    return _value_report("n-cap-general", inputs, value, citation)
-
-
-def _bound_upper_form(args, cfg) -> BoundReport:
-    n, c1, hE = _require(args, "n", "c1", "hE")
-    value = bounds.upper_form_bound(int(n), c1, hE)
-    return _value_report("upper-form", {"n": int(n), "c1": c1, "hE": hE}, value, bounds.UPPER_FORM_CITATION)
-
-
-def _bound_gap_relation(args, cfg) -> BoundReport:
-    n1, n2, hE, c1, omega = _require(args, "n1", "n2", "hE", "c1", "omega")
-    return bounds.gap_relation(int(n1), int(n2), hE, c1, omega)
-
-
-def _bound_composite_cap(args, cfg) -> BoundReport:
-    M, hE, Clam = _require(args, "M", "hE", "Clam")
-    value = bounds.composite_cap(int(M), hE, Clam)
-    return _value_report("composite-cap", {"M": int(M), "hE": hE, "Clam": Clam}, value, bounds.COMPOSITE_CAP_CITATION)
-
-
-def _bound_n_cap_congruent(args, cfg) -> BoundReport:
-    (N,) = _require(args, "N")
-    value = congruent.n_cap(int(N))
-    ratio = congruent.growth_ratio_check(int(N), cfg.precision_bits)
-    inputs = {"N": int(N), "g": ratio.inputs["g"], "g_holds": ratio.holds}
-    citation = "n <= max{3.6e27, 9.196e23 (log N)^{5/2}} when nP is integral and N >= 56"
-    return _value_report("n-cap-congruent", inputs, value, citation)
-
-
-def _bound_gap_floor(args, cfg) -> BoundReport:
-    n1, N = _require(args, "n1", "N")
-    value = congruent.gap_floor(int(n1), int(N))
-    citation = "log n2 >= (n1^2/8) log N - log(N)/2 + log(omega1/2)"
-    return _value_report("gap-floor", {"n1": int(n1), "N": int(N)}, value, citation)
-
-
-def _bound_threshold_N(args, cfg) -> BoundReport:
+def _threshold_N() -> BoundReport:
     branch1, branch2 = congruent.resolve_N_threshold()
-    citation = "largest N with gap_floor(11, N) below each multiplier-cap branch"
-    return _value_report(
-        "threshold-N", {"branch1": branch1, "branch2": branch2}, float(branch1), citation
-    )
+    inputs = {"branch1": branch1, "branch2": branch2}
+    return _value_report("threshold-N", inputs, float(branch1), congruent.THRESHOLD_CITATION)
 
 
-def _bound_double_not_integral(args, cfg) -> BoundReport:
-    N, x = _require(args, "N", "x")
+def _double_not_integral(N: int, x: str) -> BoundReport:
     a = int(Fraction(x))
-    v = a**3 - int(N) ** 2 * a
+    v = a**3 - N**2 * a
     y = math.isqrt(v) if v > 0 else 0
     if v <= 0 or y * y != v:
         raise ValueError(f"abscissa {a} carries no integral point for N = {N}")
-    return congruent.verify_double_not_integral(int(N), rational_point(a, y))
+    return congruent.verify_double_not_integral(N, rational_point(a, y))
 
 
-def _bound_nonidentity_multiplier(args, cfg) -> BoundReport:
-    N, x, n = _require(args, "N", "x", "n")
-    a = Fraction(x)
-    return congruent.nonidentity_multiplier(int(N), rational_point(a, 0), int(n))
+def _nonidentity_multiplier(N: int, x: str, n: int) -> BoundReport:
+    return congruent.nonidentity_multiplier(N, rational_point(Fraction(x), 0), n)
 
 
-BOUND_REGISTRY: Dict[str, Callable] = {
-    "multiple-height-cap": _bound_multiple_height_cap,
-    "calculus": _bound_calculus,
-    "poly-growth": _bound_poly_growth,
-    "david-floor": _bound_david_floor,
-    "n-cap-general": _bound_n_cap_general,
-    "upper-form": _bound_upper_form,
-    "gap-relation": _bound_gap_relation,
-    "composite-cap": _bound_composite_cap,
-    "n-cap-congruent": _bound_n_cap_congruent,
-    "gap-floor": _bound_gap_floor,
-    "threshold-N": _bound_threshold_N,
-    "double-not-integral": _bound_double_not_integral,
-    "nonidentity-multiplier": _bound_nonidentity_multiplier,
+# name -> (evaluator, citation, constant inputs).  With a citation the evaluator
+# returns a value that _value_report wraps; without one it returns its own report.
+BOUND_REGISTRY: Dict[str, Tuple[Callable, Optional[str], Dict[str, float]]] = {
+    "multiple-height-cap": (bounds.multiple_height_cap, bounds.MULTIPLE_HEIGHT_CITATION, {}),
+    "calculus": (bounds.calculus_threshold, bounds.CALCULUS_CITATION, {}),
+    "poly-growth": (_poly_growth, None, {}),
+    "david-floor": (bounds.david_floor_log, bounds.DAVID_CITATION, {"C": float(bounds.DAVID_C)}),
+    "n-cap-general": (
+        bounds.n_cap_general,
+        bounds.N_CAP_GENERAL_CITATION,
+        {"height_floor": bounds.N_CAP_HEIGHT_FLOOR},
+    ),
+    "upper-form": (bounds.upper_form_bound, bounds.UPPER_FORM_CITATION, {}),
+    "gap-relation": (bounds.gap_relation, None, {}),
+    "composite-cap": (bounds.composite_cap, bounds.COMPOSITE_CAP_CITATION, {}),
+    "n-cap-congruent": (_n_cap_congruent, None, {}),
+    "gap-floor": (congruent.gap_floor, congruent.GAP_FLOOR_CITATION, {}),
+    "threshold-N": (_threshold_N, None, {}),
+    "double-not-integral": (_double_not_integral, None, {}),
+    "nonidentity-multiplier": (_nonidentity_multiplier, None, {}),
 }
 
 
+def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[str, type]]:
+    """Each bound's parameters as (name, required), and the one flag type of each parameter name.
+
+    A parameter is required when it has no default; its flag type is its
+    annotation, with Optional stripped.  precision_bits comes from RunConfig
+    and has no flag.
+    """
+    params: Dict[str, List[Tuple[str, bool]]] = {}
+    flag_types: Dict[str, type] = {}
+    for bound, (evaluator, _, _) in registry.items():
+        hints = typing.get_type_hints(evaluator)
+        params[bound] = []
+        for name, param in inspect.signature(evaluator).parameters.items():
+            params[bound].append((name, param.default is param.empty))
+            if name == "precision_bits":
+                continue
+            kind = next((t for t in typing.get_args(hints[name]) if t is not type(None)), hints[name])
+            if flag_types.setdefault(name, kind) is not kind:
+                raise TypeError(f"--{name} is annotated both {flag_types[name].__name__} and {kind.__name__}")
+    return params, flag_types
+
+
+BOUND_PARAMS, BOUND_FLAGS = _signature_table(BOUND_REGISTRY)
+
+
 def cmd_bounds(args: argparse.Namespace, cfg: RunConfig) -> int:
-    handler = BOUND_REGISTRY.get(args.name)
-    if handler is None:
+    if args.name not in BOUND_REGISTRY:
         raise UnknownBound(f"unknown bound {args.name!r}; known: {', '.join(sorted(BOUND_REGISTRY))}")
-    report = handler(args, cfg)
+    evaluator, citation, constants = BOUND_REGISTRY[args.name]
+    kwargs = {}
+    for name, required in BOUND_PARAMS[args.name]:
+        value = cfg.precision_bits if name == "precision_bits" else getattr(args, name)
+        if value is None and required:
+            raise ValueError(f"bound requires --{name}")
+        if value is not None:
+            kwargs[name] = value
+    if citation is None:
+        report = evaluator(**kwargs)
+    else:
+        report = _value_report(args.name, {**kwargs, **constants}, evaluator(**kwargs), citation)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "bounds",
@@ -443,8 +412,7 @@ def cmd_bounds(args: argparse.Namespace, cfg: RunConfig) -> int:
 # --- congruent table ---------------------------------------------------------
 
 
-def _load_golden() -> Dict[int, List[Tuple[int, int, str]]]:
-    text = resources.files("ellmult").joinpath(GOLDEN_RESOURCE).read_text()
+def _parse_table_csv(text: str) -> Dict[int, List[Tuple[int, int, str]]]:
     rows: Dict[int, List[Tuple[int, int, str]]] = {}
     for line in text.strip().split("\n")[1:]:
         n_str, x_str, y_str, h_str = line.split(",")
@@ -452,33 +420,21 @@ def _load_golden() -> Dict[int, List[Tuple[int, int, str]]]:
     return rows
 
 
-def _table_rows(table) -> Dict[int, List[Tuple[int, int, str]]]:
-    rows: Dict[int, List[Tuple[int, int, str]]] = {}
-    for row in table.rows:
-        rows[row.N] = [
-            (int(P.x), int(P.y), f"{float(h):.12g}") for P, h in zip(row.points, row.heights)
-        ]
-    return rows
-
-
 def cmd_congruent_table(args: argparse.Namespace, cfg: RunConfig) -> int:
     n_max = args.N_max if args.N_max is not None else 75
     table = congruent.reproduce_table(N_max=n_max, x_max=cfg.x_max, height_tol=cfg.tol)
-    computed = _table_rows(table)
-    golden = {N: pts for N, pts in _load_golden().items() if N <= n_max}
-    diff = []
-    for N in sorted(set(golden) | set(computed)):
-        if golden.get(N) != computed.get(N):
-            diff.append(
-                {
-                    "N": N,
-                    "expected": [list(t) for t in golden.get(N, [])],
-                    "got": [list(t) for t in computed.get(N, [])],
-                }
-            )
+    csv_text = congruent.table_csv(table)
+    computed = _parse_table_csv(csv_text)
+    golden_text = resources.files("ellmult").joinpath(GOLDEN_RESOURCE).read_text()
+    golden = {N: pts for N, pts in _parse_table_csv(golden_text).items() if N <= n_max}
+    diff = [
+        {"N": N, "expected": golden.get(N, []), "got": computed.get(N, [])}
+        for N in sorted(set(golden) | set(computed))
+        if golden.get(N) != computed.get(N)
+    ]
     match = not diff
     if cfg.output_format == "csv":
-        sys.stdout.write(congruent.table_csv(table))
+        sys.stdout.write(csv_text)
     else:
         doc = {
             "schema": SCHEMA_VERSION,
@@ -516,13 +472,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_curve_point(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--A", type=int, required=True)
-    sp.add_argument("--B", type=int, required=True)
-    sp.add_argument("--x", type=Fraction, required=True)
-    sp.add_argument("--y", type=Fraction, required=True)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ellmult",
@@ -530,49 +479,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="full per-point report")
-    _add_curve_point(analyze)
-    _add_common(analyze)
-    analyze.set_defaults(handler=cmd_analyze)
-
-    eds = sub.add_parser("eds", help="division-value sequence terms")
-    _add_curve_point(eds)
-    _add_common(eds)
-    eds.set_defaults(handler=cmd_eds)
-
-    hts = sub.add_parser("heights", help="naive and canonical heights")
-    _add_curve_point(hts)
-    _add_common(hts)
-    hts.set_defaults(handler=cmd_heights)
-
-    periods = sub.add_parser("periods", help="real period, second period, tau")
-    periods.add_argument("--A", type=int, required=True)
-    periods.add_argument("--B", type=int, required=True)
-    _add_common(periods)
-    periods.set_defaults(handler=cmd_periods)
+    for name, help_text, handler in (
+        ("analyze", "full per-point report", cmd_analyze),
+        ("eds", "division-value sequence terms", cmd_eds),
+        ("heights", "naive and canonical heights", cmd_heights),
+        ("periods", "real period, second period, tau", cmd_periods),
+    ):
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--A", type=int, required=True)
+        sp.add_argument("--B", type=int, required=True)
+        if handler is not cmd_periods:
+            sp.add_argument("--x", type=Fraction, required=True)
+            sp.add_argument("--y", type=Fraction, required=True)
+        _add_common(sp)
+        sp.set_defaults(handler=handler)
 
     bnd = sub.add_parser("bounds", help="evaluate a named bound report")
     bnd.add_argument("name")
-    for flag, conv in (
-        ("--n", int),
-        ("--n1", int),
-        ("--n2", int),
-        ("--M", int),
-        ("--N", int),
-        ("--hE", float),
-        ("--c1", float),
-        ("--omega", float),
-        ("--Clam", float),
-        ("--a", float),
-        ("--b", float),
-        ("--W", float),
-        ("--logB", float),
-        ("--logV1", float),
-        ("--logV2", float),
-    ):
-        bnd.add_argument(flag, type=conv, default=None)
-    bnd.add_argument("--x", type=str, default=None)
-    bnd.add_argument("--coeffs", type=str, default=None)
+    for flag, kind in sorted(BOUND_FLAGS.items(), key=lambda item: item[0].casefold()):
+        bnd.add_argument(f"--{flag}", type=kind, default=None)
     _add_common(bnd)
     bnd.set_defaults(handler=cmd_bounds)
 

@@ -44,6 +44,9 @@ HDIFF_WINDOW_CITATION = (
     "-(1/2) log N - (1/4) log 2 <= hhat(P) - h(x_P)/2 <= (1/4) log(N^2 + 1) + (1/12) log 2"
 )
 FLOOR_WINDOW_CITATION = "hhat(P) >= (1/16) log(2 N^2) for non-torsion P"
+N_CAP_CITATION = "n <= max{3.6e27, 9.196e23 (log N)^{5/2}} when nP is integral and N >= 56"
+GAP_FLOOR_CITATION = "log n2 >= (n1^2/8) log N - log(N)/2 + log(omega1/2)"
+THRESHOLD_CITATION = "largest N with gap_floor(11, N) below each multiplier-cap branch"
 UPPER_WINDOW_CITATION = (
     "hhat(P) <= h(x_P)/2 + (1/3) log 2 for integral P on the unbounded real component (x >= N)"
 )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import OffCurve, SingularCurve
+from .errors import InternalInvariantError, OffCurve, SingularCurve
 from .factorization import factor_int
 
 Rational = Union[int, Fraction]
@@ -89,7 +89,8 @@ def curve_height(c: Curve) -> CurveHeight:
     j_term = _log_height(c.j)
     coeff_term = math.log(max(4 * abs(c.A), 4 * abs(c.B)))
     value = max(j_term, coeff_term)
-    assert value >= 2 * math.log(2) - 1e-12
+    if value < 2 * math.log(2) - 1e-12:
+        raise InternalInvariantError(f"h(E) = {value} is below 2 log 2")
     return CurveHeight(value, j_term, coeff_term)
 
 

@@ -79,15 +79,23 @@ def _require_integral(P: RatPoint) -> Tuple[int, int]:
     return P.x.numerator, P.y.numerator
 
 
-def _h_values(A: int, B: int, a: int, b: int, n_max: int) -> List[OptInt]:
-    """h_0..h_n_max; None marks terms unreachable past a zero even divisor."""
-    h: List[OptInt] = [None] * (max(n_max, 4) + 1)
+def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[OptInt], List[OptInt]]:
+    """h_0..h_n_max and k_0..k_n_max (k_0 = 1) at an integral base point.
+
+    None marks an h past a zero even divisor, and a k next to such an h.
+    """
+    a, b = _require_integral(P)
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    A, B = c.A, c.B
+    top = n_max + 1  # k_n needs h_{n+1}
+    h: List[OptInt] = [None] * (max(top, 4) + 1)
     h[0] = 0
     h[1] = 1
     h[2] = 2 * b
     h[3] = 3 * a**4 + 6 * A * a**2 + 12 * B * a - A**2
     h[4] = 4 * b * (a**6 + 5 * A * a**4 + 20 * B * a**3 - 5 * A**2 * a**2 - 4 * A * B * a - 8 * B**2 - A**3)
-    for n in range(5, n_max + 1):
+    for n in range(5, top + 1):
         m = n // 2
         if n % 2:
             parts = (h[m + 2], h[m], h[m - 1], h[m + 1])
@@ -105,28 +113,18 @@ def _h_values(A: int, B: int, a: int, b: int, n_max: int) -> List[OptInt]:
                 if r:
                     raise InternalInvariantError(f"even-index term at n={n} not divisible by h_2")
                 h[n] = q
-    return h[: n_max + 1]
-
-
-def _k_values(a: int, h: List[OptInt]) -> List[OptInt]:
-    """k_n = a h_n^2 - h_{n+1} h_{n-1} for n < len(h) - 1, with k_0 = 1."""
     k: List[OptInt] = [1]
-    for n in range(1, len(h) - 1):
+    for n in range(1, n_max + 1):
         if h[n] is None or h[n + 1] is None or h[n - 1] is None:
             k.append(None)
         else:
             k.append(a * h[n] ** 2 - h[n + 1] * h[n - 1])
-    return k
+    return h[: n_max + 1], k
 
 
 def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
     """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g by gcd."""
-    a, b = _require_integral(P)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    h_ext = _h_values(c.A, c.B, a, b, n_max + 1)
-    h = h_ext[: n_max + 1]
-    k = _k_values(a, h_ext)[: n_max + 1]
+    h, k = _h_k(c, P, n_max)
     D = denominator_sequence(c, P, n_max)
     g: List[OptInt] = [None] * (n_max + 1)
     for n in range(n_max + 1):
@@ -137,9 +135,7 @@ def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
 
 def phi_terms(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
     """Numerator companions k_0..k_n_max with k_0 = 1."""
-    a, b = _require_integral(P)
-    h_ext = _h_values(c.A, c.B, a, b, n_max + 1)
-    return _k_values(a, h_ext)[: n_max + 1]
+    return _h_k(c, P, n_max)[1]
 
 
 def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
@@ -165,12 +161,10 @@ def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
 
 def cancellation(c: Curve, P: RatPoint, n: int) -> int:
     """g_n = gcd(k_n, h_n^2); raises ZeroTerm when h_n vanishes (nP at infinity)."""
-    a, b = _require_integral(P)
-    h = _h_values(c.A, c.B, a, b, n + 1)
-    if h[n] is None or h[n] == 0 or h[n + 1] is None or h[n - 1] is None:
+    h, k = _h_k(c, P, n)
+    if h[n] is None or h[n] == 0 or k[n] is None:
         raise ZeroTerm(f"h_{n} vanishes or is undefined for {P}")
-    k = a * h[n] ** 2 - h[n + 1] * h[n - 1]
-    return math.gcd(k, h[n] ** 2)
+    return math.gcd(k[n], h[n] ** 2)
 
 
 # --- symbolic x-polynomials ---------------------------------------------
@@ -269,13 +263,11 @@ def psi_value_binary(n: int, x: int, N: int) -> int:
 
 def x_multiple_exact(c: Curve, P: RatPoint, n: int) -> Optional[Fraction]:
     """x(nP) as k_n / h_n^2, or None when nP is at infinity; recurrence route only."""
-    a, b = _require_integral(P)
-    h = _h_values(c.A, c.B, a, b, n + 1)
+    h, k = _h_k(c, P, n)
     if h[n] is None:
         raise ZeroTerm(f"h_{n} undefined for {P}")
     if h[n] == 0:
         return None
-    if h[n + 1] is None or h[n - 1] is None:
+    if k[n] is None:
         raise ZeroTerm(f"neighbours of h_{n} undefined for {P}")
-    k = a * h[n] ** 2 - h[n + 1] * h[n - 1]
-    return Fraction(k, h[n] ** 2)
+    return Fraction(k[n], h[n] ** 2)

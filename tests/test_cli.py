@@ -1,7 +1,10 @@
 """Exit codes, config precedence, and output shapes of the command line."""
 
 import json
+import re
 from collections import Counter
+from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -204,8 +207,8 @@ def test_analyze_computes_each_quantity_once(capsys, monkeypatch, argv):
     calls = _count_calls(monkeypatch, *COUNTED)
     code, _ = run(capsys, *argv)
     assert code == 0
-    # root isolation runs once for the periods and once for the elliptic log
-    assert calls == {"torsion_order": 1, "canonical_height": 1, "_cubic_roots": 2}
+    # the elliptic log reuses the roots that period_data isolated
+    assert calls == {"torsion_order": 1, "canonical_height": 1, "_cubic_roots": 1}
 
 
 def test_heights_computes_each_quantity_once(capsys, monkeypatch):
@@ -271,6 +274,214 @@ def test_nonpositive_tol_exit_2(capsys):
 
 
 # --- bounds registry -------------------------------------------------------------
+
+
+# flags of one run of each bound, and its text output between the name and
+# the trailing "bound.applicable = True", without the "bound." prefix
+BOUND_TEXT = {
+    "multiple-height-cap": (
+        ["--n", "2", "--M", "1", "--hE", "3.0"],
+        "inputs.n = 2\n"
+        "inputs.M = 1\n"
+        "inputs.hE = 3.0\n"
+        "threshold = 22.693147180559944\n"
+        "holds = True\n"
+        "citation = hhat(P) <= log n + (16 M^2 / 3 + 2) h(E) when nP is integral\n"
+    ),
+    "calculus": (
+        ["--a", "4.1", "--b", "4.217"],
+        "inputs.a = 4.1\n"
+        "inputs.b = 4.217\n"
+        "threshold = 8.317\n"
+        "holds = True\n"
+        "citation = x^2 - a log x - b >= 0 for every x >= max{e, a + b}\n"
+    ),
+    "poly-growth": (
+        ["--W", "3.6e27"],
+        "inputs.W = 3.6e+27\n"
+        "inputs.degree = 6\n"
+        "inputs.max_term = 4.92547447771882e+55\n"
+        "threshold = 1.296e+55\n"
+        "holds = False\n"
+        "citation = W^2 > 2^-k P^(k)(log W) for k = 0..deg implies x^2 > P(log x) for x >= W\n"
+    ),
+    "david-floor": (
+        ["--logB", "20", "--logV1", "10", "--logV2", "5", "--hE", "2.5"],
+        "inputs.logB = 20.0\n"
+        "inputs.logV1 = 10.0\n"
+        "inputs.logV2 = 5.0\n"
+        "inputs.hE = 2.5\n"
+        "inputs.C = 4e+41\n"
+        "threshold = -1.1511545671847509e+47\n"
+        "holds = True\n"
+        "citation = log|L| >= -C (log B + 1)(log log B + h(E) + 1)^3 log V1 log V2, C = 4x10^41\n"
+    ),
+    "n-cap-general": (
+        ["--M", "1", "--hE", "11.0"],
+        "inputs.M = 1\n"
+        "inputs.hE = 11.0\n"
+        "inputs.height_floor = 10.882796185405306\n"
+        "threshold = 6.170906467439195e+27\n"
+        "holds = True\n"
+        "citation = n with nP integral is capped once h(E) >= 2 pi sqrt(3); below that no cap is emitted\n"
+    ),
+    "upper-form": (
+        ["--n", "2", "--c1", "1e-5", "--hE", "3.0"],
+        "inputs.n = 2\n"
+        "inputs.c1 = 1e-05\n"
+        "inputs.hE = 3.0\n"
+        "threshold = -0.00012000000000000002\n"
+        "holds = True\n"
+        "citation = log|L_{n,m}(z, omega)| <= -c1 n^2 h(E) for n beyond the regime constant\n"
+    ),
+    "gap-relation": (
+        ["--n1", "2", "--n2", "1000000", "--hE", "3.0", "--c1", "1e-5", "--omega", "1.0"],
+        "inputs.n1 = 2\n"
+        "inputs.n2 = 1000000\n"
+        "inputs.hE = 3.0\n"
+        "inputs.c1 = 1e-05\n"
+        "inputs.omega = 1.0\n"
+        "inputs.log_n2 = 13.815510557964274\n"
+        "threshold = -0.6930271805599453\n"
+        "holds = True\n"
+        "citation = c1 n1^2 h(E) + log(omega) - log(2) <= log n2\n"
+    ),
+    "composite-cap": (
+        ["--M", "1", "--hE", "10", "--Clam", "1e-5"],
+        "inputs.M = 1\n"
+        "inputs.hE = 10.0\n"
+        "inputs.Clam = 1e-05\n"
+        "threshold = 743333.3333333331\n"
+        "holds = True\n"
+        "citation = a <= max{e, (1/C_lam)(1/h(E) + 16 M^2 / 3 + 2)} for composite n = a b\n"
+    ),
+    "n-cap-congruent": (
+        ["--N", "56"],
+        "inputs.N = 56\n"
+        "inputs.g = 2.9298953270238086\n"
+        "inputs.g_holds = True\n"
+        "threshold = 3.6e+27\n"
+        "holds = True\n"
+        "citation = n <= max{3.6e27, 9.196e23 (log N)^{5/2}} when nP is integral and N >= 56\n"
+    ),
+    "gap-floor": (
+        ["--n1", "11", "--N", "75"],
+        "inputs.n1 = 11\n"
+        "inputs.N = 75\n"
+        "threshold = 63.41407581554013\n"
+        "holds = True\n"
+        "citation = log n2 >= (n1^2/8) log N - log(N)/2 + log(omega1/2)\n"
+    ),
+    "threshold-N": (
+        [],
+        "inputs.branch1 = 75\n"
+        "inputs.branch2 = 54\n"
+        "threshold = 75.0\n"
+        "holds = True\n"
+        "citation = largest N with gap_floor(11, N) below each multiplier-cap branch\n"
+    ),
+    "double-not-integral": (
+        ["--N", "5", "--x", "-4"],
+        "inputs.N = 5\n"
+        "inputs.x = -4\n"
+        "inputs.ord2 = -4\n"
+        "inputs.x_parity = 0\n"
+        "inputs.N_parity = 1\n"
+        "inputs.case_floor = -2\n"
+        "threshold = -2.0\n"
+        "holds = True\n"
+        "citation = x(2P) = (x^2 + N^2)^2 / (4 (x^3 - N^2 x)) has ord_2 < 0 for integral non-torsion P\n"
+    ),
+    "nonidentity-multiplier": (
+        ["--N", "5", "--x", "-4", "--n", "3"],
+        "inputs.N = 5\n"
+        "inputs.x = -4.0\n"
+        "inputs.n = 3\n"
+        "inputs.n_squared = 9\n"
+        "inputs.chain_bound = 6.85887727528042\n"
+        "threshold = 6.85887727528042\n"
+        "holds = False\n"
+        "citation = n^2 < 8 (log(N)/2 + log(N^2 + 1)/4 + log(2)/12) / (log N + log(2)/2) <= 8 forces n = 1\n"
+    ),
+}
+
+# bound -> (flag named when none is given, flag named when only it is left out)
+MISSING_FLAG = {
+    "multiple-height-cap": ("--n", "--hE"),
+    "calculus": ("--a", "--b"),
+    "poly-growth": ("--W", "--W"),
+    "david-floor": ("--logB", "--hE"),
+    "n-cap-general": ("--M", "--hE"),
+    "upper-form": ("--n", "--hE"),
+    "gap-relation": ("--n1", "--omega"),
+    "composite-cap": ("--M", "--Clam"),
+    "n-cap-congruent": ("--N", "--N"),
+    "gap-floor": ("--n1", "--N"),
+    "double-not-integral": ("--N", "--x"),
+    "nonidentity-multiplier": ("--N", "--n"),
+}
+
+
+def test_every_registered_bound_is_pinned():
+    assert list(BOUND_TEXT) == list(cli.BOUND_REGISTRY)
+    required = [
+        name
+        for name, params in cli.BOUND_PARAMS.items()
+        if any(req for p, req in params if p != "precision_bits")
+    ]
+    assert list(MISSING_FLAG) == required
+
+
+@pytest.mark.parametrize("name", list(BOUND_TEXT))
+def test_bounds_text_output(capsys, name):
+    flags, body = BOUND_TEXT[name]
+    code, out = run(capsys, "bounds", name, *flags, "--format", "text")
+    assert code == 0
+    head = f"schema = ellmult/1\ncommand = bounds\nprecision_bits = 128\nbound.name = {name}\n"
+    lines = "".join(f"bound.{line}\n" for line in body.splitlines())
+    assert out == head + lines + "bound.applicable = True\n"
+
+
+@pytest.mark.parametrize("name", list(MISSING_FLAG))
+def test_bounds_missing_flag_exit_2(capsys, name):
+    first, last = MISSING_FLAG[name]
+    flags = BOUND_TEXT[name][0]
+    i = flags.index(last)
+    for argv, flag in (([], first), (flags[:i] + flags[i + 2 :], last)):
+        code, doc = run_json(capsys, "bounds", name, *argv)
+        assert code == 2
+        assert doc["error"]["message"] == f"bound requires {flag}"
+
+
+def test_bound_flags_from_signatures():
+    assert cli.BOUND_FLAGS == {
+        **dict.fromkeys(("n", "n1", "n2", "M", "N"), int),
+        **dict.fromkeys(("hE", "c1", "omega", "Clam", "a", "b", "W", "logB", "logV1", "logV2"), float),
+        **dict.fromkeys(("x", "coeffs"), str),
+    }
+
+    def takes_int(n: int) -> float:
+        return n
+
+    def takes_float(n: float, coeffs: Optional[str] = None) -> float:
+        return n
+
+    assert cli._signature_table({"f": (takes_float, "c", {})}) == (
+        {"f": [("n", True), ("coeffs", False)]},
+        {"n": float, "coeffs": str},
+    )
+    with pytest.raises(TypeError, match="--n is annotated both int and float"):
+        cli._signature_table({"i": (takes_int, "c", {}), "f": (takes_float, "c", {})})
+
+
+def test_readme_lists_every_bound_with_its_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Registered bound names", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, re.M)
+    assert [name for name, _ in rows] == list(cli.BOUND_REGISTRY)
+    for name, flags in rows:
+        params = [p for p, _ in cli.BOUND_PARAMS[name] if p != "precision_bits"]
+        assert re.findall(r"--(\w+)", flags) == params, name
 
 
 def test_bounds_calculus(capsys):

@@ -53,6 +53,18 @@ def test_cancellation_values():
         cancellation(E5, rational_point(0, 0), 2)
 
 
+def test_zero_term_cases():
+    # h_2 = 0 at this 2-torsion point, so h_n is undefined for even n >= 6
+    t = rational_point(0, 0)
+    assert phi_terms(E5, t, 6)[4:] == [152587890625, None, None]
+    with pytest.raises(ZeroTerm, match=r"^h_6 undefined for"):
+        x_multiple_exact(E5, t, 6)
+    with pytest.raises(ZeroTerm, match=r"^neighbours of h_5 undefined for"):
+        x_multiple_exact(E5, t, 5)
+    with pytest.raises(ZeroTerm, match=r"^h_5 vanishes or is undefined for"):
+        cancellation(E5, t, 5)
+
+
 def test_non_integral_rejected():
     q = rational_point(Fraction(1681, 144), Fraction(-62279, 1728))
     with pytest.raises(NonIntegralBasePoint):
