@@ -324,7 +324,10 @@ def _threshold_N() -> BoundReport:
 
 
 def _double_not_integral(N: int, x: str) -> BoundReport:
-    a = int(Fraction(x))
+    q = Fraction(x)
+    if q.denominator != 1:
+        raise ValueError(f"abscissa {x} is not an integer")
+    a = q.numerator
     v = a**3 - N**2 * a
     y = math.isqrt(v) if v > 0 else 0
     if v <= 0 or y * y != v:
@@ -333,7 +336,10 @@ def _double_not_integral(N: int, x: str) -> BoundReport:
 
 
 def _nonidentity_multiplier(N: int, x: str, n: int) -> BoundReport:
-    return congruent.nonidentity_multiplier(N, rational_point(Fraction(x), 0), n)
+    a = Fraction(x)
+    if a**3 - N**2 * a < 0:
+        raise ValueError(f"abscissa {x} carries no real point for N = {N}")
+    return congruent.nonidentity_multiplier(N, rational_point(a, 0), n)
 
 
 # name -> (evaluator, citation, constant inputs).  With a citation the evaluator

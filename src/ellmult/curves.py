@@ -1,6 +1,7 @@
 """Exact arithmetic on short Weierstrass curves y^2 = x^3 + A*x + B over Q.
 
-Coordinates are Fractions in lowest terms; nothing in this module rounds.
+Points are given with Fraction coordinates in lowest terms; the group law
+works on integer triples.  Nothing in this module rounds.
 """
 
 from __future__ import annotations
@@ -112,42 +113,97 @@ def negate(P: RatPoint) -> RatPoint:
     return RatPoint(P.x, -P.y)
 
 
+# --- integer group law ------------------------------------------------------
+#
+# The group law runs on triples (X, Y, D) with x = X/D^2, y = Y/D^3, D >= 1 and
+# gcd(X, D) = 1; None is the point at infinity.  On an integral model every
+# affine rational point has exactly one such triple, so triples compare as
+# points do, and D is the square root of the denominator of x.
+
+Triple = Optional[Tuple[int, int, int]]
+
+
+def to_triple(c: Curve, P: RatPoint) -> Triple:
+    """Check that P lies on c and return its triple; the one on-curve check a point gets."""
+    _require_on_curve(c, P)
+    if P.is_infinity:
+        return None
+    q = P.x.denominator
+    d = math.isqrt(q)
+    if d * d != q or P.y.denominator != d * q:
+        raise InternalInvariantError(f"the denominators of {P} are not a square and its cube")
+    return P.x.numerator, P.y.numerator, d
+
+
+def from_triple(T: Triple) -> RatPoint:
+    """The point with Fraction coordinates that a triple stands for."""
+    if T is None:
+        return INFINITY
+    X, Y, D = T
+    return RatPoint(Fraction(X, D * D), Fraction(Y, D**3))
+
+
+def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
+    """T1 + T2 on c without an on-curve check: both must come from to_triple or from here.
+
+    The chord or tangent gives x as num / W^2 with slope L / (K W); one gcd
+    reduces x, and y follows from the summand with the smaller denominator.
+    """
+    if T1 is None:
+        return T2
+    if T2 is None:
+        return T1
+    if T1[2] < T2[2]:
+        T1, T2 = T2, T1  # the division that recovers y is by D2^3, so T2 is the smaller
+    X1, Y1, D1 = T1
+    X2, Y2, D2 = T2
+    E1, E2 = D1 * D1, D2 * D2
+    H = X2 * E1 - X1 * E2  # (x2 - x1) (D1 D2)^2
+    R = Y2 * E1 * D1 - Y1 * E2 * D2  # (y2 - y1) (D1 D2)^3
+    if H:
+        # x3 = ((x1 + x2)(x1 x2 + A) + 2B - 2 y1 y2) / (x1 - x2)^2
+        E, K, L, W = E1 * E2, D1 * D2, R, H
+        num = (X1 * E2 + X2 * E1) * (X1 * X2 + c.A * E) + 2 * c.B * E * E - 2 * Y1 * Y2 * K
+    elif R or not Y1:  # T2 = -T1, which covers doubling a point of order 2
+        return None
+    else:
+        # x3 = slope^2 - 2 x1 with slope (3 x1^2 + A) / (2 y1)
+        K, L, W = 1, 3 * X1 * X1 + c.A * E1 * E1, 2 * Y1 * D1
+        num = L * L - 8 * X1 * Y1 * Y1
+    # on an integral model the reduced denominator of x is a square, so g = u^2
+    g = math.gcd(num, W * W)
+    u = math.isqrt(g)
+    if u * u != g:
+        raise InternalInvariantError(f"reduced denominator {W * W // g} of x(P + Q) is not a perfect square")
+    X, D = num // g, abs(W) // u
+    if W < 0:
+        L = -L
+    # y3 = slope (x2 - x3) - y2, exact over u K D2^3
+    Y, r = divmod(L * (X2 * D * D - X * E2) * D2 - Y2 * u * K * D**3, u * K * D2**3)
+    if r:
+        raise InternalInvariantError("denominator of y(P + Q) is not the cube of the square root of that of x")
+    return X, Y, D
+
+
 def add(c: Curve, P: RatPoint, Q: RatPoint) -> RatPoint:
     """Chord-tangent sum of two points on c."""
-    _require_on_curve(c, P)
-    _require_on_curve(c, Q)
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    if P.x == Q.x:
-        if P.y == -Q.y:
-            return INFINITY
-        # tangent line; y != 0 here since y = -y was excluded
-        lam = (3 * P.x * P.x + c.A) / (2 * P.y)
-    else:
-        lam = (Q.y - P.y) / (Q.x - P.x)
-    x3 = lam * lam - P.x - Q.x
-    y3 = lam * (P.x - x3) - P.y
-    return RatPoint(x3, y3)
+    return from_triple(add_triples(c, to_triple(c, P), to_triple(c, Q)))
 
 
 def multiply(c: Curve, n: int, P: RatPoint) -> RatPoint:
     """n*P by double-and-add; n may be negative or zero."""
-    _require_on_curve(c, P)
-    if n == 0 or P.is_infinity:
-        return INFINITY
+    base = to_triple(c, P)
     if n < 0:
-        n, P = -n, negate(P)
-    result = INFINITY
-    base = P
+        n = -n
+        base = None if base is None else (base[0], -base[1], base[2])
+    result: Triple = None
     while n:
         if n & 1:
-            result = add(c, result, base)
+            result = add_triples(c, result, base)
         n >>= 1
         if n:
-            base = add(c, base, base)
-    return result
+            base = add_triples(c, base, base)
+    return from_triple(result)
 
 
 def quasi_minimalize(c: Curve) -> Tuple[Curve, int]:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
-from .curves import Curve, RatPoint, add
+from .curves import Curve, RatPoint, add_triples, to_triple
 from .errors import InternalInvariantError, NonIntegralBasePoint, ZeroTerm
 
 OptInt = Optional[int]
@@ -144,18 +144,13 @@ def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
     Index n holds D_n >= 1, or None when nP is the point at infinity.
     """
     _require_integral(P)
+    base = to_triple(c, P)
     out: List[OptInt] = [None] * (n_max + 1)
-    acc = P
+    acc = base
     for n in range(1, n_max + 1):
-        if acc.is_infinity:
-            out[n] = None
-        else:
-            q = acc.x.denominator
-            root = math.isqrt(q)
-            if root * root != q:
-                raise InternalInvariantError(f"denominator of x({n}P) is not a perfect square")
-            out[n] = root
-        acc = add(c, acc, P)
+        if n > 1:
+            acc = add_triples(c, acc, base)
+        out[n] = None if acc is None else acc[2]
     return out
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator, List, Optional, Tuple, Union
 
 from ._precision import context
-from .curves import Curve, RatPoint, add, curve_height, multiply
+from .curves import Curve, RatPoint, add_triples, curve_height, to_triple
 from .errors import PrecisionExhausted
 from .reports import BoundReport
 
@@ -54,15 +54,18 @@ def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Opt
     """Smallest n <= limit with n*P at infinity, or None.
 
     Rational torsion has order at most 12, so the default limit is a complete
-    torsion test.
+    torsion test.  On an integral model torsion points are integral
+    (Nagell-Lutz), so the first multiple with a non-integral x proves that P
+    has infinite order and ends the scan.
     """
-    if P.is_infinity:
-        return 1
-    Q = P
+    base = to_triple(c, P)
+    Q = base
     for n in range(1, limit + 1):
-        if Q.is_infinity:
+        if Q is None:
             return n
-        Q = add(c, Q, P)
+        if Q[2] > 1:
+            return None
+        Q = add_triples(c, Q, base)
     return None
 
 

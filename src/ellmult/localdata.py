@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .curves import Curve, RatPoint, add
+from .curves import Curve, RatPoint, add_triples, from_triple, to_triple
 from .errors import CapExceeded, InternalInvariantError, UnreliableAtSmallPrime
 from .factorization import prime_divisors, valuation
 
@@ -86,11 +86,12 @@ def component_order(c: Curve, p: int, P: RatPoint) -> int:
     order is large.
     """
     cap = valuation(c.discriminant, p) + 4
-    Q = P
+    base = to_triple(c, P)
+    Q = base
     for r in range(1, cap + 1):
-        if in_identity_component(c, p, Q):
+        if in_identity_component(c, p, from_triple(Q)):
             return r
-        Q = add(c, Q, P)
+        Q = add_triples(c, Q, base)
     raise CapExceeded(f"no multiple of the point entered the identity component at p={p} within {cap} steps")
 
 

@@ -1,0 +1,58 @@
+"""Shared reference data: points and their multiples by an independent group law."""
+
+from fractions import Fraction
+from importlib import resources
+
+import pytest
+
+REFERENCE_N_MAX = 40
+
+# (A, B, x, y) with B != 0, beside the golden points, whose curves all have B = 0
+OTHER_POINTS = ((0, 17, -2, 3), (0, 17, 8, -23), (0, -2, 3, 5), (-16, 16, 0, 4))
+
+
+def _chord_tangent(A, P, Q):
+    """P + Q on y^2 = x^3 + A x + B for Fraction pairs, None at infinity, by the slope formulas."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    (x1, y1), (x2, y2) = P, Q
+    if x1 == x2:
+        if y1 == -y2:
+            return None
+        slope = (3 * x1 * x1 + A) / (2 * y1)
+    else:
+        slope = (y2 - y1) / (x2 - x1)
+    x3 = slope * slope - x1 - x2
+    return x3, slope * (x1 - x3) - y1
+
+
+def _multiples(A, x, y):
+    P = (Fraction(x), Fraction(y))
+    multiples = [None, P]
+    for _ in range(REFERENCE_N_MAX - 1):
+        multiples.append(_chord_tangent(A, multiples[-1], P))
+    return multiples
+
+
+@pytest.fixture(scope="session")
+def chord_tangent():
+    return _chord_tangent
+
+
+@pytest.fixture(scope="session")
+def golden_multiples():
+    """(N, x, y, [None, P, 2P, ..., 40P]) for each golden row, by n - 1 chord additions on Fractions."""
+    text = resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
+    out = []
+    for line in text.strip().split("\n")[1:]:
+        N, x, y = (int(v) for v in line.split(",")[:3])
+        out.append((N, x, y, _multiples(-N * N, x, y)))
+    return out
+
+
+@pytest.fixture(scope="session")
+def other_multiples():
+    """(A, B, x, y, [None, P, ..., 40P]) for OTHER_POINTS, as golden_multiples builds them."""
+    return [(A, B, x, y, _multiples(A, x, y)) for A, B, x, y in OTHER_POINTS]

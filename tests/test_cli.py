@@ -8,7 +8,7 @@ from typing import Optional
 
 import pytest
 
-from ellmult import analytic, cli, heights
+from ellmult import analytic, cli, curves, heights
 
 
 def run(capsys, *argv):
@@ -216,6 +216,15 @@ def test_heights_computes_each_quantity_once(capsys, monkeypatch):
     code, _ = run(capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
     assert code == 0
     assert calls == {"torsion_order": 1, "canonical_height": 1}
+
+
+@pytest.mark.parametrize("n_max", ["5", "50"])
+def test_eds_checks_the_point_once_on_entry(capsys, monkeypatch, n_max):
+    calls = _count_calls(monkeypatch, (cli, "on_curve"), (curves, "on_curve"))
+    code, _ = run(capsys, "eds", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", n_max)
+    assert code == 0
+    # once where the CLI reads the point, once where the group law takes it
+    assert calls == {"on_curve": 2}
 
 
 def test_periods_isolates_roots_once(capsys, monkeypatch):
@@ -643,6 +652,22 @@ def test_bounds_double_not_integral(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("x", ["-4.5", "7/2"])
+def test_bounds_double_not_integral_rejects_fraction(capsys, x):
+    code, doc = run_json(capsys, "bounds", "double-not-integral", "--N", "5", "--x", x)
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": f"abscissa {x} is not an integer", "exit_code": 2}
+
+
+@pytest.mark.parametrize("x", ["-4", "-4.0", "-8/2"])
+def test_bounds_double_not_integral_integral_spellings_agree(capsys, x):
+    # every spelling of an integer gives the same document as the plain one
+    _, plain = run(capsys, "bounds", "double-not-integral", "--N", "5", "--x", "-4")
+    code, out = run(capsys, "bounds", "double-not-integral", "--N", "5", "--x", x)
+    assert code == 0
+    assert out == plain
+
+
 def test_bounds_nonidentity_multiplier(capsys):
     code, doc = run_json(
         capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", "-4", "--n", "1"
@@ -655,6 +680,14 @@ def test_bounds_nonidentity_multiplier(capsys):
     )
     assert code == 0
     assert doc["bound"]["holds"] is False
+
+
+@pytest.mark.parametrize("x", ["3", "-6", "1/2"])
+def test_bounds_nonidentity_multiplier_rejects_abscissa_without_real_point(capsys, x):
+    # x^3 - 25 x < 0 there, so no real point has this abscissa
+    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", x, "--n", "1")
+    assert code == 2
+    assert doc["error"]["message"] == f"abscissa {x} carries no real point for N = 5"
 
 
 # --- congruent-table --------------------------------------------------------------

@@ -107,6 +107,64 @@ def test_multiply_additivity(m, n):
     assert lhs == rhs
 
 
+def test_multiply_matches_reference_on_golden_points(golden_multiples):
+    # double-and-add on triples against n - 1 chord additions on Fractions
+    for N, x, y, multiples in golden_multiples:
+        c = make_curve(-N * N, 0)
+        P = rational_point(x, y)
+        for n in range(1, len(multiples)):
+            assert multiply(c, n, P) == rational_point(*multiples[n]), (N, x, n)
+
+
+def test_add_matches_reference_on_golden_multiples(golden_multiples):
+    # both summands large, doubling a large point, and a difference
+    for N, x, y, multiples in golden_multiples:
+        c = make_curve(-N * N, 0)
+        nP = [None] + [rational_point(*Q) for Q in multiples[1:]]
+        for m, n in ((1, 39), (39, 1), (17, 23), (20, 20), (13, 13)):
+            assert add(c, nP[m], nP[n]) == nP[m + n], (N, x, m, n)
+        assert add(c, nP[23], negate(nP[17])) == nP[6]
+        assert add(c, nP[20], negate(nP[20])) == INFINITY
+
+
+def test_group_law_matches_reference_with_nonzero_B(other_multiples, chord_tangent):
+    for A, B, x, y, multiples in other_multiples:
+        c = make_curve(A, B)
+        nP = [None] + [rational_point(*Q) for Q in multiples[1:]]
+        for n in range(1, len(nP)):
+            assert multiply(c, n, nP[1]) == nP[n], (A, B, x, n)
+        for m, n in ((1, 39), (17, 23), (20, 20)):
+            assert add(c, nP[m], nP[n]) == nP[m + n], (A, B, x, m, n)
+    # two independent points of y^2 = x^3 + 17
+    (_, _, _, _, mP), (_, _, _, _, mQ) = other_multiples[:2]
+    c = make_curve(0, 17)
+    for m, n in ((1, 1), (3, 5), (11, 7), (20, 20)):
+        expected = chord_tangent(0, mP[m], mQ[n])
+        assert add(c, rational_point(*mP[m]), rational_point(*mQ[n])) == rational_point(*expected)
+
+
+def test_two_torsion_multiples():
+    for x in (0, 5, -5):
+        t = rational_point(x, 0)
+        assert add(E5, t, t) == INFINITY
+        for n in range(-5, 6):
+            assert multiply(E5, n, t) == (t if n % 2 else INFINITY)
+
+
+def test_torsion_of_x_cubed_plus_one():
+    c = make_curve(0, 1)
+    p = rational_point(2, 3)
+    cycle = [INFINITY, p, rational_point(0, 1), rational_point(-1, 0), rational_point(0, -1), rational_point(2, -3)]
+    acc = INFINITY
+    for n in range(1, 13):
+        acc = add(c, acc, p)
+        assert acc == cycle[n % 6]
+    for n in range(-12, 13):
+        assert multiply(c, n, p) == cycle[n % 6]
+        assert multiply(c, n, cycle[2]) == cycle[2 * n % 6]  # (0, 1) has order 3
+        assert multiply(c, n, cycle[3]) == cycle[3 * n % 6]  # (-1, 0) has order 2
+
+
 def test_group_law_commutes_and_associates():
     p = rational_point(-4, 6)
     q = rational_point(45, 300)

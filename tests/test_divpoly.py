@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellmult import curves
 from ellmult.curves import make_curve, multiply, rational_point
 from ellmult.divpoly import (
     cancellation,
@@ -44,6 +45,41 @@ def test_denominator_sequence_values():
     t = rational_point(0, 0)
     Dt = denominator_sequence(E5, t, 4)
     assert Dt[1] == 1 and Dt[2] is None and Dt[3] == 1 and Dt[4] is None
+
+
+def test_denominator_sequence_matches_reference_on_golden_points(golden_multiples):
+    for N, x, y, multiples in golden_multiples:
+        expected = [None]
+        for Q in multiples[1:]:
+            q = Q[0].denominator
+            root = math.isqrt(q)
+            assert root * root == q
+            expected.append(root)
+        n_max = len(multiples) - 1
+        assert denominator_sequence(make_curve(-N * N, 0), rational_point(x, y), n_max) == expected, (N, x)
+
+
+def test_denominator_sequence_matches_reference_with_nonzero_B(other_multiples):
+    for A, B, x, y, multiples in other_multiples:
+        expected = [None] + [math.isqrt(Q[0].denominator) for Q in multiples[1:]]
+        assert denominator_sequence(make_curve(A, B), rational_point(x, y), len(multiples) - 1) == expected
+
+
+def test_denominator_sequence_at_torsion_points():
+    for x in (0, 5, -5):
+        assert denominator_sequence(E5, rational_point(x, 0), 8) == [None, 1, None, 1, None, 1, None, 1, None]
+    c = make_curve(0, 1)
+    for (x, y), order in (((2, 3), 6), ((0, 1), 3), ((-1, 0), 2)):
+        expected = [None] + [None if n % order == 0 else 1 for n in range(1, 13)]
+        assert denominator_sequence(c, rational_point(x, y), 12) == expected
+
+
+def test_denominator_sequence_checks_the_point_once(monkeypatch):
+    calls = []
+    original = curves.on_curve
+    monkeypatch.setattr(curves, "on_curve", lambda c, P: calls.append(P) or original(c, P))
+    denominator_sequence(E5, P5, 50)
+    assert calls == [P5]
 
 
 def test_cancellation_values():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ellmult.curves import INFINITY, add, make_curve, multiply, negate, rational_point
+from ellmult.divpoly import psi_polynomial
 from ellmult.errors import PrecisionExhausted
 from ellmult.heights import (
     canonical_height,
@@ -31,6 +32,44 @@ def test_torsion_scan():
     assert torsion_order(E5, rational_point(5, 0)) == 2
     assert torsion_order(E5, P5) is None
     assert torsion_order(E5, INFINITY) == 1
+
+
+def _full_scan(c, Q, limit=12):
+    """Smallest k <= limit with kQ at infinity, testing every k: kQ = O iff psi_k(x(Q)) = 0.
+
+    The division polynomials decide each step without the group law, so the
+    scan costs little even where the multiples of Q are large.
+    """
+    if Q.is_infinity:
+        return 1
+    X, q = Q.x.numerator, Q.x.denominator
+    for k in range(2, limit + 1):
+        psi = psi_polynomial(c, k)
+        if sum(a * X**i * q ** (psi.degree - i) for i, a in enumerate(psi.coefficients)) == 0:
+            return k
+    return None
+
+
+def test_torsion_scan_matches_full_scan_on_golden_multiples(golden_multiples):
+    for N, x, y, _ in golden_multiples:
+        c = make_curve(-N * N, 0)
+        for n in range(1, 9):
+            Q = multiply(c, n, rational_point(x, y))
+            assert torsion_order(c, Q) == _full_scan(c, Q), (N, x, n)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 5, 12])
+def test_torsion_scan_matches_full_scan_on_torsion_points(limit):
+    c = make_curve(0, 1)
+    points = [(E5, rational_point(x, 0)) for x in (0, 5, -5)]
+    points += [(c, rational_point(2, 3)), (c, rational_point(0, 1)), (c, rational_point(-1, 0))]
+    for curve, T in points:
+        for n in range(0, 7):
+            Q = multiply(curve, n, T)
+            assert torsion_order(curve, Q, limit) == _full_scan(curve, Q, limit)
+    assert torsion_order(c, rational_point(2, 3)) == 6
+    assert torsion_order(c, rational_point(0, 1)) == 3
+    assert torsion_order(c, rational_point(-1, 0)) == 2
 
 
 def test_torsion_height_is_zero():
