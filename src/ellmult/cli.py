@@ -337,9 +337,13 @@ def _double_not_integral(N: int, x: str) -> BoundReport:
 
 def _nonidentity_multiplier(N: int, x: str, n: int) -> BoundReport:
     a = Fraction(x)
-    if a**3 - N**2 * a < 0:
+    v = a**3 - N**2 * a
+    if v < 0:
         raise ValueError(f"abscissa {x} carries no real point for N = {N}")
-    return congruent.nonidentity_multiplier(N, rational_point(a, 0), n)
+    num, den = math.isqrt(v.numerator), math.isqrt(v.denominator)
+    if num * num != v.numerator or den * den != v.denominator:
+        raise ValueError(f"abscissa {x} carries no rational point for N = {N}")
+    return congruent.nonidentity_multiplier(N, rational_point(a, Fraction(num, den)), n)
 
 
 # name -> (evaluator, citation, constant inputs).  With a citation the evaluator

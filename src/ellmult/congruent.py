@@ -5,6 +5,10 @@ doubling, valuation profiles of the division-value sequence, multiplier caps
 with their explicit N-dependence, the threshold search that closes the range
 of admissible N, and the bounded integral-point search that rebuilds the
 point table for square-free N up to 75.
+
+The search enumerates abscissas x = +-s a^2 over the square-free divisors s
+of N, the only shapes an integral point can take, and checks each exactly.
+The threshold search bisects, since both cap branches are monotone in N.
 """
 
 from __future__ import annotations
@@ -15,14 +19,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from . import analytic, bounds
 from ._precision import context
 from .curves import Curve, RatPoint, make_curve, rational_point
 from .divpoly import psi_value_binary
 from .errors import ParityMismatch, TorsionInput
-from .factorization import is_square_free, valuation
+from .factorization import factor_int, is_square_free, valuation
 from .heights import canonical_height, naive_height
 from .reports import BoundReport
 
@@ -30,9 +32,6 @@ N_CAP_SMALL = 3.6e27
 N_CAP_COEFF = 9.196e23
 TABLE_N_VALUES = (5, 6, 7, 14, 15, 21, 22, 29, 30, 34, 39, 41, 46, 65, 69, 70)
 HEIGHT_RATIO_LIMIT = 121
-
-# largest x whose cube, and N^2 x alongside it, stays inside int64
-_VECTOR_X_CAP = 2_000_000
 
 DOUBLE_CITATION = "x(2P) = (x^2 + N^2)^2 / (4 (x^3 - N^2 x)) has ord_2 < 0 for integral non-torsion P"
 BINARY_FORM_CITATION = "psi_n(t x, t N) = t^((n^2 - 1)/2) psi_n(x, N); psi_n(1, 0) = n; psi_n(0, 1) = +-1"
@@ -322,22 +321,39 @@ def gap_floor(n1: int, N: int) -> float:
     return float(ctx.mpf(n1) ** 2 / 8 * logn - logn / 2 + ctx.ln(_omega_one() / 2))
 
 
-def resolve_N_threshold(scan_max: int = 5000) -> Tuple[int, int]:
-    """Largest N compatible with each branch of the multiplier cap at n1 = 11.
+def _last_true(predicate, lo: int, hi: int) -> Optional[int]:
+    """Largest N in [lo, hi) with predicate(N), for a predicate that holds on a prefix."""
+    if lo >= hi or not predicate(lo):
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if predicate(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def resolve_N_threshold(scan_max: int = 5000) -> Tuple[Optional[int], Optional[int]]:
+    """Largest N in [2, scan_max) compatible with each branch of the multiplier cap at n1 = 11.
 
     Branch one compares the gap floor against log(3.6e27), branch two against
-    log(9.196e23 (log N)^{5/2}); both margins are monotone in N, so the last
-    satisfied N in an increasing scan is the threshold.
+    log(9.196e23 (log N)^{5/2}).  Each branch holds on a prefix of N, so each
+    is bisected and returns the last N where it holds, or None where it
+    fails already at N = 2.  The floor is (121/8 - 1/2) log N + const, which
+    increases, so branch one's margin decreases.  Branch two's margin
+    log(9.196e23) + (5/2) log log N - floor has derivative
+    (2.5 / log N - 14.625) / N < 0 for N >= 2, since 2.5 / log 2 < 3.61.
+    Consecutive floors differ by 14.625 log(1 + 1/N), far above the rounding
+    of the returned float for any N below 10^12, so the computed predicates
+    are monotone too and the bisection returns what a linear scan returns.
     """
     ctx = context(128)
     cap_small = ctx.ln(ctx.mpf(N_CAP_SMALL))
-    branch1 = branch2 = None
-    for N in range(2, scan_max):
-        floor = gap_floor(11, N)
-        if floor <= cap_small:
-            branch1 = N
-        if floor <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")):
-            branch2 = N
+    branch1 = _last_true(lambda N: gap_floor(11, N) <= cap_small, 2, scan_max)
+    branch2 = _last_true(
+        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), 2, scan_max
+    )
     return branch1, branch2
 
 
@@ -404,70 +420,39 @@ def height_windows(
     return hdiff, floor, cap
 
 
-def _vector_square_abscissas(N: int, lo: int, hi: int) -> List[int]:
-    """int64 scan of x in [lo, hi] for x^3 - N^2 x a positive perfect square."""
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
-    v = xs * xs * xs - np.int64(N * N) * xs
-    keep = v > 0
-    xs, v = xs[keep], v[keep]
-    if xs.size == 0:
-        return []
-    base = np.floor(np.sqrt(v.astype(np.float64))).astype(np.int64)
-    hits: List[int] = []
-    for shift in (-1, 0, 1):
-        root = base + shift
-        mask = (root > 0) & (root * root == v)
-        hits.extend(int(t) for t in xs[mask])
-    return hits
-
-
-def _python_square_abscissas(N: int, lo: int, hi: int) -> List[int]:
-    N2 = N * N
-    out = []
-    for x in range(lo, hi + 1):
-        v = x * x * x - N2 * x
-        if v > 0:
-            s = math.isqrt(v)
-            if s * s == v:
-                out.append(x)
-    return out
-
-
 def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     """All integral non-torsion (x, y), y > 0, with -N <= x <= x_max, x ascending.
 
-    The vectorized scan only proposes candidates; every candidate is
-    re-verified with exact integer arithmetic before being returned.
+    Descent (Silverman, AEC X.1): if a prime p divides x but not N, then
+    x - N and x + N are prime to p, so ord_p(x) = ord_p(y^2) is even.  Every
+    prime with odd valuation in x therefore divides N, and x = +-s a^2 with
+    s | N square-free; s is the square-free part of |x|, so each abscissa
+    arises once.  The search runs over (s, a) with a <= isqrt(x_max // s)
+    for x > 0 and a <= isqrt(N // s) on the bounded oval -N <= x < 0, at
+    most 2 sum_{s | N} sqrt(x_max / s) candidates.  Each is kept when
+    x^3 - N^2 x is a positive perfect square, tested exactly with isqrt; the
+    2-torsion abscissas 0, +-N give 0 and drop out.  Only the hits are held,
+    so memory does not grow with x_max.
     """
     if N < 1 or not is_square_free(N):
         raise ValueError(f"N must be a square-free positive integer, got {N}")
     if x_max < N:
         raise ValueError("x_max must be at least N")
-    candidates: List[int] = []
-    vector_ok = N <= _VECTOR_X_CAP
-    vec_lo = max(-N, -_VECTOR_X_CAP) if vector_ok else 1
-    vec_hi = min(x_max, _VECTOR_X_CAP) if vector_ok else 0
-    if not vector_ok:
-        candidates.extend(_python_square_abscissas(N, -N, x_max))
-    else:
-        start = vec_lo
-        chunk = 1 << 20
-        while start <= vec_hi:
-            stop = min(start + chunk - 1, vec_hi)
-            candidates.extend(_vector_square_abscissas(N, start, stop))
-            start = stop + 1
-        if x_max > vec_hi:
-            candidates.extend(_python_square_abscissas(N, vec_hi + 1, x_max))
-    points = []
+    divisors = [1]
+    for p in factor_int(N):
+        divisors += [d * p for d in divisors]
     N2 = N * N
-    for x in sorted(set(candidates)):
-        if x in (0, N, -N):
-            continue
-        v = x**3 - N2 * x
-        y = math.isqrt(v) if v > 0 else 0
-        if v > 0 and y * y == v:
-            points.append(rational_point(x, y))
-    return points
+    hits = []
+    for s in divisors:
+        for sign, bound in ((1, x_max), (-1, N)):
+            for a in range(1, math.isqrt(bound // s) + 1):
+                x = sign * s * a * a
+                v = x * x * x - N2 * x
+                if v > 0:
+                    y = math.isqrt(v)
+                    if y * y == v:
+                        hits.append((x, y))
+    return [rational_point(x, y) for x, y in sorted(hits)]
 
 
 def reproduce_table(N_max: int = 75, x_max: int = 10**6, height_tol: float = 1e-10) -> IntegralPointTable:

@@ -1,7 +1,10 @@
 """Exit codes, config precedence, and output shapes of the command line."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -690,6 +693,22 @@ def test_bounds_nonidentity_multiplier_rejects_abscissa_without_real_point(capsy
     assert doc["error"]["message"] == f"abscissa {x} carries no real point for N = 5"
 
 
+@pytest.mark.parametrize("x, kind", [("-1", "rational"), ("-1/2", "rational"), ("1/2", "real")])
+def test_bounds_nonidentity_multiplier_rejects_abscissa_without_rational_point(capsys, x, kind):
+    # x^3 - 25 x is 24, 99/8 and -99/8: no rational square, so no rational point
+    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", x, "--n", "1")
+    assert code == 2
+    assert "bound" not in doc
+    assert doc["error"]["message"] == f"abscissa {x} carries no {kind} point for N = 5"
+
+
+def test_bounds_nonidentity_multiplier_accepts_rational_point(capsys):
+    # x(2P) for P = (-4, 6) on N = 5, with y = 62279/1728
+    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", "1681/144", "--n", "1")
+    assert code == 0
+    assert doc["bound"]["holds"] is True
+
+
 # --- congruent-table --------------------------------------------------------------
 
 
@@ -724,3 +743,16 @@ def test_table_csv_matches_golden_prefix(capsys):
     golden = resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
     expected = [line for line in golden.splitlines() if line.split(",")[0] in ("N", "5", "6", "7")]
     assert out.splitlines() == expected
+
+
+def test_import_does_not_load_numpy():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, ellmult, ellmult.cli; print('numpy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

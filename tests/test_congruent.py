@@ -7,12 +7,16 @@ values, not against the predicting formulas.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from ellmult import congruent
+from ellmult._precision import context
 from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
+    N_CAP_COEFF,
     N_CAP_SMALL,
     TABLE_N_VALUES,
     binary_form_checks,
@@ -33,8 +37,6 @@ from ellmult.congruent import (
     search_integral_points,
     table_csv,
     verify_double_not_integral,
-    _python_square_abscissas,
-    _vector_square_abscissas,
 )
 from ellmult.curves import rational_point
 from ellmult.divpoly import denominator_sequence, psi_value_binary, ward_terms
@@ -264,6 +266,35 @@ def test_resolve_N_threshold():
     assert resolve_N_threshold() == (75, 54)
 
 
+def _linear_threshold(scan_max):
+    ctx = context(128)
+    branch1 = branch2 = None
+    for N in range(2, scan_max):
+        floor = gap_floor(11, N)
+        if floor <= ctx.ln(ctx.mpf(N_CAP_SMALL)):
+            branch1 = N
+        if floor <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")):
+            branch2 = N
+    return branch1, branch2
+
+
+@pytest.mark.parametrize("scan_max", [3, 56, 76, 77, 100, 5000])
+def test_resolve_N_threshold_matches_linear_scan(scan_max):
+    assert resolve_N_threshold(scan_max) == _linear_threshold(scan_max)
+
+
+def test_resolve_N_threshold_bisects(monkeypatch):
+    calls = []
+
+    def counted(n1, N):
+        calls.append(N)
+        return gap_floor(n1, N)
+
+    monkeypatch.setattr(congruent, "gap_floor", counted)
+    assert resolve_N_threshold() == (75, 54)
+    assert len(calls) <= 40
+
+
 def test_nonidentity_multiplier():
     report = nonidentity_multiplier(5, rational_point(-4, 6), 1)
     assert report.holds
@@ -292,9 +323,35 @@ def test_search_stable_under_wider_range():
     assert narrow == wide
 
 
-def test_vector_and_python_scans_agree():
-    for N in (5, 6, 34):
-        assert _vector_square_abscissas(N, -N, 5000) == _python_square_abscissas(N, -N, 5000)
+def _brute_force_points(N, x_max):
+    out = []
+    for x in range(-N, x_max + 1):
+        v = x**3 - N * N * x
+        if v > 0 and math.isqrt(v) ** 2 == v:
+            out.append((x, math.isqrt(v)))
+    return out
+
+
+def test_search_matches_brute_force():
+    # 70 = 2 * 5 * 7 has 8 square-free divisors
+    for N in (1, 5, 6, 30, 34, 70):
+        for x_max in (N, N + 1, 1000, 12345):
+            got = [(int(P.x), int(P.y)) for P in search_integral_points(N, x_max)]
+            assert got == _brute_force_points(N, x_max), (N, x_max)
+
+
+def test_search_finds_points_outside_the_table():
+    # the N = 77, 78 curves lie beyond the N <= 75 table but below the
+    # threshold the certified cutoff gives
+    assert [(int(P.x), int(P.y)) for P in search_integral_points(77, 10**6)] == [(61875, 15391200)]
+    assert [(int(P.x), int(P.y)) for P in search_integral_points(78, 10**6)] == [(-3, 135), (2028, 91260)]
+
+
+def test_search_to_1e8_adds_no_table_points():
+    start = time.perf_counter()
+    for N in TABLE_N_VALUES:
+        assert search_integral_points(N, 10**8) == search_integral_points(N, 10**6)
+    assert time.perf_counter() - start < 30
 
 
 def test_table_matches_expected(table):
