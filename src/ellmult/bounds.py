@@ -135,8 +135,8 @@ def david_floor(B: float, V1: float, V2: float, hE: float) -> float:
     return david_floor_log(float(ctx.ln(B)), float(ctx.ln(V1)), float(ctx.ln(V2)), hE)
 
 
-def crossing_point(rhs: Callable[[object], object], lo: float = 2.0, hi_log: float = 750.0) -> float:
-    """Largest x >= lo with x^2 <= rhs(x), for rhs growing slower than x^2.
+def crossing_point(rhs: Callable[[object], object], hi_log: float = 750.0) -> float:
+    """Largest x >= 2 with x^2 <= rhs(x), for rhs growing slower than x^2.
 
     Bisection runs on y = log x, so astronomically large crossings cost the
     same as small ones.
@@ -147,9 +147,9 @@ def crossing_point(rhs: Callable[[object], object], lo: float = 2.0, hi_log: flo
         # positive once x^2 has overtaken rhs(x)
         return 2 * y - ctx.ln(rhs(ctx.exp(y)))
 
-    lo_y = ctx.ln(lo)
+    lo_y = ctx.ln(2)
     if short(lo_y) > 0:
-        return float(lo)
+        return 2.0
     hi_y = lo_y + 1
     while short(hi_y) <= 0:
         hi_y += 50

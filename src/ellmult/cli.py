@@ -1,9 +1,11 @@
-"""Command-line front end: configuration, subcommands, and report emission.
+"""Command-line front end: settings, subcommands, and report emission.
 
 Exit codes are stable: 0 success, 2 input error, 3 verification mismatch,
 4 precision exhausted.  Errors are emitted as machine-readable JSON whatever
-the requested output format.  Environment variables with the ELLMULT_ prefix
-mirror the shared flags; explicit flags win.
+the requested output format.  Each subcommand takes --format and only the
+settings it reads, each checked where it is parsed.  A setting's ELLMULT_*
+environment variable is read only by subcommands that take the setting;
+explicit flags win.
 """
 
 from __future__ import annotations
@@ -16,10 +18,9 @@ import os
 import re
 import sys
 import typing
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import analytic, bounds, congruent, heights, localdata
 from .curves import curve_height, make_curve, on_curve, rational_point
@@ -35,8 +36,8 @@ from .factorization import is_square_free
 from .reports import BoundReport
 
 SCHEMA_VERSION = "ellmult/1"
-ENV_PREFIX = "ELLMULT_"
 GOLDEN_RESOURCE = "data/table_n75.csv"
+GOLDEN_N_MAX = 75
 
 # sequence terms are exact integers with thousands of digits at large n; lift
 # the interpreter's int-to-str cap so JSON emission can carry them in full
@@ -49,54 +50,55 @@ EXIT_MISMATCH = 3
 EXIT_PRECISION = 4
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared run parameters; every subcommand reads only what it needs."""
+class Setting(NamedTuple):
+    """A run setting: its flag, its environment variable, the parser that converts and checks it, its default."""
 
-    precision_bits: int = 128
-    x_max: int = 10**6
-    n_max: int = 200
-    tol: float = 1e-10
-    output_format: str = "json"
-
-    def validate(self) -> None:
-        if self.precision_bits < 64:
-            raise ValueError("precision_bits must be at least 64")
-        if self.x_max < 1:
-            raise ValueError("x_max must be at least 1")
-        if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
+    flag: str
+    env: str
+    parse: Callable[[str], object]
+    default: object
 
 
-_CONFIG_FIELDS: Dict[str, Tuple[str, Callable]] = {
-    "precision_bits": (ENV_PREFIX + "PRECISION_BITS", int),
-    "x_max": (ENV_PREFIX + "X_MAX", int),
-    "n_max": (ENV_PREFIX + "N_MAX", int),
-    "tol": (ENV_PREFIX + "TOL", float),
-    "output_format": (ENV_PREFIX + "FORMAT", str),
+def _checked(convert: Callable[[str], object], holds: Callable[[object], bool], rule: str) -> Callable[[str], object]:
+    """Parser that converts a string, then rejects a value that is not `rule`."""
+
+    def parse(raw: str):
+        try:
+            value = convert(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {raw!r}") from None
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {raw}")
+        return value
+
+    return parse
+
+
+SETTINGS: Dict[str, Setting] = {
+    "precision_bits": Setting(
+        "--precision-bits", "ELLMULT_PRECISION_BITS", _checked(int, lambda v: v >= 64, "at least 64"), 128
+    ),
+    "x_max": Setting("--x-max", "ELLMULT_X_MAX", _checked(int, lambda v: v >= 1, "at least 1"), 10**6),
+    "n_max": Setting("--n-max", "ELLMULT_N_MAX", _checked(int, lambda v: v >= 1, "at least 1"), 200),
+    "tol": Setting("--tol", "ELLMULT_TOL", _checked(float, lambda v: 0 < v < math.inf, "positive and finite"), 1e-10),
+    "output_format": Setting(
+        "--format", "ELLMULT_FORMAT", _checked(str, lambda v: v in ("json", "csv", "text"), "json, csv or text"), "json"
+    ),
 }
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults, overridden by ELLMULT_* environment variables, overridden by flags."""
-    values = {}
-    for field_name, (env_name, convert) in _CONFIG_FIELDS.items():
-        raw = os.environ.get(env_name)
-        if raw is not None:
-            try:
-                values[field_name] = convert(raw)
-            except ValueError:
-                raise ValueError(f"cannot parse {env_name}={raw!r}")
-        flag = getattr(args, field_name, None)
-        if flag is not None:
-            values[field_name] = flag
-    cfg = RunConfig(**values)
-    cfg.validate()
-    return cfg
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Fill each setting the subcommand takes from its flag, else its ELLMULT_* variable, else its default."""
+    for name in args.settings:
+        if getattr(args, name) is not None:
+            continue
+        setting = SETTINGS[name]
+        raw = os.environ.get(setting.env)
+        try:
+            value = setting.default if raw is None else setting.parse(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"cannot parse {setting.env}={raw!r}: {exc}") from None
+        setattr(args, name, value)
 
 
 # --- emission -------------------------------------------------------------
@@ -113,13 +115,13 @@ def _flatten(prefix: str, value, out: List[Tuple[str, object]]) -> None:
         out.append((prefix, value))
 
 
-def _emit(doc: dict, cfg: RunConfig) -> None:
-    if cfg.output_format == "json":
+def _emit(doc: dict, output_format: str) -> None:
+    if output_format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
     rows: List[Tuple[str, object]] = []
     _flatten("", doc, rows)
-    if cfg.output_format == "csv":
+    if output_format == "csv":
         print("key,value")
         for key, value in rows:
             print(f"{key},{value}")
@@ -178,8 +180,8 @@ def _height_doc(point, estimate: heights.HeightEstimate) -> dict:
     }
 
 
-def _analytic_doc(curve, point, cfg: RunConfig) -> dict:
-    data = analytic.period_data(curve, cfg.precision_bits)
+def _analytic_doc(curve, point, precision_bits: int) -> dict:
+    data = analytic.period_data(curve, precision_bits)
     doc = {
         "omega": float(data.omega),
         "omega_str": str(data.omega),
@@ -191,7 +193,7 @@ def _analytic_doc(curve, point, cfg: RunConfig) -> dict:
     }
     if point is not None:
         try:
-            z = analytic.elliptic_log(curve, point, cfg.precision_bits, data.roots)
+            z = analytic.elliptic_log(curve, point, precision_bits, data.roots)
             doc["elliptic_log"] = float(z)
             doc["elliptic_log_str"] = str(z)
         except NotIdentityComponent as exc:
@@ -199,11 +201,11 @@ def _analytic_doc(curve, point, cfg: RunConfig) -> dict:
     return doc
 
 
-def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
-    terms = ward_terms(curve, point, cfg.n_max) if _is_integral(point) else None
+    terms = ward_terms(curve, point, args.n_max) if _is_integral(point) else None
     profile = localdata.global_M(curve, point)
-    estimate = heights.canonical_height(curve, point, tol=cfg.tol)
+    estimate = heights.canonical_height(curve, point, tol=args.tol)
     reports = [heights.height_window_check(curve, point, estimate)]
     N = _congruent_parameter(curve)
     if N is not None and estimate.torsion_order is None:
@@ -213,16 +215,16 @@ def cmd_analyze(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "analyze",
-        "precision_bits": cfg.precision_bits,
+        "precision_bits": args.precision_bits,
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y), "integral": _is_integral(point)},
         "reduction": profile.to_json(),
         "heights": _height_doc(point, estimate),
-        "analytic": _analytic_doc(curve, point, cfg),
-        "ward": {"n_max": cfg.n_max, "rows": terms.json_rows()} if terms is not None else None,
+        "analytic": _analytic_doc(curve, point, args.precision_bits),
+        "ward": {"n_max": args.n_max, "rows": terms.json_rows()} if terms is not None else None,
         "reports": [r.to_json() for r in reports],
     }
-    _emit(doc, cfg)
+    _emit(doc, args.output_format)
     return EXIT_OK
 
 
@@ -240,29 +242,29 @@ def _congruent_parameter(curve) -> Optional[int]:
     return root if is_square_free(root) else None
 
 
-def cmd_eds(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_eds(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
-    terms = ward_terms(curve, point, cfg.n_max)
+    terms = ward_terms(curve, point, args.n_max)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "eds",
         "curve": {"A": curve.A, "B": curve.B},
         "point": {"x": str(point.x), "y": str(point.y)},
-        "n_max": cfg.n_max,
+        "n_max": args.n_max,
         "rows": terms.json_rows(),
     }
-    _emit(doc, cfg)
+    _emit(doc, args.output_format)
     return EXIT_OK
 
 
-def cmd_heights(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_heights(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
     profile = localdata.global_M(curve, point)
-    estimate = heights.canonical_height(curve, point, tol=cfg.tol)
+    estimate = heights.canonical_height(curve, point, tol=args.tol)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "heights",
-        "precision_bits": cfg.precision_bits,
+        "precision_bits": heights.working_bits(args.tol),
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y)},
         "heights": _height_doc(point, estimate),
@@ -270,17 +272,17 @@ def cmd_heights(args: argparse.Namespace, cfg: RunConfig) -> int:
         "lang_floor": heights.lang_floor(curve, profile.M),
         "reports": [heights.height_window_check(curve, point, estimate).to_json()],
     }
-    _emit(doc, cfg)
+    _emit(doc, args.output_format)
     return EXIT_OK
 
 
-def cmd_periods(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_periods(args: argparse.Namespace) -> int:
     curve = make_curve(args.A, args.B)
-    data = analytic.period_data(curve, cfg.precision_bits)
+    data = analytic.period_data(curve, args.precision_bits)
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "periods",
-        "precision_bits": cfg.precision_bits,
+        "precision_bits": args.precision_bits,
         "curve": {"A": curve.A, "B": curve.B, "discriminant": curve.discriminant},
         "omega": float(data.omega),
         "omega_str": str(data.omega),
@@ -291,7 +293,7 @@ def cmd_periods(args: argparse.Namespace, cfg: RunConfig) -> int:
         "boundary_note": data.boundary_note,
         "omega_floor": analytic.omega_floor(curve.A, curve.B),
     }
-    _emit(doc, cfg)
+    _emit(doc, args.output_format)
     return EXIT_OK
 
 
@@ -324,26 +326,13 @@ def _threshold_N() -> BoundReport:
 
 
 def _double_not_integral(N: int, x: str) -> BoundReport:
-    q = Fraction(x)
-    if q.denominator != 1:
+    if Fraction(x).denominator != 1:
         raise ValueError(f"abscissa {x} is not an integer")
-    a = q.numerator
-    v = a**3 - N**2 * a
-    y = math.isqrt(v) if v > 0 else 0
-    if v <= 0 or y * y != v:
-        raise ValueError(f"abscissa {a} carries no integral point for N = {N}")
-    return congruent.verify_double_not_integral(N, rational_point(a, y))
+    return congruent.verify_double_not_integral(N, congruent.point_from_abscissa(N, x))
 
 
 def _nonidentity_multiplier(N: int, x: str, n: int) -> BoundReport:
-    a = Fraction(x)
-    v = a**3 - N**2 * a
-    if v < 0:
-        raise ValueError(f"abscissa {x} carries no real point for N = {N}")
-    num, den = math.isqrt(v.numerator), math.isqrt(v.denominator)
-    if num * num != v.numerator or den * den != v.denominator:
-        raise ValueError(f"abscissa {x} carries no rational point for N = {N}")
-    return congruent.nonidentity_multiplier(N, rational_point(a, Fraction(num, den)), n)
+    return congruent.nonidentity_multiplier(N, congruent.point_from_abscissa(N, x), n)
 
 
 # name -> (evaluator, citation, constant inputs).  With a citation the evaluator
@@ -373,8 +362,8 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
     """Each bound's parameters as (name, required), and the one flag type of each parameter name.
 
     A parameter is required when it has no default; its flag type is its
-    annotation, with Optional stripped.  precision_bits comes from RunConfig
-    and has no flag.
+    annotation, with Optional stripped.  precision_bits is the subcommand's
+    --precision-bits setting, not a bound flag.
     """
     params: Dict[str, List[Tuple[str, bool]]] = {}
     flag_types: Dict[str, type] = {}
@@ -394,13 +383,17 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
 BOUND_PARAMS, BOUND_FLAGS = _signature_table(BOUND_REGISTRY)
 
 
-def cmd_bounds(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_bounds(args: argparse.Namespace) -> int:
     if args.name not in BOUND_REGISTRY:
         raise UnknownBound(f"unknown bound {args.name!r}; known: {', '.join(sorted(BOUND_REGISTRY))}")
     evaluator, citation, constants = BOUND_REGISTRY[args.name]
+    params = dict(BOUND_PARAMS[args.name])
+    for flag in BOUND_FLAGS:
+        if flag not in params and getattr(args, flag) is not None:
+            raise ValueError(f"bound {args.name} does not take --{flag}")
     kwargs = {}
-    for name, required in BOUND_PARAMS[args.name]:
-        value = cfg.precision_bits if name == "precision_bits" else getattr(args, name)
+    for name, required in params.items():
+        value = getattr(args, name)
         if value is None and required:
             raise ValueError(f"bound requires --{name}")
         if value is not None:
@@ -412,10 +405,10 @@ def cmd_bounds(args: argparse.Namespace, cfg: RunConfig) -> int:
     doc = {
         "schema": SCHEMA_VERSION,
         "command": "bounds",
-        "precision_bits": cfg.precision_bits,
+        "precision_bits": args.precision_bits,
         "bound": report.to_json(),
     }
-    _emit(doc, cfg)
+    _emit(doc, args.output_format)
     return EXIT_OK
 
 
@@ -430,30 +423,29 @@ def _parse_table_csv(text: str) -> Dict[int, List[Tuple[int, int, str]]]:
     return rows
 
 
-def cmd_congruent_table(args: argparse.Namespace, cfg: RunConfig) -> int:
-    n_max = args.N_max if args.N_max is not None else 75
-    table = congruent.reproduce_table(N_max=n_max, x_max=cfg.x_max, height_tol=cfg.tol)
+def cmd_congruent_table(args: argparse.Namespace) -> int:
+    table = congruent.reproduce_table(N_max=args.N_max, x_max=args.x_max, height_tol=args.tol)
     csv_text = congruent.table_csv(table)
     computed = _parse_table_csv(csv_text)
     golden_text = resources.files("ellmult").joinpath(GOLDEN_RESOURCE).read_text()
-    golden = {N: pts for N, pts in _parse_table_csv(golden_text).items() if N <= n_max}
+    golden = {N: pts for N, pts in _parse_table_csv(golden_text).items() if N <= args.N_max}
     diff = [
         {"N": N, "expected": golden.get(N, []), "got": computed.get(N, [])}
         for N in sorted(set(golden) | set(computed))
         if golden.get(N) != computed.get(N)
     ]
     match = not diff
-    if cfg.output_format == "csv":
+    if args.output_format == "csv":
         sys.stdout.write(csv_text)
     else:
         doc = {
             "schema": SCHEMA_VERSION,
             "command": "congruent-table",
-            "precision_bits": cfg.precision_bits,
+            "precision_bits": heights.working_bits(args.tol),
             "table": table.to_json(),
             "golden": {"resource": GOLDEN_RESOURCE, "match": match, "diff": diff},
         }
-        _emit(doc, cfg)
+        _emit(doc, args.output_format)
     return EXIT_OK if match else EXIT_MISMATCH
 
 
@@ -472,14 +464,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--precision-bits", dest="precision_bits", type=int, default=None)
-    sp.add_argument("--x-max", dest="x_max", type=int, default=None)
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--tol", dest="tol", type=float, default=None)
-    sp.add_argument(
-        "--format", dest="output_format", choices=("json", "csv", "text"), default=None
-    )
+def _add_settings(sp: argparse.ArgumentParser, handler: Callable, names: Tuple[str, ...]) -> None:
+    """Give a subcommand --format and the named settings, which it alone reads."""
+    names = ("output_format",) + names
+    for name in names:
+        sp.add_argument(SETTINGS[name].flag, dest=name, type=SETTINGS[name].parse)
+    sp.set_defaults(handler=handler, settings=names)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -489,11 +479,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text, handler in (
-        ("analyze", "full per-point report", cmd_analyze),
-        ("eds", "division-value sequence terms", cmd_eds),
-        ("heights", "naive and canonical heights", cmd_heights),
-        ("periods", "real period, second period, tau", cmd_periods),
+    for name, help_text, handler, settings in (
+        ("analyze", "full per-point report", cmd_analyze, ("precision_bits", "n_max", "tol")),
+        ("eds", "division-value sequence terms", cmd_eds, ("n_max",)),
+        ("heights", "naive and canonical heights", cmd_heights, ("tol",)),
+        ("periods", "real period, second period, tau", cmd_periods, ("precision_bits",)),
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--A", type=int, required=True)
@@ -501,20 +491,20 @@ def build_parser() -> argparse.ArgumentParser:
         if handler is not cmd_periods:
             sp.add_argument("--x", type=Fraction, required=True)
             sp.add_argument("--y", type=Fraction, required=True)
-        _add_common(sp)
-        sp.set_defaults(handler=handler)
+        _add_settings(sp, handler, settings)
 
     bnd = sub.add_parser("bounds", help="evaluate a named bound report")
     bnd.add_argument("name")
     for flag, kind in sorted(BOUND_FLAGS.items(), key=lambda item: item[0].casefold()):
         bnd.add_argument(f"--{flag}", type=kind, default=None)
-    _add_common(bnd)
-    bnd.set_defaults(handler=cmd_bounds)
+    _add_settings(bnd, cmd_bounds, ("precision_bits",))
 
-    table = sub.add_parser("congruent-table", help="rebuild the N <= 75 point table")
-    table.add_argument("--N-max", dest="N_max", type=int, default=None)
-    _add_common(table)
-    table.set_defaults(handler=cmd_congruent_table)
+    table = sub.add_parser("congruent-table", help=f"rebuild the N <= {GOLDEN_N_MAX} point table")
+    table.add_argument(
+        "--N-max", dest="N_max", default=GOLDEN_N_MAX,
+        type=_checked(int, lambda v: 1 <= v <= GOLDEN_N_MAX, f"between 1 and {GOLDEN_N_MAX}"),
+    )
+    _add_settings(table, cmd_congruent_table, ("x_max", "tol"))
 
     return parser
 
@@ -522,12 +512,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = build_config(args)
+        _resolve_settings(args)
     except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
         _emit_error(exc, EXIT_INPUT)
         return EXIT_INPUT
     try:
-        return args.handler(args, cfg)
+        return args.handler(args)
     except PrecisionExhausted as exc:
         _emit_error(exc, EXIT_PRECISION)
         return EXIT_PRECISION

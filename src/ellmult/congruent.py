@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from . import analytic, bounds
 from ._precision import context
@@ -157,16 +157,20 @@ def verify_double_not_integral(N: int, P: RatPoint) -> BoundReport:
     )
 
 
-def _integral_ordinate(a: int, N: int) -> int:
-    v = a**3 - N * N * a
-    if v == 0:
-        raise TorsionInput(f"abscissa {a} is 2-torsion on y^2 = x^3 - {N}^2 x")
+def point_from_abscissa(N: int, x: Union[int, Fraction, str]) -> RatPoint:
+    """The point (x, y) with y >= 0 on y^2 = x^3 - N^2 x, for a rational abscissa x.
+
+    Raises ValueError when x^3 - N^2 x is negative (no real point) or not the
+    square of a rational (no rational point).
+    """
+    q = Fraction(x)
+    v = q**3 - N * N * q
     if v < 0:
-        raise ValueError(f"no real point with abscissa {a}")
-    b = math.isqrt(v)
-    if b * b != v:
-        raise ValueError(f"abscissa {a} carries no integral point on y^2 = x^3 - {N}^2 x")
-    return b
+        raise ValueError(f"abscissa {x} carries no real point for N = {N}")
+    num, den = math.isqrt(v.numerator), math.isqrt(v.denominator)
+    if num * num != v.numerator or den * den != v.denominator:
+        raise ValueError(f"abscissa {x} carries no rational point for N = {N}")
+    return rational_point(q, Fraction(num, den))
 
 
 def ord2_profile(a: int, N: int, n: int) -> Ord2Prediction:
@@ -181,7 +185,9 @@ def ord2_profile(a: int, N: int, n: int) -> Ord2Prediction:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    b = _integral_ordinate(a, N)
+    b = int(point_from_abscissa(N, a).y)
+    if b == 0:
+        raise TorsionInput(f"abscissa {a} is 2-torsion on y^2 = x^3 - {N}^2 x")
     if n == 1:
         return Ord2Prediction(0, True)
     if n % 2 == 1:
@@ -308,8 +314,8 @@ def n_cap(N: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _omega_one(precision_bits: int = 128):
-    return analytic.real_period(make_curve(-1, 0), precision_bits)
+def _omega_one():
+    return analytic.real_period(make_curve(-1, 0), 128)
 
 
 def gap_floor(n1: int, N: int) -> float:

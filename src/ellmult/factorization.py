@@ -17,13 +17,13 @@ TRIAL_LIMIT = 10**6
 DIGIT_BUDGET = 120
 
 
-def factor_int(n: int, trial_limit: int = TRIAL_LIMIT, digit_budget: int = DIGIT_BUDGET) -> Dict[int, int]:
+def factor_int(n: int) -> Dict[int, int]:
     """Return the prime factorization {p: exponent} of |n|, n != 0."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
-    if len(str(n)) > digit_budget:
-        raise FactorizationTooLarge(f"|n| has more than {digit_budget} digits")
+    if len(str(n)) > DIGIT_BUDGET:
+        raise FactorizationTooLarge(f"|n| has more than {DIGIT_BUDGET} digits")
     out: Dict[int, int] = {}
     for p in (2, 3):
         while n % p == 0:
@@ -31,14 +31,14 @@ def factor_int(n: int, trial_limit: int = TRIAL_LIMIT, digit_budget: int = DIGIT
             n //= p
     # wheel over 6k +/- 1
     p = 5
-    while p <= trial_limit and p * p <= n:
+    while p <= TRIAL_LIMIT and p * p <= n:
         for q in (p, p + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         p += 6
     if n > 1:
-        if n < (trial_limit + 2) ** 2:
+        if n < (TRIAL_LIMIT + 2) ** 2:
             out[n] = out.get(n, 0) + 1
         else:
             import sympy
@@ -48,15 +48,17 @@ def factor_int(n: int, trial_limit: int = TRIAL_LIMIT, digit_budget: int = DIGIT
     return out
 
 
-def prime_divisors(n: int, **kwargs) -> List[int]:
+def prime_divisors(n: int) -> List[int]:
     """Sorted prime divisors of |n|."""
-    return sorted(factor_int(n, **kwargs))
+    return sorted(factor_int(n))
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n, n != 0."""
+    """Exponent of p in n, n != 0, p >= 2."""
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
+    if p < 2:
+        raise ValueError("p must be at least 2")
     v = 0
     n = abs(n)
     while n % p == 0:

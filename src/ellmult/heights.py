@@ -25,6 +25,7 @@ Rational = Union[int, Fraction]
 
 TORSION_SCAN_LIMIT = 12
 DEPTH_CAP = 24
+TRACE_BITS = 192
 LANG_SMALL_HEIGHT_CUTOFF = 2 * (28 * math.log(2) + 24 * math.log(3))
 
 HEIGHT_WINDOW_CITATION = "|hhat(P) - h(x_P)/2| < 2 h(E)"
@@ -105,7 +106,8 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
         yield k, s
 
 
-def _working_bits(tol: float) -> int:
+def working_bits(tol: float) -> int:
+    """Precision in bits at which canonical_height computes a height to tol."""
     return max(128, int(-math.log2(tol)) + 64)
 
 
@@ -136,20 +138,20 @@ def canonical_height(
         raise PrecisionExhausted(
             f"tolerance {tol} needs doubling depth {depth}, beyond the cap {depth_cap}"
         )
-    bits = precision_bits if precision_bits is not None else _working_bits(tol)
+    bits = precision_bits if precision_bits is not None else working_bits(tol)
     est = None
     for k, s in _renormalized_doubling(c, P, depth, bits):
         est = s / (2 * 4**k)
     return HeightEstimate(float(est), tol, depth, None)
 
 
-def duplication_trace(c: Curve, P: RatPoint, depth: int, precision_bits: int = 192) -> List[float]:
+def duplication_trace(c: Curve, P: RatPoint, depth: int) -> List[float]:
     """Naive heights h(x_{2^k P}) for k = 0..depth from the renormalized engine.
 
     Exists so the cancellation bookkeeping can be cross-checked against exact
     group-law doubling at small depth.
     """
-    return [float(s) for _, s in _renormalized_doubling(c, P, depth, precision_bits)]
+    return [float(s) for _, s in _renormalized_doubling(c, P, depth, TRACE_BITS)]
 
 
 def height_window_check(c: Curve, P: RatPoint, estimate: HeightEstimate) -> BoundReport:

@@ -1,5 +1,6 @@
-"""Exit codes, config precedence, and output shapes of the command line."""
+"""Exit codes, settings, and output shapes of the command line."""
 
+import argparse
 import json
 import os
 import re
@@ -273,9 +274,78 @@ def test_invalid_precision_exit_2(capsys):
 
 def test_invalid_env_value_exit_2(capsys, monkeypatch):
     monkeypatch.setenv("ELLMULT_TOL", "not-a-number")
-    code, doc = run_json(capsys, "periods", "--A", "-25", "--B", "0")
+    code, doc = run_json(capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
     assert code == 2
-    assert "ELLMULT_TOL" in doc["error"]["message"]
+    assert doc["error"]["message"].startswith("cannot parse ELLMULT_TOL='not-a-number'")
+    # periods does not take --tol, so it never reads the variable
+    code, doc = run_json(capsys, "periods", "--A", "-25", "--B", "0")
+    assert code == 0
+    assert doc["command"] == "periods"
+
+
+# the settings each subcommand takes besides --format
+TAKEN = {
+    "analyze": {"precision_bits", "n_max", "tol"},
+    "eds": {"n_max"},
+    "heights": {"tol"},
+    "periods": {"precision_bits"},
+    "bounds": {"precision_bits"},
+    "congruent-table": {"x_max", "tol"},
+}
+SUBCOMMAND_ARGV = {
+    "analyze": ["analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6"],
+    "eds": ["eds", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6"],
+    "heights": ["heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6"],
+    "periods": ["periods", "--A", "-25", "--B", "0"],
+    "bounds": ["bounds", "calculus", "--a", "1", "--b", "1"],
+    "congruent-table": ["congruent-table", "--N-max", "7"],
+}
+SETTING_VALUES = {"precision_bits": "256", "x_max": "1000", "n_max": "5", "tol": "1e-8", "output_format": "text"}
+
+
+def parser_settings():
+    """Subcommand -> the settings its build_parser() subparser takes besides --format."""
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.dest for a in sp._actions if a.dest in cli.SETTINGS} - {"output_format"}
+        for name, sp in subparsers.choices.items()
+    }
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+@pytest.mark.parametrize("setting", list(SETTING_VALUES))
+def test_subcommand_takes_only_its_settings(capsys, command, setting):
+    argv = SUBCOMMAND_ARGV[command] + [cli.SETTINGS[setting].flag, SETTING_VALUES[setting]]
+    if setting == "output_format" or setting in TAKEN[command]:
+        args = cli.build_parser().parse_args(argv)
+        assert set(args.settings) == TAKEN[command] | {"output_format"}
+        assert getattr(args, setting) == cli.SETTINGS[setting].parse(SETTING_VALUES[setting])
+    else:
+        code, doc = run_json(capsys, *argv)
+        assert code == 2
+        assert doc["error"]["message"] == f"unrecognized arguments: {' '.join(argv[-2:])}"
+
+
+def test_settable_pairs():
+    taken = parser_settings()
+    assert taken == TAKEN
+    assert sum(len(settings) + 1 for settings in taken.values()) == 15
+
+
+def test_readme_lists_every_subcommand_with_its_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("takes `--format` and these settings", 1)[1].split("\n\n")[1]
+    rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, re.M)
+    flags = {setting.flag: name for name, setting in cli.SETTINGS.items()}
+    listed = {name: {flags[f] for f in re.findall(r"`(--[\w-]+)`", cell)} for name, cell in rows}
+    assert listed == parser_settings()
+
+
+@pytest.mark.parametrize("tol", ["1e-10", "1e-3", "0.5"])
+def test_heights_reports_the_precision_it_used(capsys, tol):
+    code, doc = run_json(capsys, *SUBCOMMAND_ARGV["heights"], "--tol", tol)
+    assert code == 0
+    assert doc["precision_bits"] == heights.working_bits(float(tol)) == 128
 
 
 def test_nonpositive_tol_exit_2(capsys):
@@ -283,6 +353,13 @@ def test_nonpositive_tol_exit_2(capsys):
         capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--tol", "0"
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+def test_tol_must_be_positive_and_finite_exit_2(capsys, tol):
+    code, doc = run_json(capsys, *SUBCOMMAND_ARGV["heights"], "--tol", tol)
+    assert code == 2
+    assert doc["error"]["message"] == f"argument --tol: must be positive and finite, got {tol}"
 
 
 # --- bounds registry -------------------------------------------------------------
@@ -463,6 +540,16 @@ def test_bounds_missing_flag_exit_2(capsys, name):
         code, doc = run_json(capsys, "bounds", name, *argv)
         assert code == 2
         assert doc["error"]["message"] == f"bound requires {flag}"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["calculus", "--a", "1", "--b", "1", "--N", "5"], "--N"), (["gap-floor", "--n1", "11", "--N", "75", "--x", "3"], "--x")],
+)
+def test_bounds_rejects_flag_its_bound_does_not_take(capsys, argv, flag):
+    code, doc = run_json(capsys, "bounds", *argv)
+    assert code == 2
+    assert doc["error"]["message"] == f"bound {argv[0]} does not take {flag}"
 
 
 def test_bound_flags_from_signatures():
@@ -733,6 +820,22 @@ def test_table_x_max_too_small_exit_3(capsys):
     missing = {entry["N"] for entry in doc["golden"]["diff"]}
     assert 29 in missing  # its only point has x = 284229
     assert 6 in missing  # loses (294, 5040)
+
+
+@pytest.mark.parametrize("n_max", ["0", "76", "100"])
+def test_table_n_max_outside_golden_range_exit_2(capsys, n_max):
+    code, doc = run_json(capsys, "congruent-table", "--N-max", n_max)
+    assert code == 2
+    assert doc["error"]["message"] == f"argument --N-max: must be between 1 and 75, got {n_max}"
+
+
+def test_table_n_max_ends(capsys):
+    code, doc = run_json(capsys, "congruent-table", "--N-max", "1")
+    assert code == 0
+    assert doc["golden"]["match"] is True and doc["table"]["rows"] == []
+    code, doc = run_json(capsys, "congruent-table", "--N-max", "75")
+    assert code == 0
+    assert doc["golden"]["match"] is True and len(doc["table"]["rows"]) == 16
 
 
 def test_table_csv_matches_golden_prefix(capsys):

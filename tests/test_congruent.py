@@ -32,6 +32,7 @@ from ellmult.congruent import (
     n_cap,
     nonidentity_multiplier,
     ord2_profile,
+    point_from_abscissa,
     reproduce_table,
     resolve_N_threshold,
     search_integral_points,
@@ -167,6 +168,22 @@ def test_ord2_profile_edges():
         ord2_profile(3, 5, 3)  # negative ordinate square
     with pytest.raises(ValueError):
         ord2_profile(7, 5, 3)  # not a perfect square
+
+
+@pytest.mark.parametrize(
+    "N, x, y",
+    [(5, -4, 6), (5, 45, 300), (5, 0, 0), (6, "-3", 9), (5, Fraction(1681, 144), Fraction(62279, 1728))],
+)
+def test_point_from_abscissa(N, x, y):
+    P = point_from_abscissa(N, x)
+    assert (P.x, P.y) == (Fraction(x), y)
+
+
+@pytest.mark.parametrize("x, kind", [(3, "real"), ("1/2", "real"), (-1, "rational"), ("-1/2", "rational"), (7, "rational")])
+def test_point_from_abscissa_rejects(x, kind):
+    with pytest.raises(ValueError) as info:
+        point_from_abscissa(5, x)
+    assert str(info.value) == f"abscissa {x} carries no {kind} point for N = 5"
 
 
 def test_binary_form_checks():
