@@ -175,6 +175,7 @@ def _height_doc(point, estimate: heights.HeightEstimate) -> dict:
             "value": float(estimate),
             "tolerance": estimate.tolerance,
             "iterations": estimate.iterations,
+            "precision_bits": heights.working_bits(estimate.tolerance),
         },
         "torsion_order": estimate.torsion_order,
     }
@@ -309,6 +310,8 @@ def _value_report(name: str, inputs: dict, value: Optional[float], citation: str
 def _poly_growth(W: float, precision_bits: int, coeffs: Optional[str] = None) -> BoundReport:
     if coeffs is None:
         return bounds.poly_growth_check(congruent.growth_poly(precision_bits), W)
+    if precision_bits != bounds.EVAL_BITS:
+        raise ValueError("bound poly-growth does not take --precision-bits with --coeffs")
     return bounds.poly_growth_check(tuple(float(part) for part in coeffs.split(",")), W)
 
 
@@ -363,7 +366,8 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
 
     A parameter is required when it has no default; its flag type is its
     annotation, with Optional stripped.  precision_bits is the subcommand's
-    --precision-bits setting, not a bound flag.
+    --precision-bits setting, not a bound flag; a bound without it runs at
+    bounds.EVAL_BITS.
     """
     params: Dict[str, List[Tuple[str, bool]]] = {}
     flag_types: Dict[str, type] = {}
@@ -391,6 +395,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for flag in BOUND_FLAGS:
         if flag not in params and getattr(args, flag) is not None:
             raise ValueError(f"bound {args.name} does not take --{flag}")
+    if "precision_bits" not in params and args.precision_bits != bounds.EVAL_BITS:
+        raise ValueError(f"bound {args.name} does not take --precision-bits")
     kwargs = {}
     for name, required in params.items():
         value = getattr(args, name)

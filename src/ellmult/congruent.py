@@ -435,15 +435,16 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     s | N square-free; s is the square-free part of |x|, so each abscissa
     arises once.  The search runs over (s, a) with a <= isqrt(x_max // s)
     for x > 0 and a <= isqrt(N // s) on the bounded oval -N <= x < 0, at
-    most 2 sum_{s | N} sqrt(x_max / s) candidates.  Each is kept when
-    x^3 - N^2 x is a positive perfect square, tested exactly with isqrt; the
-    2-torsion abscissas 0, +-N give 0 and drop out.  Only the hits are held,
-    so memory does not grow with x_max.
+    most sum_{s | N} (sqrt(x_max / s) + sqrt(N / s)) candidates.  Each is
+    kept when x^3 - N^2 x is a positive perfect square, tested exactly with
+    isqrt; the 2-torsion abscissas 0, +-N give 0 and drop out, and so does
+    0 < x < N, so any x_max >= 1 is a window.  Only the hits are held, so
+    memory does not grow with x_max.
     """
     if N < 1 or not is_square_free(N):
         raise ValueError(f"N must be a square-free positive integer, got {N}")
-    if x_max < N:
-        raise ValueError("x_max must be at least N")
+    if x_max < 1:
+        raise ValueError("x_max must be at least 1")
     divisors = [1]
     for p in factor_int(N):
         divisors += [d * p for d in divisors]

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import InternalInvariantError, OffCurve, SingularCurve
 from .factorization import factor_int
@@ -79,15 +79,15 @@ def make_curve(A: int, B: int) -> Curve:
     return Curve(A, B, disc, j)
 
 
-def _log_height(q: Fraction) -> float:
-    """log max(|numerator|, |denominator|) of a lowest-terms rational."""
-    m = max(abs(q.numerator), q.denominator)
-    return 0.0 if m == 1 else math.log(m)
+def naive_height(x: Rational) -> float:
+    """log max(|numerator|, denominator) of a rational in lowest terms."""
+    q = Fraction(x)
+    return math.log(max(abs(q.numerator), q.denominator))
 
 
 def curve_height(c: Curve) -> CurveHeight:
     """h(E) = max(h(j), log max(4|A|, 4|B|)); always at least 2*log(2)."""
-    j_term = _log_height(c.j)
+    j_term = naive_height(c.j)
     coeff_term = math.log(max(4 * abs(c.A), 4 * abs(c.B)))
     value = max(j_term, coeff_term)
     if value < 2 * math.log(2) - 1e-12:
@@ -183,6 +183,15 @@ def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
     if r:
         raise InternalInvariantError("denominator of y(P + Q) is not the cube of the square root of that of x")
     return X, Y, D
+
+
+def multiple_triples(c: Curve, P: RatPoint) -> Iterator[Triple]:
+    """The triples of P, 2P, 3P, ... without end: one on-curve check, then one addition per step."""
+    base = to_triple(c, P)
+    acc = base
+    while True:
+        yield acc
+        acc = add_triples(c, acc, base)
 
 
 def add(c: Curve, P: RatPoint, Q: RatPoint) -> RatPoint:

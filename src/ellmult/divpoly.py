@@ -1,24 +1,27 @@
 """Division-polynomial values at integral points and the induced divisibility sequences.
 
-For an integral point P = (a, b) on y^2 = x^3 + A*x + B the sequence
+On y^2 = x^3 + A*x + B with F = x^3 + A*x + B, the n-th division polynomial
+is psi_n = f_n(x) for odd n and psi_n = 2y f_n(x) for even n.  Substituting
+(2y)^2 = 4F into the usual psi_n recurrence gives one for the x-parts that
+never divides (Ward 1948; Silverman, AEC, Exercise 3.7):
 
-    h_0 = 0, h_1 = 1, h_2 = 2b,
-    h_3 = 3a^4 + 6A a^2 + 12B a - A^2,
-    h_4 = 4b (a^6 + 5A a^4 + 20B a^3 - 5A^2 a^2 - 4AB a - 8B^2 - A^3),
+    f_0 = 0, f_1 = f_2 = 1,
+    f_3 = 3x^4 + 6A x^2 + 12B x - A^2,
+    f_4 = 2 (x^6 + 5A x^4 + 20B x^3 - 5A^2 x^2 - 4AB x - 8B^2 - A^3),
+    f_{2m+1} = 16F^2 f_{m+2} f_m^3 - f_{m-1} f_{m+1}^3       (m even),
+    f_{2m+1} = f_{m+2} f_m^3 - 16F^2 f_{m-1} f_{m+1}^3       (m odd),
+    f_{2m}   = f_m (f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2).
 
-extended by
+The same recurrence runs on integers at an integral point P = (a, b), where
+16F^2 = 16b^4, and on integer polynomials for psi_polynomial.  At P it gives
+h_n = psi_n(P), that is f_n(a) for odd n and 2b f_n(a) for even n, and the
+companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.  The
+exact denominator D_n of x(nP) is recomputed independently through the
+group law, so the two routes check each other.
 
-    h_{2m+1} = h_{m+2} h_m^3 - h_{m-1} h_{m+1}^3,
-    h_2 h_{2m} = h_m (h_{m+2} h_{m-1}^2 - h_{m-2} h_{m+1}^2),
-
-consists of the division-polynomial values at P.  Its companion
-k_n = a h_n^2 - h_{n+1} h_{n-1} gives x(nP) = k_n / h_n^2, and the exact
-denominator D_n of x(nP) is recomputed independently through the group law so
-the two routes check each other.
-
-A zero h_n means nP is the point at infinity; terms that depend on a zero
-divisor are marked None rather than raised, so torsion base points degrade
-gracefully.
+Every h_n and k_n is an exact integer, at torsion base points too, and
+h_n = 0 exactly when nP is the point at infinity.  Only D_n and
+g_n = gcd(k_n, h_n^2) are None there.
 """
 
 from __future__ import annotations
@@ -27,12 +30,21 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
 
-from .curves import Curve, RatPoint, add_triples, to_triple
-from .errors import InternalInvariantError, NonIntegralBasePoint, ZeroTerm
+from .curves import Curve, RatPoint, multiple_triples
+from .errors import NonIntegralBasePoint, ZeroTerm
 
 OptInt = Optional[int]
+
+
+def _horner(coefficients: Sequence[int], x):
+    """Value at x of the polynomial with these coefficients, lowest degree first."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * x + c
+    return acc
 
 
 @dataclass(frozen=True)
@@ -47,10 +59,7 @@ class DivisionPolynomial:
         return len(self.coefficients) - 1
 
     def __call__(self, x):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        return _horner(self.coefficients, x)
 
 
 @dataclass
@@ -59,8 +68,8 @@ class WardSequence:
 
     curve: Curve
     base: RatPoint
-    h: List[OptInt]
-    k: List[OptInt]
+    h: List[int]
+    k: List[int]
     D: List[OptInt]
     g: List[OptInt]
 
@@ -71,6 +80,31 @@ class WardSequence:
         ]
 
 
+def _cubic_and_seeds(A: int, B: int) -> Tuple[Tuple[int, ...], ...]:
+    """Coefficients of F, f_3 and f_4, lowest degree first."""
+    return (
+        (B, A, 0, 1),
+        (-A * A, 12 * B, 6 * A, 0, 3),
+        (-2 * A**3 - 16 * B * B, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2),
+    )
+
+
+def _x_parts(A: int, B: int, x, top: int) -> list:
+    """f_0..f_top at x, which is an integer or the polynomial x itself."""
+    F, f3, f4 = (_horner(coefficients, x) for coefficients in _cubic_and_seeds(A, B))
+    one = x**0
+    f = [0 * one, one, one, f3, f4]
+    s = 16 * F * F
+    for n in range(5, top + 1):
+        m = n // 2
+        if n % 2:
+            p, q = f[m + 2] * f[m] ** 3, f[m - 1] * f[m + 1] ** 3
+            f.append(s * p - q if m % 2 == 0 else p - s * q)
+        else:
+            f.append(f[m] * (f[m + 2] * f[m - 1] ** 2 - f[m - 2] * f[m + 1] ** 2))
+    return f[: top + 1]
+
+
 def _require_integral(P: RatPoint) -> Tuple[int, int]:
     if P.is_infinity:
         raise NonIntegralBasePoint("base point must be affine")
@@ -79,46 +113,14 @@ def _require_integral(P: RatPoint) -> Tuple[int, int]:
     return P.x.numerator, P.y.numerator
 
 
-def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[OptInt], List[OptInt]]:
-    """h_0..h_n_max and k_0..k_n_max (k_0 = 1) at an integral base point.
-
-    None marks an h past a zero even divisor, and a k next to such an h.
-    """
+def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int]]:
+    """h_0..h_n_max and k_0..k_n_max (k_0 = 1) at an integral base point."""
     a, b = _require_integral(P)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    A, B = c.A, c.B
-    top = n_max + 1  # k_n needs h_{n+1}
-    h: List[OptInt] = [None] * (max(top, 4) + 1)
-    h[0] = 0
-    h[1] = 1
-    h[2] = 2 * b
-    h[3] = 3 * a**4 + 6 * A * a**2 + 12 * B * a - A**2
-    h[4] = 4 * b * (a**6 + 5 * A * a**4 + 20 * B * a**3 - 5 * A**2 * a**2 - 4 * A * B * a - 8 * B**2 - A**3)
-    for n in range(5, top + 1):
-        m = n // 2
-        if n % 2:
-            parts = (h[m + 2], h[m], h[m - 1], h[m + 1])
-            if any(v is None for v in parts):
-                h[n] = None
-            else:
-                h[n] = h[m + 2] * h[m] ** 3 - h[m - 1] * h[m + 1] ** 3
-        else:
-            parts = (h[m], h[m + 2], h[m - 1], h[m - 2], h[m + 1])
-            if any(v is None for v in parts) or h[2] == 0:
-                h[n] = None
-            else:
-                num = h[m] * (h[m + 2] * h[m - 1] ** 2 - h[m - 2] * h[m + 1] ** 2)
-                q, r = divmod(num, h[2])
-                if r:
-                    raise InternalInvariantError(f"even-index term at n={n} not divisible by h_2")
-                h[n] = q
-    k: List[OptInt] = [1]
-    for n in range(1, n_max + 1):
-        if h[n] is None or h[n + 1] is None or h[n - 1] is None:
-            k.append(None)
-        else:
-            k.append(a * h[n] ** 2 - h[n + 1] * h[n - 1])
+    f = _x_parts(c.A, c.B, a, n_max + 1)  # k_n needs h_{n+1}
+    h = [v if n % 2 else 2 * b * v for n, v in enumerate(f)]
+    k = [1] + [a * h[n] ** 2 - h[n + 1] * h[n - 1] for n in range(1, n_max + 1)]
     return h[: n_max + 1], k
 
 
@@ -126,14 +128,11 @@ def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
     """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g by gcd."""
     h, k = _h_k(c, P, n_max)
     D = denominator_sequence(c, P, n_max)
-    g: List[OptInt] = [None] * (n_max + 1)
-    for n in range(n_max + 1):
-        if h[n] not in (None, 0) and k[n] is not None:
-            g[n] = math.gcd(k[n], h[n] ** 2)
+    g = [math.gcd(k[n], h[n] ** 2) if h[n] else None for n in range(n_max + 1)]
     return WardSequence(c, P, h, k, D, g)
 
 
-def phi_terms(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
+def phi_terms(c: Curve, P: RatPoint, n_max: int) -> List[int]:
     """Numerator companions k_0..k_n_max with k_0 = 1."""
     return _h_k(c, P, n_max)[1]
 
@@ -144,90 +143,18 @@ def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
     Index n holds D_n >= 1, or None when nP is the point at infinity.
     """
     _require_integral(P)
-    base = to_triple(c, P)
-    out: List[OptInt] = [None] * (n_max + 1)
-    acc = base
-    for n in range(1, n_max + 1):
-        if n > 1:
-            acc = add_triples(c, acc, base)
-        out[n] = None if acc is None else acc[2]
-    return out
+    return [None] + [None if T is None else T[2] for T in islice(multiple_triples(c, P), n_max)]
 
 
 def cancellation(c: Curve, P: RatPoint, n: int) -> int:
     """g_n = gcd(k_n, h_n^2); raises ZeroTerm when h_n vanishes (nP at infinity)."""
     h, k = _h_k(c, P, n)
-    if h[n] is None or h[n] == 0 or k[n] is None:
-        raise ZeroTerm(f"h_{n} vanishes or is undefined for {P}")
+    if h[n] == 0:
+        raise ZeroTerm(f"h_{n} vanishes for {P}")
     return math.gcd(k[n], h[n] ** 2)
 
 
-# --- symbolic x-polynomials ---------------------------------------------
-
-
-def _poly_mul(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        if ci:
-            for j, cj in enumerate(q):
-                out[i + j] += ci * cj
-    return tuple(out)
-
-
-def _poly_sub(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, ci in enumerate(p):
-        out[i] += ci
-    for i, ci in enumerate(q):
-        out[i] -= ci
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_pow(p: Tuple[int, ...], e: int) -> Tuple[int, ...]:
-    out = (1,)
-    for _ in range(e):
-        out = _poly_mul(out, p)
-    return out
-
-
-def _poly_scale(p: Tuple[int, ...], s: int) -> Tuple[int, ...]:
-    return tuple(s * ci for ci in p)
-
-
 @lru_cache(maxsize=None)
-def _psi_x_poly(A: int, B: int, n: int) -> Tuple[int, ...]:
-    """x-part f_n of the n-th division polynomial: psi_n = f_n for odd n, 2y*f_n for even n.
-
-    The recurrences run entirely in Z[x] after substituting (2y)^2 = 4(x^3+Ax+B).
-    """
-    if n == 0:
-        return (0,)
-    if n == 1 or n == 2:
-        return (1,)
-    if n == 3:
-        return (-A**2, 12 * B, 6 * A, 0, 3)
-    if n == 4:
-        return _poly_scale((-A**3 - 8 * B**2, -4 * A * B, -5 * A**2, 20 * B, 5 * A, 0, 1), 2)
-    F = (B, A, 0, 1)
-    F2_16 = _poly_scale(_poly_mul(F, F), 16)
-    m = n // 2
-    f = lambda i: _psi_x_poly(A, B, i)
-    if n % 2:
-        first = _poly_mul(f(m + 2), _poly_pow(f(m), 3))
-        second = _poly_mul(f(m - 1), _poly_pow(f(m + 1), 3))
-        if m % 2 == 0:
-            return _poly_sub(_poly_mul(F2_16, first), second)
-        return _poly_sub(first, _poly_mul(F2_16, second))
-    inner = _poly_sub(
-        _poly_mul(f(m + 2), _poly_pow(f(m - 1), 2)),
-        _poly_mul(f(m - 2), _poly_pow(f(m + 1), 2)),
-    )
-    return _poly_mul(f(m), inner)
-
-
 def psi_polynomial(c: Curve, n: int) -> DivisionPolynomial:
     """Polynomial in x whose roots are the x-coordinates of nontrivial n-torsion.
 
@@ -237,32 +164,26 @@ def psi_polynomial(c: Curve, n: int) -> DivisionPolynomial:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    f = _psi_x_poly(c.A, c.B, n)
+    from sympy import Poly, symbols  # loading sympy takes half a second, and no CLI path comes here
+
+    x = Poly(symbols("x"))
+    f = _x_parts(c.A, c.B, x, n)[n]
     if n % 2 == 0:
-        f = _poly_mul(f, (c.B, c.A, 0, 1))
-    return DivisionPolynomial(n, f)
+        f *= _horner(_cubic_and_seeds(c.A, c.B)[0], x)
+    return DivisionPolynomial(n, tuple(int(v) for v in reversed(f.all_coeffs())))
 
 
 def psi_value_binary(n: int, x: int, N: int) -> int:
     """Division-polynomial value for y^2 = x^3 - N^2 x, as a two-variable integer form.
 
-    Defined for every integer pair, including N = 0: only the polynomial
-    recurrence is used, never curve validation.  Even n returns the x-part
-    (the 2y factor is not a function of x alone).
+    Defined for every integer pair, including N = 0: only the recurrence is
+    used, never curve validation.  Even n returns the x-part (the 2y factor
+    is not a function of x alone).
     """
-    acc = 0
-    for coeff in reversed(_psi_x_poly(-N * N, 0, n)):
-        acc = acc * x + coeff
-    return acc
+    return _x_parts(-N * N, 0, x, n)[n]
 
 
 def x_multiple_exact(c: Curve, P: RatPoint, n: int) -> Optional[Fraction]:
     """x(nP) as k_n / h_n^2, or None when nP is at infinity; recurrence route only."""
     h, k = _h_k(c, P, n)
-    if h[n] is None:
-        raise ZeroTerm(f"h_{n} undefined for {P}")
-    if h[n] == 0:
-        return None
-    if k[n] is None:
-        raise ZeroTerm(f"neighbours of h_{n} undefined for {P}")
-    return Fraction(k[n], h[n] ** 2)
+    return Fraction(k[n], h[n] ** 2) if h[n] else None

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from itertools import islice
+from typing import Iterator, List, Optional, Tuple
 
 from ._precision import context
-from .curves import Curve, RatPoint, add_triples, curve_height, to_triple
+from .curves import Curve, RatPoint, curve_height, multiple_triples, naive_height
 from .errors import PrecisionExhausted
 from .reports import BoundReport
-
-Rational = Union[int, Fraction]
 
 TORSION_SCAN_LIMIT = 12
 DEPTH_CAP = 24
@@ -45,12 +43,6 @@ class HeightEstimate:
         return self.value
 
 
-def naive_height(x: Rational) -> float:
-    """log max(|numerator|, denominator) of a rational in lowest terms."""
-    q = Fraction(x)
-    return math.log(max(abs(q.numerator), q.denominator))
-
-
 def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Optional[int]:
     """Smallest n <= limit with n*P at infinity, or None.
 
@@ -59,14 +51,11 @@ def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Opt
     (Nagell-Lutz), so the first multiple with a non-integral x proves that P
     has infinite order and ends the scan.
     """
-    base = to_triple(c, P)
-    Q = base
-    for n in range(1, limit + 1):
+    for n, Q in enumerate(islice(multiple_triples(c, P), limit), 1):
         if Q is None:
             return n
         if Q[2] > 1:
             return None
-        Q = add_triples(c, Q, base)
     return None
 
 

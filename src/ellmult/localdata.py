@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Tuple
 
-from .curves import Curve, RatPoint, add_triples, from_triple, to_triple
+from .curves import Curve, RatPoint, Triple, multiple_triples, to_triple
 from .errors import CapExceeded, InternalInvariantError, UnreliableAtSmallPrime
 from .factorization import prime_divisors, valuation
 
@@ -47,9 +48,25 @@ def bad_primes(c: Curve) -> list:
     return prime_divisors(c.discriminant)
 
 
-def _reduce_mod(q, p: int) -> int:
-    # q is a Fraction with denominator prime to p
-    return q.numerator * pow(q.denominator, -1, p) % p
+def _warn_if_small(p: int) -> None:
+    if p in SMALL_PRIMES:
+        warnings.warn(
+            UnreliableAtSmallPrime(f"component membership at p={p} uses the short-model criterion"),
+            stacklevel=3,
+        )
+
+
+def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
+    """Whether the point with triple T reduces to a nonsingular point mod p.
+
+    With x = X/D^2 and y = Y/D^3, a point with p | D reduces to the point at
+    infinity; otherwise some partial derivative of y^2 - x^3 - A*x - B must
+    survive: 2Y or 3X^2 + A*D^4 is nonzero mod p.
+    """
+    if T is None or c.discriminant % p != 0:
+        return True
+    X, Y, D = T
+    return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
 
 
 def in_identity_component(c: Curve, p: int, P: RatPoint) -> bool:
@@ -59,23 +76,8 @@ def in_identity_component(c: Curve, p: int, P: RatPoint) -> bool:
     Points that are not p-integral reduce to the point at infinity, which is
     always nonsingular.
     """
-    if p in SMALL_PRIMES:
-        warnings.warn(
-            UnreliableAtSmallPrime(
-                f"component membership at p={p} uses the short-model criterion"
-            ),
-            stacklevel=2,
-        )
-    if c.discriminant % p != 0:
-        return True
-    if P.is_infinity:
-        return True
-    if P.x.denominator % p == 0 or P.y.denominator % p == 0:
-        return True
-    xb = _reduce_mod(P.x, p)
-    yb = _reduce_mod(P.y, p)
-    # Nonsingular iff some partial derivative of y^2 - x^3 - A*x - B survives.
-    return (2 * yb) % p != 0 or (3 * xb * xb + c.A) % p != 0
+    _warn_if_small(p)
+    return _nonsingular_mod(c, p, to_triple(c, P))
 
 
 def component_order(c: Curve, p: int, P: RatPoint) -> int:
@@ -85,13 +87,11 @@ def component_order(c: Curve, p: int, P: RatPoint) -> int:
     means the model or the caller's preconditions are broken, not that the
     order is large.
     """
+    _warn_if_small(p)
     cap = valuation(c.discriminant, p) + 4
-    base = to_triple(c, P)
-    Q = base
-    for r in range(1, cap + 1):
-        if in_identity_component(c, p, from_triple(Q)):
+    for r, T in enumerate(islice(multiple_triples(c, P), cap), 1):
+        if _nonsingular_mod(c, p, T):
             return r
-        Q = add_triples(c, Q, base)
     raise CapExceeded(f"no multiple of the point entered the identity component at p={p} within {cap} steps")
 
 

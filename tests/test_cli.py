@@ -348,6 +348,26 @@ def test_heights_reports_the_precision_it_used(capsys, tol):
     assert doc["precision_bits"] == heights.working_bits(float(tol)) == 128
 
 
+def test_analyze_reports_its_height_precision(capsys):
+    code, doc = run_json(capsys, *SUBCOMMAND_ARGV["analyze"], "--precision-bits", "256", "--n-max", "2")
+    assert code == 0
+    assert doc["precision_bits"] == 256
+    assert doc["heights"]["canonical"]["precision_bits"] == heights.working_bits(1e-10) == 128
+
+
+@pytest.mark.parametrize("argv", [["poly-growth", "--W", "1e30"], ["n-cap-congruent", "--N", "56"]])
+def test_bounds_report_the_precision_they_ran_at(capsys, argv):
+    code, doc = run_json(capsys, "bounds", *argv, "--precision-bits", "512")
+    assert code == 0
+    assert doc["precision_bits"] == 512
+
+
+def test_poly_growth_with_coeffs_runs_at_128_bits(capsys):
+    code, doc = run_json(capsys, "bounds", "poly-growth", "--W", "1e30", "--coeffs", "1,2", "--precision-bits", "512")
+    assert code == 2
+    assert doc["error"]["message"] == "bound poly-growth does not take --precision-bits with --coeffs"
+
+
 def test_nonpositive_tol_exit_2(capsys):
     code, doc = run_json(
         capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--tol", "0"
@@ -544,7 +564,12 @@ def test_bounds_missing_flag_exit_2(capsys, name):
 
 @pytest.mark.parametrize(
     "argv, flag",
-    [(["calculus", "--a", "1", "--b", "1", "--N", "5"], "--N"), (["gap-floor", "--n1", "11", "--N", "75", "--x", "3"], "--x")],
+    [
+        (["calculus", "--a", "1", "--b", "1", "--N", "5"], "--N"),
+        (["gap-floor", "--n1", "11", "--N", "75", "--x", "3"], "--x"),
+        (["calculus", "--a", "1", "--b", "1", "--precision-bits", "512"], "--precision-bits"),
+        (["gap-floor", "--n1", "11", "--N", "75", "--precision-bits", "512"], "--precision-bits"),
+    ],
 )
 def test_bounds_rejects_flag_its_bound_does_not_take(capsys, argv, flag):
     code, doc = run_json(capsys, "bounds", *argv)
@@ -820,6 +845,15 @@ def test_table_x_max_too_small_exit_3(capsys):
     missing = {entry["N"] for entry in doc["golden"]["diff"]}
     assert 29 in missing  # its only point has x = 284229
     assert 6 in missing  # loses (294, 5040)
+
+
+def test_table_x_max_below_n_exit_3(capsys):
+    # x_max = 10 lies below most N; each row is still searched on [-N, 10]
+    code, doc = run_json(capsys, "congruent-table", "--x-max", "10")
+    assert code == 3
+    diff = {entry["N"]: entry for entry in doc["golden"]["diff"]}
+    assert diff[5]["got"] == [[-4, 6, diff[5]["expected"][0][2]]]  # keeps (-4, 6), loses (45, 300)
+    assert 7 in diff and diff[7]["got"] == []
 
 
 @pytest.mark.parametrize("n_max", ["0", "76", "100"])

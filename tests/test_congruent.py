@@ -330,8 +330,9 @@ def test_search_integral_points():
     assert search_integral_points(3, 10**5) == []
     with pytest.raises(ValueError):
         search_integral_points(8, 10**5)
+    assert [(int(P.x), int(P.y)) for P in search_integral_points(5, 3)] == [(-4, 6)]
     with pytest.raises(ValueError):
-        search_integral_points(5, 3)
+        search_integral_points(5, 0)
 
 
 def test_search_stable_under_wider_range():
@@ -352,7 +353,9 @@ def _brute_force_points(N, x_max):
 def test_search_matches_brute_force():
     # 70 = 2 * 5 * 7 has 8 square-free divisors
     for N in (1, 5, 6, 30, 34, 70):
-        for x_max in (N, N + 1, 1000, 12345):
+        for x_max in (1, N - 1, N, N + 1, 1000, 12345):
+            if x_max < 1:
+                continue
             got = [(int(P.x), int(P.y)) for P in search_integral_points(N, x_max)]
             assert got == _brute_force_points(N, x_max), (N, x_max)
 

@@ -90,15 +90,14 @@ def test_cancellation_values():
 
 
 def test_zero_term_cases():
-    # h_2 = 0 at this 2-torsion point, so h_n is undefined for even n >= 6
+    # h_2 = 0 at this 2-torsion point: every even h_n vanishes and every term stays exact
     t = rational_point(0, 0)
-    assert phi_terms(E5, t, 6)[4:] == [152587890625, None, None]
-    with pytest.raises(ZeroTerm, match=r"^h_6 undefined for"):
-        x_multiple_exact(E5, t, 6)
-    with pytest.raises(ZeroTerm, match=r"^neighbours of h_5 undefined for"):
-        x_multiple_exact(E5, t, 5)
-    with pytest.raises(ZeroTerm, match=r"^h_5 vanishes or is undefined for"):
-        cancellation(E5, t, 5)
+    assert phi_terms(E5, t, 6)[4:] == [625**4, 0, 625**9]
+    assert x_multiple_exact(E5, t, 6) is None
+    assert x_multiple_exact(E5, t, 5) == 0
+    with pytest.raises(ZeroTerm, match=r"^h_2 vanishes for"):
+        cancellation(E5, t, 2)
+    assert cancellation(E5, t, 5) == 625**6
 
 
 def test_non_integral_rejected():
@@ -191,7 +190,23 @@ def test_psi_binary_homogeneity(x, N, t, n):
 def test_torsion_base_partial_terms():
     t = rational_point(0, 0)
     seq = ward_terms(E5, t, 6)
-    assert seq.h[2] == 0
-    assert seq.h[3] == -625
-    assert seq.h[5] == 625**3  # -h_3^3
-    assert seq.h[6] is None
+    assert seq.h == [0, 1, 0, -625, 0, 625**3, 0]
+    assert seq.D == [None, 1, None, 1, None, 1, None]
+    assert seq.g == [None, 1, None, 625**2, None, 625**6, None]
+
+
+TORSION_POINTS = (
+    [(E5, rational_point(x, 0)) for x in (0, 5, -5)]
+    + [(make_curve(0, 1), rational_point(x, y)) for x, y in ((2, 3), (0, 1), (-1, 0))]
+)
+
+
+@pytest.mark.parametrize("c, t", TORSION_POINTS)
+def test_recurrence_routes_at_torsion_points(c, t):
+    seq = ward_terms(c, t, 12)
+    for n in range(1, 13):
+        nt = multiply(c, n, t)
+        assert x_multiple_exact(c, t, n) == (None if nt.is_infinity else nt.x), n
+        assert (seq.h[n] == 0) == (seq.D[n] is None) == nt.is_infinity, n
+        if seq.D[n] is not None:
+            assert seq.h[n] ** 2 == seq.g[n] * seq.D[n] ** 2, n

@@ -90,6 +90,16 @@ def _oracle_m(c, P):
 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+def test_global_profile_matches_oracle_on_golden_multiples(golden_multiples):
+    # P, 2P and 3P: the non-integral multiples reduce to infinity at the primes of their denominators
+    for N, _, _, multiples in golden_multiples:
+        c = make_curve(-N * N, 0)
+        for x, y in multiples[1:4]:
+            Q = rational_point(x, y)
+            assert global_M(c, Q).M == _oracle_m(c, Q), (N, x)
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_global_profile_e5():
     prof = global_M(E5, P5)
     assert prof.M == 1
