@@ -11,6 +11,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import math
@@ -20,7 +21,7 @@ import sys
 import typing
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import analytic, bounds, congruent, heights, localdata
 from .curves import curve_height, make_curve, on_curve, rational_point
@@ -38,11 +39,6 @@ from .reports import BoundReport
 SCHEMA_VERSION = "ellmult/1"
 GOLDEN_RESOURCE = "data/table_n75.csv"
 GOLDEN_N_MAX = 75
-
-# sequence terms are exact integers with thousands of digits at large n; lift
-# the interpreter's int-to-str cap so JSON emission can carry them in full
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -115,27 +111,25 @@ def _flatten(prefix: str, value, out: List[Tuple[str, object]]) -> None:
         out.append((prefix, value))
 
 
-def _emit(doc: dict, output_format: str) -> None:
-    if output_format == "json":
+def _emit(args: argparse.Namespace, body: dict) -> int:
+    """Write the subcommand's document, schema and command first, in its --format."""
+    doc = {"schema": SCHEMA_VERSION, "command": args.command, **body}
+    if args.output_format == "json":
         print(json.dumps(doc, indent=2, sort_keys=True))
-        return
+        return EXIT_OK
     rows: List[Tuple[str, object]] = []
     _flatten("", doc, rows)
-    if output_format == "csv":
+    if args.output_format == "csv":
         print("key,value")
-        for key, value in rows:
-            print(f"{key},{value}")
-    else:
-        for key, value in rows:
-            print(f"{key} = {value}")
+    separator = "," if args.output_format == "csv" else " = "
+    for key, value in rows:
+        print(f"{key}{separator}{value}")
+    return EXIT_OK
 
 
 def _emit_error(exc: BaseException, exit_code: int) -> None:
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "error": {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code},
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
+    print(json.dumps({"schema": SCHEMA_VERSION, "error": error}, indent=2, sort_keys=True))
 
 
 def _mp_pair(z) -> List[float]:
@@ -213,9 +207,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         reports.extend(congruent.height_windows(N, point, estimate.value))
         if terms is not None:
             reports.append(congruent.verify_double_not_integral(N, point))
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "analyze",
+    return _emit(args, {
         "precision_bits": args.precision_bits,
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y), "integral": _is_integral(point)},
@@ -224,9 +216,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "analytic": _analytic_doc(curve, point, args.precision_bits),
         "ward": {"n_max": args.n_max, "rows": terms.json_rows()} if terms is not None else None,
         "reports": [r.to_json() for r in reports],
-    }
-    _emit(doc, args.output_format)
-    return EXIT_OK
+    })
 
 
 def _is_integral(point) -> bool:
@@ -246,25 +236,19 @@ def _congruent_parameter(curve) -> Optional[int]:
 def cmd_eds(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
     terms = ward_terms(curve, point, args.n_max)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "eds",
+    return _emit(args, {
         "curve": {"A": curve.A, "B": curve.B},
         "point": {"x": str(point.x), "y": str(point.y)},
         "n_max": args.n_max,
         "rows": terms.json_rows(),
-    }
-    _emit(doc, args.output_format)
-    return EXIT_OK
+    })
 
 
 def cmd_heights(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
     profile = localdata.global_M(curve, point)
     estimate = heights.canonical_height(curve, point, tol=args.tol)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "heights",
+    return _emit(args, {
         "precision_bits": heights.working_bits(args.tol),
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y)},
@@ -272,17 +256,13 @@ def cmd_heights(args: argparse.Namespace) -> int:
         "M": profile.M,
         "lang_floor": heights.lang_floor(curve, profile.M),
         "reports": [heights.height_window_check(curve, point, estimate).to_json()],
-    }
-    _emit(doc, args.output_format)
-    return EXIT_OK
+    })
 
 
 def cmd_periods(args: argparse.Namespace) -> int:
     curve = make_curve(args.A, args.B)
     data = analytic.period_data(curve, args.precision_bits)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "periods",
+    return _emit(args, {
         "precision_bits": args.precision_bits,
         "curve": {"A": curve.A, "B": curve.B, "discriminant": curve.discriminant},
         "omega": float(data.omega),
@@ -293,31 +273,26 @@ def cmd_periods(args: argparse.Namespace) -> int:
         "tau": _mp_pair(data.tau),
         "boundary_note": data.boundary_note,
         "omega_floor": analytic.omega_floor(curve.A, curve.B),
-    }
-    _emit(doc, args.output_format)
-    return EXIT_OK
+    })
 
 
 # --- bounds registry --------------------------------------------------------
 
 
 def _value_report(name: str, inputs: dict, value: Optional[float], citation: str) -> BoundReport:
-    if value is None:
-        return BoundReport(name=name, inputs=inputs, threshold=None, holds=None, citation=citation, applicable=False)
-    return BoundReport(name=name, inputs=inputs, threshold=float(value), holds=True, citation=citation)
+    threshold, holds = (None, None) if value is None else (float(value), True)
+    return BoundReport(name=name, inputs=inputs, threshold=threshold, holds=holds, citation=citation)
 
 
-def _poly_growth(W: float, precision_bits: int, coeffs: Optional[str] = None) -> BoundReport:
+def _poly_growth(W: float, coeffs: Optional[str] = None) -> BoundReport:
     if coeffs is None:
-        return bounds.poly_growth_check(congruent.growth_poly(precision_bits), W)
-    if precision_bits != bounds.EVAL_BITS:
-        raise ValueError("bound poly-growth does not take --precision-bits with --coeffs")
+        return bounds.poly_growth_check(congruent.growth_poly(), W)
     return bounds.poly_growth_check(tuple(float(part) for part in coeffs.split(",")), W)
 
 
-def _n_cap_congruent(N: int, precision_bits: int) -> BoundReport:
+def _n_cap_congruent(N: int) -> BoundReport:
     value = congruent.n_cap(N)
-    ratio = congruent.growth_ratio_check(N, precision_bits)
+    ratio = congruent.growth_ratio_check(N)
     inputs = {"N": N, "g": ratio.inputs["g"], "g_holds": ratio.holds}
     return _value_report("n-cap-congruent", inputs, value, congruent.N_CAP_CITATION)
 
@@ -365,9 +340,7 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
     """Each bound's parameters as (name, required), and the one flag type of each parameter name.
 
     A parameter is required when it has no default; its flag type is its
-    annotation, with Optional stripped.  precision_bits is the subcommand's
-    --precision-bits setting, not a bound flag; a bound without it runs at
-    bounds.EVAL_BITS.
+    annotation, with Optional stripped.
     """
     params: Dict[str, List[Tuple[str, bool]]] = {}
     flag_types: Dict[str, type] = {}
@@ -376,8 +349,6 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
         params[bound] = []
         for name, param in inspect.signature(evaluator).parameters.items():
             params[bound].append((name, param.default is param.empty))
-            if name == "precision_bits":
-                continue
             kind = next((t for t in typing.get_args(hints[name]) if t is not type(None)), hints[name])
             if flag_types.setdefault(name, kind) is not kind:
                 raise TypeError(f"--{name} is annotated both {flag_types[name].__name__} and {kind.__name__}")
@@ -395,8 +366,6 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     for flag in BOUND_FLAGS:
         if flag not in params and getattr(args, flag) is not None:
             raise ValueError(f"bound {args.name} does not take --{flag}")
-    if "precision_bits" not in params and args.precision_bits != bounds.EVAL_BITS:
-        raise ValueError(f"bound {args.name} does not take --precision-bits")
     kwargs = {}
     for name, required in params.items():
         value = getattr(args, name)
@@ -408,14 +377,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
         report = evaluator(**kwargs)
     else:
         report = _value_report(args.name, {**kwargs, **constants}, evaluator(**kwargs), citation)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "command": "bounds",
-        "precision_bits": args.precision_bits,
-        "bound": report.to_json(),
-    }
-    _emit(doc, args.output_format)
-    return EXIT_OK
+    return _emit(args, {"precision_bits": bounds.EVAL_BITS, "bound": report.to_json()})
 
 
 # --- congruent table ---------------------------------------------------------
@@ -444,14 +406,11 @@ def cmd_congruent_table(args: argparse.Namespace) -> int:
     if args.output_format == "csv":
         sys.stdout.write(csv_text)
     else:
-        doc = {
-            "schema": SCHEMA_VERSION,
-            "command": "congruent-table",
+        _emit(args, {
             "precision_bits": heights.working_bits(args.tol),
             "table": table.to_json(),
             "golden": {"resource": GOLDEN_RESOURCE, "match": match, "diff": diff},
-        }
-        _emit(doc, args.output_format)
+        })
     return EXIT_OK if match else EXIT_MISMATCH
 
 
@@ -503,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     bnd.add_argument("name")
     for flag, kind in sorted(BOUND_FLAGS.items(), key=lambda item: item[0].casefold()):
         bnd.add_argument(f"--{flag}", type=kind, default=None)
-    _add_settings(bnd, cmd_bounds, ("precision_bits",))
+    _add_settings(bnd, cmd_bounds, ())
 
     table = sub.add_parser("congruent-table", help=f"rebuild the N <= {GOLDEN_N_MAX} point table")
     table.add_argument(
@@ -515,21 +474,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _integers_of_any_length() -> Iterator[None]:
+    """Lift the int-to-str cap (4300 digits by default, absent before Python 3.10.7) for a `with` body.
+
+    Coordinates and sequence terms are exact integers of any length, read as arguments and written out.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        _resolve_settings(args)
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
-        _emit_error(exc, EXIT_INPUT)
-        return EXIT_INPUT
-    try:
-        return args.handler(args)
-    except PrecisionExhausted as exc:
-        _emit_error(exc, EXIT_PRECISION)
-        return EXIT_PRECISION
-    except (EllmultError, ValueError, TypeError, ZeroDivisionError) as exc:
-        _emit_error(exc, EXIT_INPUT)
-        return EXIT_INPUT
+    with _integers_of_any_length():
+        try:
+            args = build_parser().parse_args(argv)
+            _resolve_settings(args)
+        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+            _emit_error(exc, EXIT_INPUT)
+            return EXIT_INPUT
+        try:
+            return args.handler(args)
+        except PrecisionExhausted as exc:
+            _emit_error(exc, EXIT_PRECISION)
+            return EXIT_PRECISION
+        except (EllmultError, ValueError, TypeError, ZeroDivisionError) as exc:
+            _emit_error(exc, EXIT_INPUT)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

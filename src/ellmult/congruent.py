@@ -160,9 +160,11 @@ def verify_double_not_integral(N: int, P: RatPoint) -> BoundReport:
 def point_from_abscissa(N: int, x: Union[int, Fraction, str]) -> RatPoint:
     """The point (x, y) with y >= 0 on y^2 = x^3 - N^2 x, for a rational abscissa x.
 
-    Raises ValueError when x^3 - N^2 x is negative (no real point) or not the
-    square of a rational (no rational point).
+    Raises ValueError when N is not a square-free positive integer, or when
+    x^3 - N^2 x is negative (no real point) or not the square of a rational
+    (no rational point).
     """
+    congruent_curve(N)
     q = Fraction(x)
     v = q**3 - N * N * q
     if v < 0:
@@ -263,13 +265,13 @@ def _growth_factors(ctx) -> Tuple[object, ...]:
     )
 
 
-def growth_poly(precision_bits: int = bounds.EVAL_BITS) -> Tuple[object, ...]:
+def growth_poly() -> Tuple[object, ...]:
     """Degree-6 comparison polynomial of the large-n branch, lowest degree first.
 
     P(x) = (2592 e C / log 56) (x + log 2 + 1/(2e)) (x + log 2 + 1/3)^3
     (x + 2 log 2 / 9) (x + log 2) with C the linear-form floor constant.
     """
-    ctx = context(precision_bits)
+    ctx = context(bounds.EVAL_BITS)
     prefactor = 2592 * ctx.e * bounds.DAVID_C / ctx.ln(56)
     poly = [ctx.mpf(1)]
     for root in _growth_factors(ctx):
@@ -281,9 +283,9 @@ def growth_poly(precision_bits: int = bounds.EVAL_BITS) -> Tuple[object, ...]:
     return tuple(prefactor * coeff for coeff in poly)
 
 
-def growth_ratio(x, precision_bits: int = bounds.EVAL_BITS):
+def growth_ratio(x):
     """g(x): the growth polynomial without its prefactor, divided by x^6."""
-    ctx = context(precision_bits)
+    ctx = context(bounds.EVAL_BITS)
     xv = ctx.mpf(x)
     product = ctx.mpf(1)
     for root in _growth_factors(ctx):
@@ -291,12 +293,11 @@ def growth_ratio(x, precision_bits: int = bounds.EVAL_BITS):
     return product / xv**6
 
 
-def growth_ratio_check(N: int, precision_bits: int = bounds.EVAL_BITS) -> BoundReport:
+def growth_ratio_check(N: int) -> BoundReport:
     """Check g(log N) <= 3, the step that turns the degree-6 cap into a (log N)^{5/2} cap."""
     if N < 56:
         raise ValueError("stated for N >= 56")
-    ctx = context(precision_bits)
-    value = growth_ratio(ctx.ln(N), precision_bits)
+    value = growth_ratio(context(bounds.EVAL_BITS).ln(N))
     return BoundReport(
         name="growth-ratio",
         inputs={"N": N, "g": float(value)},
@@ -315,14 +316,16 @@ def n_cap(N: int) -> float:
 
 @lru_cache(maxsize=None)
 def _omega_one():
-    return analytic.real_period(make_curve(-1, 0), 128)
+    return analytic.real_period(make_curve(-1, 0), bounds.EVAL_BITS)
 
 
 def gap_floor(n1: int, N: int) -> float:
     """Floor (n1^2/8) log N - log(N)/2 + log(omega1/2) on log n2 for a second multiple."""
     if n1 < 2:
         raise ValueError("need n1 >= 2")
-    ctx = context(128)
+    if N < 1:
+        raise ValueError("need N >= 1")
+    ctx = context(bounds.EVAL_BITS)
     logn = ctx.ln(N)
     return float(ctx.mpf(n1) ** 2 / 8 * logn - logn / 2 + ctx.ln(_omega_one() / 2))
 
@@ -354,7 +357,7 @@ def resolve_N_threshold(scan_max: int = 5000) -> Tuple[Optional[int], Optional[i
     of the returned float for any N below 10^12, so the computed predicates
     are monotone too and the bisection returns what a linear scan returns.
     """
-    ctx = context(128)
+    ctx = context(bounds.EVAL_BITS)
     cap_small = ctx.ln(ctx.mpf(N_CAP_SMALL))
     branch1 = _last_true(lambda N: gap_floor(11, N) <= cap_small, 2, scan_max)
     branch2 = _last_true(
@@ -421,7 +424,6 @@ def height_windows(
         threshold=cap_value,
         holds=hhat <= cap_value if on_unbounded else None,
         citation=UPPER_WINDOW_CITATION,
-        applicable=on_unbounded,
     )
     return hdiff, floor, cap
 
@@ -441,8 +443,7 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     0 < x < N, so any x_max >= 1 is a window.  Only the hits are held, so
     memory does not grow with x_max.
     """
-    if N < 1 or not is_square_free(N):
-        raise ValueError(f"N must be a square-free positive integer, got {N}")
+    congruent_curve(N)
     if x_max < 1:
         raise ValueError("x_max must be at least 1")
     divisors = [1]

@@ -153,7 +153,6 @@ def height_window_check(c: Curve, P: RatPoint, estimate: HeightEstimate) -> Boun
             threshold=None,
             holds=None,
             citation=HEIGHT_WINDOW_CITATION,
-            applicable=False,
         )
     hhat = estimate.value
     half_naive = naive_height(P.x) / 2

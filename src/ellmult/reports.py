@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 Number = Union[int, float]
@@ -12,8 +12,8 @@ Number = Union[int, float]
 class BoundReport:
     """Outcome of one named inequality: what went in, the cutoff, and the verdict.
 
-    holds is None only when applicable is False (the inequality does not
-    constrain the given inputs, e.g. a height window queried at torsion).
+    holds is None when the inequality does not constrain the given inputs
+    (e.g. a height window queried at torsion); applicable says whether it does.
     The citation is the inequality itself, spelled out.
     """
 
@@ -22,7 +22,10 @@ class BoundReport:
     threshold: Optional[float]
     holds: Optional[bool]
     citation: str
-    applicable: bool = True
+
+    @property
+    def applicable(self) -> bool:
+        return self.holds is not None
 
     def to_json(self) -> Dict[str, object]:
         return {

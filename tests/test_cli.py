@@ -12,7 +12,7 @@ from typing import Optional
 
 import pytest
 
-from ellmult import analytic, cli, curves, heights
+from ellmult import analytic, bounds, cli, curves, heights
 
 
 def run(capsys, *argv):
@@ -289,7 +289,7 @@ TAKEN = {
     "eds": {"n_max"},
     "heights": {"tol"},
     "periods": {"precision_bits"},
-    "bounds": {"precision_bits"},
+    "bounds": set(),
     "congruent-table": {"x_max", "tol"},
 }
 SUBCOMMAND_ARGV = {
@@ -329,7 +329,7 @@ def test_subcommand_takes_only_its_settings(capsys, command, setting):
 def test_settable_pairs():
     taken = parser_settings()
     assert taken == TAKEN
-    assert sum(len(settings) + 1 for settings in taken.values()) == 15
+    assert sum(len(settings) + 1 for settings in taken.values()) == 14
 
 
 def test_readme_lists_every_subcommand_with_its_settings():
@@ -355,17 +355,25 @@ def test_analyze_reports_its_height_precision(capsys):
     assert doc["heights"]["canonical"]["precision_bits"] == heights.working_bits(1e-10) == 128
 
 
-@pytest.mark.parametrize("argv", [["poly-growth", "--W", "1e30"], ["n-cap-congruent", "--N", "56"]])
-def test_bounds_report_the_precision_they_ran_at(capsys, argv):
-    code, doc = run_json(capsys, "bounds", *argv, "--precision-bits", "512")
-    assert code == 0
-    assert doc["precision_bits"] == 512
-
-
-def test_poly_growth_with_coeffs_runs_at_128_bits(capsys):
-    code, doc = run_json(capsys, "bounds", "poly-growth", "--W", "1e30", "--coeffs", "1,2", "--precision-bits", "512")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["poly-growth", "--W", "1e30"],
+        ["n-cap-congruent", "--N", "56"],
+        ["poly-growth", "--W", "1e30", "--coeffs", "1,2"],
+        ["calculus", "--a", "1", "--b", "1"],
+        ["gap-floor", "--n1", "11", "--N", "75"],
+    ],
+)
+def test_bounds_report_the_precision_they_ran_at(capsys, monkeypatch, argv):
+    # every bound runs at bounds.EVAL_BITS; neither a flag nor a variable sets another precision
+    code, doc = run_json(capsys, "bounds", *argv, "--precision-bits", "256")
     assert code == 2
-    assert doc["error"]["message"] == "bound poly-growth does not take --precision-bits with --coeffs"
+    assert doc["error"]["message"] == "unrecognized arguments: --precision-bits 256"
+    monkeypatch.setenv("ELLMULT_PRECISION_BITS", "256")
+    code, doc = run_json(capsys, "bounds", *argv)
+    assert code == 0
+    assert doc["precision_bits"] == bounds.EVAL_BITS == 128
 
 
 def test_nonpositive_tol_exit_2(capsys):
@@ -533,11 +541,7 @@ MISSING_FLAG = {
 
 def test_every_registered_bound_is_pinned():
     assert list(BOUND_TEXT) == list(cli.BOUND_REGISTRY)
-    required = [
-        name
-        for name, params in cli.BOUND_PARAMS.items()
-        if any(req for p, req in params if p != "precision_bits")
-    ]
+    required = [name for name, params in cli.BOUND_PARAMS.items() if any(req for _, req in params)]
     assert list(MISSING_FLAG) == required
 
 
@@ -567,8 +571,6 @@ def test_bounds_missing_flag_exit_2(capsys, name):
     [
         (["calculus", "--a", "1", "--b", "1", "--N", "5"], "--N"),
         (["gap-floor", "--n1", "11", "--N", "75", "--x", "3"], "--x"),
-        (["calculus", "--a", "1", "--b", "1", "--precision-bits", "512"], "--precision-bits"),
-        (["gap-floor", "--n1", "11", "--N", "75", "--precision-bits", "512"], "--precision-bits"),
     ],
 )
 def test_bounds_rejects_flag_its_bound_does_not_take(capsys, argv, flag):
@@ -604,8 +606,7 @@ def test_readme_lists_every_bound_with_its_flags():
     rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", section, re.M)
     assert [name for name, _ in rows] == list(cli.BOUND_REGISTRY)
     for name, flags in rows:
-        params = [p for p, _ in cli.BOUND_PARAMS[name] if p != "precision_bits"]
-        assert re.findall(r"--(\w+)", flags) == params, name
+        assert re.findall(r"--(\w+)", flags) == [p for p, _ in cli.BOUND_PARAMS[name]], name
 
 
 def test_bounds_calculus(capsys):
@@ -797,6 +798,22 @@ def test_bounds_nonidentity_multiplier(capsys):
     assert doc["bound"]["holds"] is False
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["double-not-integral", "--N", "0", "--x", "1"], "N must be a square-free positive integer, got 0"),
+        (["double-not-integral", "--N", "-5", "--x", "-4"], "N must be a square-free positive integer, got -5"),
+        (["nonidentity-multiplier", "--N", "4", "--x", "4", "--n", "1"], "N must be a square-free positive integer, got 4"),
+        (["gap-floor", "--n1", "11", "--N", "0"], "need N >= 1"),
+        (["gap-floor", "--n1", "11", "--N", "-3"], "need N >= 1"),
+    ],
+)
+def test_congruent_bounds_reject_N_outside_the_family(capsys, argv, message):
+    code, doc = run_json(capsys, "bounds", *argv)
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
+
+
 @pytest.mark.parametrize("x", ["3", "-6", "1/2"])
 def test_bounds_nonidentity_multiplier_rejects_abscissa_without_real_point(capsys, x):
     # x^3 - 25 x < 0 there, so no real point has this abscissa
@@ -884,7 +901,10 @@ def test_table_csv_matches_golden_prefix(capsys):
 
 def test_import_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = "import sys, ellmult, ellmult.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys; cap = getattr(sys, 'get_int_max_str_digits', lambda: None); before = cap(); "
+        "import ellmult, ellmult.cli; print('numpy' in sys.modules, before, cap())"
+    )
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": src},
@@ -892,4 +912,57 @@ def test_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    numpy_loaded, before, after = done.stdout.split()
+    assert numpy_loaded == "False"
+    # importing the CLI leaves the interpreter's int-to-str cap alone
+    assert before == after
+
+
+# --- integers past the interpreter's int-to-str cap -----------------------------------
+
+
+@pytest.fixture
+def default_digit_cap():
+    """Run a test under the interpreter's default int-to-str cap, and restore the cap after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str cap")
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(cap)
+
+
+def test_eds_writes_terms_past_the_digit_cap(capsys, default_digit_cap):
+    code, out = run(capsys, "eds", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "80")
+    assert code == 0
+    # x(80P) = k_80 / h_80^2 with 5280 digits in k_80 and 2640 in h_80
+    row = json.loads(out, parse_int=str)["rows"][-1]
+    assert max(len(row[key].lstrip("-")) for key in ("h", "k", "D")) > default_digit_cap
+    assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_eds_reads_a_point_past_the_digit_cap(capsys, default_digit_cap):
+    # (X, Y) is an integral point of y^2 = x^3 + Y^2 - X^3, with 4401 digits in X
+    X, Y = 10**4400 + 1, 10**6700
+    sys.set_int_max_str_digits(0)
+    B, x, y = str(Y * Y - X**3), str(X), str(Y)
+    sys.set_int_max_str_digits(default_digit_cap)
+    code, out = run(capsys, "eds", "--A", "0", "--B", B, "--x", x, "--y", y, "--n-max", "1")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == default_digit_cap
+    sys.set_int_max_str_digits(0)
+    assert json.loads(out)["point"] == {"x": x, "y": y}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--tol", "1e-30"],
+        ["heights", "--A", "-25", "--B", "0", "--x", "3", "--y", "3"],
+        ["heights", "--A", "-25"],
+    ],
+)
+def test_failed_call_restores_the_digit_cap(capsys, default_digit_cap, argv):
+    code, _ = run(capsys, *argv)
+    assert code in (2, 4)
+    assert sys.get_int_max_str_digits() == default_digit_cap
