@@ -23,7 +23,7 @@ from . import analytic, bounds
 from ._precision import context
 from .curves import Curve, RatPoint, make_curve, rational_point
 from .divpoly import psi_value_binary
-from .errors import ParityMismatch, TorsionInput
+from .errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from .factorization import factor_int, is_square_free, valuation
 from .heights import canonical_height, naive_height
 from .reports import BoundReport
@@ -367,7 +367,13 @@ def resolve_N_threshold(scan_max: int = 5000) -> Tuple[Optional[int], Optional[i
 
 
 def nonidentity_multiplier(N: int, P: RatPoint, n: int) -> BoundReport:
-    """Integral multiples on the bounded real component force multiplier 1."""
+    """Integral multiples on the bounded real component force multiplier 1.
+
+    The citation is about that component, -N <= x <= 0; a point off it raises
+    NotBoundedComponent.
+    """
+    if P.is_infinity or not -N <= P.x <= 0:
+        raise NotBoundedComponent(f"x = {P.x} lies off the bounded component -{N} <= x <= 0")
     bound = (
         8
         * (math.log(N) / 2 + math.log(N * N + 1) / 4 + math.log(2) / 12)

@@ -41,6 +41,10 @@ class NotIdentityComponent(EllmultError):
     """Raised for real points lying off the unbounded real component."""
 
 
+class NotBoundedComponent(EllmultError):
+    """Raised for points lying off the bounded real component, the oval."""
+
+
 class RootFindingFailed(EllmultError):
     """Raised when polynomial root isolation does not converge."""
 

@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ellmult import analytic
 from ellmult._precision import context
 from ellmult.analytic import (
     LinearForm,
@@ -17,13 +19,16 @@ from ellmult.analytic import (
     weierstrass_point,
 )
 from ellmult.curves import INFINITY, curve_height, make_curve, multiply, rational_point
-from ellmult.errors import NotIdentityComponent
+from ellmult.errors import NotIdentityComponent, PrecisionExhausted
 
 CTX = context(192)
 E1 = make_curve(-1, 0)
 E5 = make_curve(-25, 0)
 
 SAMPLE_CURVES = [(0, 2), (-1, 1), (2, 1), (-2, 2), (-25, 0), (0, 1), (-7, 10)]
+
+# the seven one-real-root curves of the periods benchmark, each with a rational point
+ONE_REAL_ROOT = [(1, 1, 0, 1), (-7, 10, 1, 2), (-1, 1, 1, 1), (0, 1, 2, 3), (2, 3, 3, 6), (1, 2, 1, 2), (3, 5, 1, 3)]
 
 
 def test_base_period_window():
@@ -177,3 +182,108 @@ def test_large_x_log_window():
         z = elliptic_log(c, rational_point(x, y), 128)
         val = math.log(abs(float(z))) + 0.5 * math.log(x)
         assert -cap <= val <= cap
+
+
+# --- the fixed-point tanh-sinh kernel ------------------------------------------
+
+
+def _reference_period(c, bits):
+    """ctx.quad on the substituted period integrals, at bits of precision."""
+    ctx = context(bits)
+    e1 = analytic._cubic_roots(c, ctx)[0]
+    slope = 3 * e1 * e1 + c.A
+
+    def near(v):
+        t = e1 + v * v
+        return 2 / ctx.sqrt(t * t + e1 * t + c.A + e1 * e1)
+
+    def tail(w):
+        return 2 / ctx.sqrt(1 + 3 * e1 * w * w + slope * w**4)
+
+    near_dip, tail_dip = -3 * e1 / 2, -3 * e1 / (2 * slope)
+    near_pts = [0, ctx.sqrt(near_dip), 1] if 0 < near_dip < 1 else [0, 1]
+    tail_pts = [0, ctx.sqrt(tail_dip), 1] if 0 < tail_dip < 1 else [0, 1]
+    return ctx.quad(near, near_pts) + ctx.quad(tail, tail_pts)
+
+
+def _reference_log(c, P, bits):
+    """ctx.quad on the substituted elliptic-log integrals, at bits of precision."""
+    ctx = context(bits)
+    e1 = analytic._cubic_roots(c, ctx)[0]
+    x0 = ctx.mpf(P.x.numerator) / P.x.denominator
+    q_x0 = x0 * x0 + e1 * x0 + c.A + e1 * e1
+
+    def near(v):
+        t = x0 + v * v
+        return 2 * v / ctx.sqrt((t - e1) * (t * t + e1 * t + c.A + e1 * e1))
+
+    def tail(w):
+        w2 = w * w
+        return 2 / ctx.sqrt((1 + (x0 - e1) * w2) * (1 + (2 * x0 + e1) * w2 + q_x0 * w2 * w2))
+
+    near_dip, tail_dip = -e1 / 2 - x0, -(2 * x0 + e1) / (2 * q_x0)
+    near_pts = [0, ctx.sqrt(near_dip), 1] if 0 < near_dip < 1 else [0, 1]
+    tail_pts = [0, ctx.sqrt(tail_dip), 1] if 0 < tail_dip < 1 else [0, 1]
+    magnitude = (ctx.quad(near, near_pts) + ctx.quad(tail, tail_pts)) / 2
+    return -magnitude if P.y > 0 else magnitude
+
+
+def test_kernel_integrates_a_polynomial_to_working_precision():
+    ctx = context(160)
+    width = analytic._width(ctx.prec)
+    value = analytic._tanh_sinh(ctx, [(lambda t: t * t >> width, [0, 1 << width])])
+    assert abs(value - ctx.mpf(1) / 3) <= ctx.mpf(2) ** -158
+
+
+def test_kernel_raises_when_the_top_degree_has_not_converged():
+    # |t - 1/3| has a kink inside [0, 1]: the step sums converge only like h^2
+    ctx = context(160)
+    width = analytic._width(ctx.prec)
+    third = (1 << width) // 3
+    with pytest.raises(PrecisionExhausted):
+        analytic._tanh_sinh(ctx, [(lambda t: abs(t - third), [0, 1 << width])])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_elliptic_log_is_correctly_rounded_at_its_working_precision(sign):
+    # 128 bits work at 160; ctx.quad gave ...771163 here, while the value at
+    # 416 bits, ...77116551..., rounds to ...771166
+    x = Fraction(428614045485163378013009218321, 31955667216432795403292069136)
+    y = Fraction(260381543724184737325445123907673963189858681, 5712442409314703256068461556718665349719616)
+    P = rational_point(x, sign * y)
+    z = elliptic_log(E5, P, 128)
+    assert str(z) == ("-" if sign > 0 else "") + "0.27708264336724377855311489811930922126922771166"
+    assert z == context(160).mpf(_reference_log(E5, P, 416))
+
+
+def _check_against_quad(A, B, x, y, n, bits):
+    """The kernel's period and the log of nP, when defined, within 2^-(bits + 24) omega of ctx.quad at 2 bits."""
+    c = make_curve(A, B)
+    ctx = context(2 * bits)
+    tol = ctx.mpf(2) ** -(bits + 24)
+    omega = _reference_period(c, 2 * bits)
+    assert abs(real_period_quadrature(c, bits) - omega) <= omega * tol
+    P = multiply(c, n, rational_point(x, y))
+    if P.is_infinity or P.y == 0:
+        return
+    try:
+        z = elliptic_log(c, P, bits)
+    except NotIdentityComponent:
+        return
+    assert abs(z - _reference_log(c, P, 2 * bits)) <= omega * tol
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_kernel_matches_quad_at_twice_the_precision(golden_multiples, data):
+    # golden points and the one-real-root curves, nP for n <= 4
+    curves = [(-N * N, 0, x, y) for N, x, y, _ in golden_multiples] + ONE_REAL_ROOT
+    A, B, x, y = data.draw(st.sampled_from(curves))
+    _check_against_quad(A, B, x, y, data.draw(st.integers(1, 4)), data.draw(st.sampled_from([128, 256])))
+
+
+def test_kernel_matches_quad_at_twice_the_precision_at_512_bits():
+    # A reference at 1024 bits costs about two seconds, so one fixed case stands
+    # in for draws: (0, 1) on y^2 = x^3 + x + 1 puts a split point in both of
+    # the log's pieces and in the period's near piece.
+    _check_against_quad(1, 1, 0, 1, 1, 512)

@@ -11,6 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from mpmath.ctx_mp import MPContext
 
 from ellmult import analytic, bounds, cli, curves, heights
 
@@ -170,6 +171,22 @@ def test_periods_routes_agree(capsys):
     assert doc["omega_floor"] > 0
 
 
+def test_periods_on_a_curve_with_large_coefficients(capsys):
+    # omega is about 3.7e-15: with eps/8 taken as an absolute bound, as ctx.quad
+    # takes it, the quadrature route landed 2^-58 off and the command exited 4
+    code, doc = run_json(capsys, "periods", f"--A={10**60}", "--B=1")
+    assert code == 0
+    assert doc["route_delta"] <= doc["omega"] * 2.0**-140
+
+
+def test_unconverged_quadrature_exit_4(capsys):
+    # 4A^3 + 27B^2 = 108 * 10^18 + 27: the complex root pair almost meets the
+    # real path, and the period integral has not converged by the top degree
+    code, doc = run_json(capsys, "periods", f"--A={-3 * 10**12}", f"--B={2 * 10**18 + 1}")
+    assert code == 4
+    assert doc["error"]["message"] == "tanh-sinh quadrature did not converge by degree 8"
+
+
 def test_precision_exhausted_exit_4(capsys):
     code, doc = run_json(
         capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--tol", "1e-30"
@@ -236,6 +253,28 @@ def test_periods_isolates_roots_once(capsys, monkeypatch):
     code, _ = run(capsys, "periods", "--A", "0", "--B", "17", "--precision-bits", "128")
     assert code == 0
     assert calls == {"_cubic_roots": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--A", "-25", "--B", "0", "--x", "45", "--y", "300", "--n-max", "4"],
+        ["analyze", "--A", "1", "--B", "1", "--x", "0", "--y", "1", "--n-max", "4"],
+        ["periods", "--A", "-25", "--B", "0"],
+        ["periods", "--A", "1", "--B", "1", "--precision-bits", "256"],
+    ],
+)
+def test_no_command_reaches_mpmath_quadrature(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpmath's quad was called")
+
+    monkeypatch.setattr(MPContext, "quad", refuse)
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    if argv[0] == "analyze":
+        assert doc["analytic"]["elliptic_log_str"]
+    else:
+        assert doc["omega_quadrature_str"]
 
 
 # --- config precedence ----------------------------------------------------------
@@ -832,10 +871,20 @@ def test_bounds_nonidentity_multiplier_rejects_abscissa_without_rational_point(c
 
 
 def test_bounds_nonidentity_multiplier_accepts_rational_point(capsys):
-    # x(2P) for P = (-4, 6) on N = 5, with y = 62279/1728
-    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", "1681/144", "--n", "1")
+    # x(2P + (0, 0)) for P = (-4, 6) on N = 5, with y = 60 * 7595 / 41^3, on the bounded oval
+    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x=-3600/1681", "--n", "1")
     assert code == 0
     assert doc["bound"]["holds"] is True
+
+
+@pytest.mark.parametrize("x", ["45", "1681/144"])
+def test_bounds_nonidentity_multiplier_rejects_unbounded_component(capsys, x):
+    # (45, 300) and x(2P) for P = (-4, 6) lie on the unbounded component x >= N
+    code, doc = run_json(capsys, "bounds", "nonidentity-multiplier", "--N", "5", "--x", x, "--n", "1")
+    assert code == 2
+    assert "bound" not in doc
+    assert doc["error"]["type"] == "NotBoundedComponent"
+    assert doc["error"]["message"] == f"x = {x} lies off the bounded component -5 <= x <= 0"
 
 
 # --- congruent-table --------------------------------------------------------------

@@ -39,9 +39,9 @@ from ellmult.congruent import (
     table_csv,
     verify_double_not_integral,
 )
-from ellmult.curves import rational_point
+from ellmult.curves import INFINITY, rational_point
 from ellmult.divpoly import denominator_sequence, psi_value_binary, ward_terms
-from ellmult.errors import ParityMismatch, TorsionInput
+from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from ellmult.factorization import prime_divisors, valuation
 from ellmult.heights import canonical_height, height_window_check
 
@@ -321,6 +321,14 @@ def test_nonidentity_multiplier():
     assert report.inputs["n_squared"] == 9 > report.inputs["chain_bound"]
     for N in (1, 2, 3, 10, 100, 10**6):
         assert nonidentity_multiplier(N, rational_point(-1, 0), 1).inputs["chain_bound"] < 8
+
+
+def test_nonidentity_multiplier_rejects_points_off_the_oval():
+    for x, y in [(45, 300), (Fraction(1681, 144), Fraction(62279, 1728))]:
+        with pytest.raises(NotBoundedComponent, match=f"x = {x} lies off the bounded component -5 <= x <= 0"):
+            nonidentity_multiplier(5, rational_point(x, y), 1)
+    with pytest.raises(NotBoundedComponent):
+        nonidentity_multiplier(5, INFINITY, 1)
 
 
 def test_search_integral_points():
