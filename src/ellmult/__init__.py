@@ -17,7 +17,6 @@ from .curves import (
     curve_height,
     make_curve,
     multiply,
-    negate,
     on_curve,
     quasi_minimalize,
     rational_point,
@@ -25,9 +24,7 @@ from .curves import (
 from .divpoly import (
     DivisionPolynomial,
     WardSequence,
-    cancellation,
     denominator_sequence,
-    phi_terms,
     psi_polynomial,
     psi_value_binary,
     ward_terms,
@@ -50,18 +47,16 @@ from .errors import (
     TorsionInput,
     UnknownBound,
     UnreliableAtSmallPrime,
-    ZeroTerm,
 )
 from .heights import (
     HeightEstimate,
     canonical_height,
-    duplication_trace,
     height_window_check,
     lang_floor,
     naive_height,
     torsion_order,
 )
-from .localdata import ComponentProfile, component_order, global_M, in_identity_component
+from .localdata import ComponentProfile, component_order, global_M
 from .analytic import (
     LinearForm,
     PeriodData,
@@ -107,29 +102,23 @@ __all__ = [
     "UnknownBound",
     "UnreliableAtSmallPrime",
     "WardSequence",
-    "ZeroTerm",
     "add",
     "bounds",
-    "cancellation",
     "canonical_height",
     "component_order",
     "congruent",
     "curve_height",
     "denominator_sequence",
-    "duplication_trace",
     "elliptic_log",
     "global_M",
     "height_window_check",
-    "in_identity_component",
     "lang_floor",
     "make_curve",
     "multiply",
     "naive_height",
-    "negate",
     "omega_floor",
     "on_curve",
     "period_data",
-    "phi_terms",
     "principal_linear_form",
     "psi_polynomial",
     "psi_value_binary",

@@ -107,7 +107,7 @@ def _agm_period(c: Curve, ctx, e1, e2, e3):
 def _width(prec: int) -> int:
     """Fixed-point scale W of the kernel at working precision prec.
 
-    mpmath sums at prec + 20 bits; HEADROOM_BITS more cover the cancellation
+    mpmath sums at prec + 20 bits; HEADROOM_BITS more cover the digits lost
     where an integrand's inner form dips towards zero.
     """
     return prec + 20 + HEADROOM_BITS

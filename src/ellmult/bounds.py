@@ -129,12 +129,6 @@ def david_floor_log(logB: float, logV1: float, logV2: float, hE: float) -> float
     return float(-DAVID_C * (lb + 1) * (ctx.ln(lb) + hE + 1) ** 3 * logV1 * logV2)
 
 
-def david_floor(B: float, V1: float, V2: float, hE: float) -> float:
-    """Floor -C (log B + 1)(log log B + h(E) + 1)^3 log V1 log V2 on log|L|."""
-    ctx = context(EVAL_BITS)
-    return david_floor_log(float(ctx.ln(B)), float(ctx.ln(V1)), float(ctx.ln(V2)), hE)
-
-
 def crossing_point(rhs: Callable[[object], object], hi_log: float = 750.0) -> float:
     """Largest x >= 2 with x^2 <= rhs(x), for rhs growing slower than x^2.
 

@@ -474,6 +474,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args keeps no state between calls
+PARSER = build_parser()
+
+
 @contextlib.contextmanager
 def _integers_of_any_length() -> Iterator[None]:
     """Lift the int-to-str cap (4300 digits by default, absent before Python 3.10.7) for a `with` body.
@@ -494,7 +498,7 @@ def _integers_of_any_length() -> Iterator[None]:
 def main(argv: Optional[List[str]] = None) -> int:
     with _integers_of_any_length():
         try:
-            args = build_parser().parse_args(argv)
+            args = PARSER.parse_args(argv)
             _resolve_settings(args)
         except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
             _emit_error(exc, EXIT_INPUT)

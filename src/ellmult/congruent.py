@@ -51,19 +51,11 @@ UPPER_WINDOW_CITATION = (
 )
 
 
-@dataclass(frozen=True)
-class CongruentCurve:
-    """The pair (N, curve) with N square-free and the curve y^2 = x^3 - N^2 x."""
-
-    N: int
-    curve: Curve
-
-
-def congruent_curve(N: int) -> CongruentCurve:
-    """Validate N and build its curve; discriminant is 64 N^6 and j = 1728."""
+def congruent_curve(N: int) -> Curve:
+    """Validate N and build y^2 = x^3 - N^2 x; discriminant is 64 N^6 and j = 1728."""
     if N < 1 or not is_square_free(N):
         raise ValueError(f"N must be a square-free positive integer, got {N}")
-    return CongruentCurve(N, make_curve(-N * N, 0))
+    return make_curve(-N * N, 0)
 
 
 class Ord2Prediction(NamedTuple):
@@ -132,8 +124,10 @@ def verify_double_not_integral(N: int, P: RatPoint) -> BoundReport:
 
     Both-odd coordinates force ord_2 <= -2, both-even force ord_2 <= -1, and
     mixed parity forces ord_2 <= -2; any of them keeps 2P away from the
-    integers.
+    integers.  A non-integral abscissa raises ValueError.
     """
+    if P.x.denominator != 1:
+        raise ValueError(f"abscissa {P.x} is not an integer")
     x = int(P.x)
     value = double_x(x, N)
     ord2 = valuation(value.numerator, 2) - valuation(value.denominator, 2)
@@ -398,11 +392,11 @@ def height_windows(
     window caps hhat by h(x_P)/2 + (1/3) log 2.  The upper window applies only
     to integral abscissas x >= N: the bounded oval genuinely violates it.
     """
-    cc = congruent_curve(N)
+    c = congruent_curve(N)
     if P.x in (0, N, -N):
         raise TorsionInput(f"x = {P.x} is 2-torsion on y^2 = x^3 - {N}^2 x")
     if hhat is None:
-        hhat = float(canonical_height(cc.curve, P))
+        hhat = float(canonical_height(c, P))
     half_naive = naive_height(P.x) / 2
     diff = hhat - half_naive
     lower = -math.log(N) / 2 - math.log(2) / 4
@@ -483,8 +477,8 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6, height_tol: float = 1e-
         points = search_integral_points(N, x_max)
         if not points:
             continue
-        cc = congruent_curve(N)
-        heights = tuple(float(canonical_height(cc.curve, P, tol=height_tol)) for P in points)
+        c = congruent_curve(N)
+        heights = tuple(float(canonical_height(c, P, tol=height_tol)) for P in points)
         ratio_ok = all(hp < HEIGHT_RATIO_LIMIT * hq for hp in heights for hq in heights)
         rows.append(TableRow(N, tuple(points), heights, ratio_ok))
     return IntegralPointTable(tuple(rows), N_max, x_max)

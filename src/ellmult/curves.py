@@ -107,12 +107,6 @@ def _require_on_curve(c: Curve, P: RatPoint) -> None:
         raise OffCurve(f"{P} does not lie on {c}")
 
 
-def negate(P: RatPoint) -> RatPoint:
-    if P.is_infinity:
-        return INFINITY
-    return RatPoint(P.x, -P.y)
-
-
 # --- integer group law ------------------------------------------------------
 #
 # The group law runs on triples (X, Y, D) with x = X/D^2, y = Y/D^3, D >= 1 and

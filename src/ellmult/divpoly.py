@@ -34,7 +34,7 @@ from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
 from .curves import Curve, RatPoint, multiple_triples
-from .errors import NonIntegralBasePoint, ZeroTerm
+from .errors import NonIntegralBasePoint
 
 OptInt = Optional[int]
 
@@ -66,8 +66,6 @@ class DivisionPolynomial:
 class WardSequence:
     """Aggregated sequence data for one (curve, base point) pair."""
 
-    curve: Curve
-    base: RatPoint
     h: List[int]
     k: List[int]
     D: List[OptInt]
@@ -129,12 +127,7 @@ def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
     h, k = _h_k(c, P, n_max)
     D = denominator_sequence(c, P, n_max)
     g = [math.gcd(k[n], h[n] ** 2) if h[n] else None for n in range(n_max + 1)]
-    return WardSequence(c, P, h, k, D, g)
-
-
-def phi_terms(c: Curve, P: RatPoint, n_max: int) -> List[int]:
-    """Numerator companions k_0..k_n_max with k_0 = 1."""
-    return _h_k(c, P, n_max)[1]
+    return WardSequence(h, k, D, g)
 
 
 def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
@@ -144,14 +137,6 @@ def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
     """
     _require_integral(P)
     return [None] + [None if T is None else T[2] for T in islice(multiple_triples(c, P), n_max)]
-
-
-def cancellation(c: Curve, P: RatPoint, n: int) -> int:
-    """g_n = gcd(k_n, h_n^2); raises ZeroTerm when h_n vanishes (nP at infinity)."""
-    h, k = _h_k(c, P, n)
-    if h[n] == 0:
-        raise ZeroTerm(f"h_{n} vanishes for {P}")
-    return math.gcd(k[n], h[n] ** 2)
 
 
 @lru_cache(maxsize=None)

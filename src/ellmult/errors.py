@@ -17,10 +17,6 @@ class NonIntegralBasePoint(EllmultError):
     """Raised when an operation requires integer point coordinates."""
 
 
-class ZeroTerm(EllmultError):
-    """Raised when a sequence term is zero where a nonzero value is required."""
-
-
 class TorsionInput(EllmultError):
     """Raised when a torsion point is fed to an operation that excludes it."""
 
@@ -45,7 +41,7 @@ class NotBoundedComponent(EllmultError):
     """Raised for points lying off the bounded real component, the oval."""
 
 
-class RootFindingFailed(EllmultError):
+class RootFindingFailed(PrecisionExhausted):
     """Raised when polynomial root isolation does not converge."""
 
 

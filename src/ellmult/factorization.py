@@ -22,7 +22,7 @@ def factor_int(n: int) -> Dict[int, int]:
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
-    if len(str(n)) > DIGIT_BUDGET:
+    if n >= 10**DIGIT_BUDGET:
         raise FactorizationTooLarge(f"|n| has more than {DIGIT_BUDGET} digits")
     out: Dict[int, int] = {}
     for p in (2, 3):

@@ -4,8 +4,8 @@ The canonical height is the doubling limit (1/2) lim h(x_{2^k P}) / 4^k.
 Running it literally squares the coordinate size every step, so the engine
 renormalizes: floating copies of numerator and denominator carry the size,
 and integer residues modulo a shrinking power of the discriminant recover
-each step's cancellation exactly.  The resultant of the duplication forms
-equals the squared discriminant, so every cancellation divides disc^2 and
+each step's common factor exactly.  The resultant of the duplication forms
+equals the squared discriminant, so every common factor divides disc^2 and
 k doublings cost O(k) big-integer work instead of exponentially many digits.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from ._precision import context
 from .curves import Curve, RatPoint, curve_height, multiple_triples, naive_height
@@ -23,7 +23,6 @@ from .reports import BoundReport
 
 TORSION_SCAN_LIMIT = 12
 DEPTH_CAP = 24
-TRACE_BITS = 192
 LANG_SMALL_HEIGHT_CUTOFF = 2 * (28 * math.log(2) + 24 * math.log(3))
 
 HEIGHT_WINDOW_CITATION = "|hhat(P) - h(x_P)/2| < 2 h(E)"
@@ -63,8 +62,9 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
     """Yield (k, s_k) with s_k = h(x_{2^k P}) to working precision.
 
     Residues of the exact numerator and denominator are kept modulo K, a power
-    of disc^2 large enough to survive depth steps of cancellation; gcds of the
-    duplication forms divide disc^2, so each is read off the residues exactly.
+    of disc^2 large enough to survive depth steps of dividing out common
+    factors; gcds of the duplication forms divide disc^2, so each is read off
+    the residues exactly.
     """
     ctx = context(precision_bits)
     A, B = c.A, c.B
@@ -132,15 +132,6 @@ def canonical_height(
     for k, s in _renormalized_doubling(c, P, depth, bits):
         est = s / (2 * 4**k)
     return HeightEstimate(float(est), tol, depth, None)
-
-
-def duplication_trace(c: Curve, P: RatPoint, depth: int) -> List[float]:
-    """Naive heights h(x_{2^k P}) for k = 0..depth from the renormalized engine.
-
-    Exists so the cancellation bookkeeping can be cross-checked against exact
-    group-law doubling at small depth.
-    """
-    return [float(s) for _, s in _renormalized_doubling(c, P, depth, TRACE_BITS)]
 
 
 def height_window_check(c: Curve, P: RatPoint, estimate: HeightEstimate) -> BoundReport:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Tuple
 
-from .curves import Curve, RatPoint, Triple, multiple_triples, to_triple
+from .curves import Curve, RatPoint, Triple, multiple_triples
 from .errors import CapExceeded, InternalInvariantError, UnreliableAtSmallPrime
 from .factorization import prime_divisors, valuation
 
@@ -69,21 +69,11 @@ def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
     return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
 
 
-def in_identity_component(c: Curve, p: int, P: RatPoint) -> bool:
-    """Whether P lands in the subgroup of points with nonsingular reduction mod p.
-
-    The curve must already be quasi-minimal (it cannot be rescaled at p).
-    Points that are not p-integral reduce to the point at infinity, which is
-    always nonsingular.
-    """
-    _warn_if_small(p)
-    return _nonsingular_mod(c, p, to_triple(c, P))
-
-
 def component_order(c: Curve, p: int, P: RatPoint) -> int:
-    """Least r >= 1 with r*P in the identity component at p.
+    """Least r >= 1 with r*P in the identity component at p; r = 1 means P itself is in it.
 
-    The search is capped at ord_p(discriminant) + 4 steps; exceeding the cap
+    The curve must already be quasi-minimal (it cannot be rescaled at p).  The
+    search is capped at ord_p(discriminant) + 4 steps; exceeding the cap
     means the model or the caller's preconditions are broken, not that the
     order is large.
     """

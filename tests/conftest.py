@@ -1,5 +1,6 @@
-"""Shared reference data: points and their multiples by an independent group law."""
+"""Shared fixtures: reference points with their multiples by an independent group law, and the default int-to-str cap."""
 
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -56,3 +57,14 @@ def golden_multiples():
 def other_multiples():
     """(A, B, x, y, [None, P, ..., 40P]) for OTHER_POINTS, as golden_multiples builds them."""
     return [(A, B, x, y, _multiples(A, x, y)) for A, B, x, y in OTHER_POINTS]
+
+
+@pytest.fixture
+def default_digit_cap():
+    """Run a test under the interpreter's default int-to-str cap, and restore the cap after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-to-str cap")
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(cap)

@@ -236,12 +236,12 @@ def test_criterion_04_doubling_never_integral(capsys, table):
 def test_criterion_05_sequence_sandwich(capsys, table):
     ok = True
     for row in table.rows:
-        cc = congruent.congruent_curve(row.N)
-        log_disc = math.log(abs(cc.curve.discriminant))
+        E = congruent.congruent_curve(row.N)
+        log_disc = math.log(abs(E.discriminant))
         for P in row.points:
-            M = global_M(cc.curve, P).M
-            D = denominator_sequence(cc.curve, P, 50)
-            h = ward_terms(cc.curve, P, 50).h
+            M = global_M(E, P).M
+            D = denominator_sequence(E, P, 50)
+            h = ward_terms(E, P, 50).h
             for n in range(1, 51):
                 abs_h = abs(h[n])
                 ok = ok and D[n] <= abs_h
@@ -273,9 +273,9 @@ def test_criterion_06_recurrence_consistency(capsys):
 def test_criterion_07_torsion_root_bounds(capsys):
     ok = True
     for N in (5, 15, 29):
-        cc = congruent.congruent_curve(N)
+        E = congruent.congruent_curve(N)
         for n in range(2, 8):
-            for root in torsion_x_coords(cc.curve, n, 128):
+            for root in torsion_x_coords(E, n, 128):
                 ok = ok and abs(root) <= n * n * N / 2 + 1e-6
     for A, B in ((-2, 1), (0, 1), (1, 1), (-7, 10), (3, 2)):
         c = make_curve(A, B)
@@ -291,10 +291,10 @@ def test_criterion_08_height_machinery(capsys, table):
     ok = True
     worst_quad = 0.0
     for row in table.rows:
-        cc = congruent.congruent_curve(row.N)
+        E = congruent.congruent_curve(row.N)
         for P, hhat in zip(row.points, row.heights):
             for n in range(2, 9):
-                hn = float(canonical_height(cc.curve, multiply(cc.curve, n, P)))
+                hn = float(canonical_height(E, multiply(E, n, P)))
                 gap = abs(hn - n * n * hhat)
                 worst_quad = max(worst_quad, gap)
                 ok = ok and gap < 1e-6
@@ -312,9 +312,9 @@ def test_criterion_09_ord2_profile(capsys, table):
     ok = True
     checked = 0
     for row in table.rows:
-        cc = congruent.congruent_curve(row.N)
+        E = congruent.congruent_curve(row.N)
         for P in row.points:
-            h = ward_terms(cc.curve, P, 13).h
+            h = ward_terms(E, P, 13).h
             for n in (3, 5, 7, 9, 11, 13):
                 predicted = congruent.ord2_profile(int(P.x), row.N, n)
                 ok = ok and predicted.exact

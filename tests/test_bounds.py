@@ -17,7 +17,6 @@ from ellmult.bounds import (
     composite_cap,
     crossing_point,
     david_admissible,
-    david_floor,
     david_floor_log,
     gap_relation,
     lang_constant,
@@ -107,8 +106,11 @@ def test_david_floor_literal():
 
 
 def test_david_floor_matches_log_form():
-    got = david_floor(math.e**6, math.e**4, math.e**2.5, 2.0)
-    assert got == pytest.approx(david_floor_log(6.0, 4.0, 2.5, 2.0), rel=1e-12)
+    # the floor as stated on the sizes B, V1, V2, evaluated on their logs
+    B, V1, V2, hE = math.e**6, math.e**4, math.e**2.5, 2.0
+    expected = -DAVID_C * (math.log(B) + 1) * (math.log(math.log(B)) + hE + 1) ** 3 * math.log(V1) * math.log(V2)
+    got = david_floor_log(math.log(B), math.log(V1), math.log(V2), hE)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_david_floor_scales_linearly_in_log_v2():

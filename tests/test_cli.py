@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 from typing import Optional
@@ -13,6 +14,7 @@ from typing import Optional
 import pytest
 from mpmath.ctx_mp import MPContext
 
+import ellmult
 from ellmult import analytic, bounds, cli, curves, heights
 
 
@@ -185,6 +187,14 @@ def test_unconverged_quadrature_exit_4(capsys):
     code, doc = run_json(capsys, "periods", f"--A={-3 * 10**12}", f"--B={2 * 10**18 + 1}")
     assert code == 4
     assert doc["error"]["message"] == "tanh-sinh quadrature did not converge by degree 8"
+
+
+def test_unconverged_root_isolation_exit_4(capsys):
+    # a valid curve on which the cubic's root isolation runs out of steps at 128 bits
+    code, doc = run_json(capsys, "periods", f"--A={-(10**100)}", f"--B={10**140}")
+    assert code == 4
+    assert doc["error"]["type"] == "RootFindingFailed"
+    assert doc["error"]["exit_code"] == 4
 
 
 def test_precision_exhausted_exit_4(capsys):
@@ -952,7 +962,7 @@ def test_import_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (
         "import sys; cap = getattr(sys, 'get_int_max_str_digits', lambda: None); before = cap(); "
-        "import ellmult, ellmult.cli; print('numpy' in sys.modules, before, cap())"
+        "import ellmult, ellmult.cli; print('numpy' in sys.modules, 'sympy' in sys.modules, before, cap())"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe],
@@ -961,24 +971,24 @@ def test_import_does_not_load_numpy():
         text=True,
         check=True,
     )
-    numpy_loaded, before, after = done.stdout.split()
+    numpy_loaded, sympy_loaded, before, after = done.stdout.split()
     assert numpy_loaded == "False"
+    assert sympy_loaded == "False"
     # importing the CLI leaves the interpreter's int-to-str cap alone
     assert before == after
 
 
+def test_all_lists_exactly_the_public_names():
+    assert all(hasattr(ellmult, name) for name in ellmult.__all__)
+    public = {
+        name
+        for name, value in vars(ellmult).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public <= set(ellmult.__all__)
+
+
 # --- integers past the interpreter's int-to-str cap -----------------------------------
-
-
-@pytest.fixture
-def default_digit_cap():
-    """Run a test under the interpreter's default int-to-str cap, and restore the cap after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-to-str cap")
-    cap = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield sys.int_info.default_max_str_digits
-    sys.set_int_max_str_digits(cap)
 
 
 def test_eds_writes_terms_past_the_digit_cap(capsys, default_digit_cap):

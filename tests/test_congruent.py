@@ -75,10 +75,10 @@ def _ord2(q: Fraction) -> int:
 
 
 def test_congruent_curve():
-    cc = congruent_curve(6)
-    assert cc.curve.A == -36 and cc.curve.B == 0
-    assert cc.curve.discriminant == 64 * 6**6
-    assert cc.curve.j == 1728
+    c = congruent_curve(6)
+    assert c.A == -36 and c.B == 0
+    assert c.discriminant == 64 * 6**6
+    assert c.j == 1728
     with pytest.raises(ValueError):
         congruent_curve(8)
     with pytest.raises(ValueError):
@@ -114,10 +114,15 @@ def test_verify_double_not_integral():
     assert r.holds
 
 
+def test_verify_double_not_integral_rejects_a_rational_abscissa():
+    # x(2P) for P = (-4, 6) on N = 5; truncating it to 11 would report on another abscissa
+    with pytest.raises(ValueError, match="not an integer"):
+        verify_double_not_integral(5, point_from_abscissa(5, "1681/144"))
+
+
 def _actual_ord2(a: int, N: int, n: int) -> int:
-    cc = congruent_curve(N)
     b = math.isqrt(a**3 - N * N * a)
-    terms = ward_terms(cc.curve, rational_point(a, b), n + 1)
+    terms = ward_terms(congruent_curve(N), rational_point(a, b), n + 1)
     return valuation(terms.h[n], 2)
 
 
@@ -401,18 +406,18 @@ def test_table_heights(table):
 def test_table_points_have_nonintegral_small_multiples(table):
     # denominators D_n grow past 1 immediately for 2 <= n <= 7
     for row in table.rows:
-        cc = congruent_curve(row.N)
+        c = congruent_curve(row.N)
         for P in row.points:
-            dens = denominator_sequence(cc.curve, P, 7)
+            dens = denominator_sequence(c, P, 7)
             for n in range(2, 8):
                 assert dens[n] is not None and dens[n] > 1
 
 
 def test_table_height_windows(table):
     for row in table.rows:
-        cc = congruent_curve(row.N)
+        c = congruent_curve(row.N)
         for P in row.points:
-            assert height_window_check(cc.curve, P, canonical_height(cc.curve, P)).holds
+            assert height_window_check(c, P, canonical_height(c, P)).holds
 
 
 def test_height_windows_literals():

@@ -53,6 +53,18 @@ def test_digit_budget():
             factor_int(n)
 
 
+def test_digit_budget_boundary():
+    # 2^398 has 120 digits, so it is within the budget and factors by trial division
+    assert len(str(2**398)) == DIGIT_BUDGET
+    assert factor_int(2**398) == {2: 398}
+
+
+def test_digit_budget_refuses_input_past_the_int_to_str_cap(default_digit_cap):
+    # 10^5000 has more digits than the cap, so the budget is decided without a string
+    with pytest.raises(FactorizationTooLarge, match="more than 120 digits"):
+        factor_int(10**5000)
+
+
 def test_factor_zero():
     with pytest.raises(ValueError):
         factor_int(0)
