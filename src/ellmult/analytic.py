@@ -5,6 +5,19 @@ the defining improper integral under substitutions that make both pieces
 analytic on [0, 1] (t = x0 + v^2 near the lower endpoint, t = x0 + 1/w^2 for
 the tail).  period_data refuses to return unless they agree.
 
+Both start from the roots e1, e2, e3 of x^3 + A x + B, isolated exactly in
+integers (_brackets): each real root is bracketed inside Fujiwara's bound by
+the sign of g(x) = x^3 + A x + B and, with three real roots, by the side of
+the critical points +-sqrt(-A/3) a point lies on; Newton steps in fixed point,
+with bisection where Newton's iterates could pass the root, narrow the
+bracket, and the scale doubles the root's own bits from one bracket to the
+next.  A root is returned once both ends of its bracket round to the same
+value at the working precision, which is then the correctly rounded root; an
+integer root is found exactly.  With one real root the complex pair is
+-e1/2 +- i sqrt(3 e1^2 + 4A)/2, its imaginary part bounded from the same
+brackets until it too is certified.  No step count is capped: for a
+nonsingular curve the isolation always ends.
+
 The period integral and the elliptic logarithm run on one fixed-point
 tanh-sinh kernel, _tanh_sinh.  Its rule is mpmath's: the nodes of
 TanhSinh.calc_nodes, degrees 1 to guess_degree(prec), and the
@@ -27,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ._precision import context
 from .curves import Curve, RatPoint
@@ -72,21 +85,110 @@ class LinearForm:
 
 
 def _cubic_roots(c: Curve, ctx) -> Tuple[object, object, object]:
-    """Roots of x^3 + A x + B as (e1, e2, e3); e1 is the largest real root.
+    """Roots of x^3 + A x + B as (e1, e2, e3), each part correctly rounded to ctx.prec; e1 is the largest real root.
 
     Positive discriminant means three real roots sorted descending; otherwise
-    e1 is the single real root and (e2, e3) are the conjugate pair.
+    e1 is the single real root and (e2, e3) = -e1/2 +- i sqrt(3 e1^2 + 4A)/2,
+    the pair with positive imaginary part first.  Each real root is taken from
+    the brackets of _brackets until both ends round to one value; the pair's
+    imaginary part is bounded from the same brackets of e1.
     """
-    try:
-        roots = ctx.polyroots([ctx.mpf(1), 0, c.A, c.B], maxsteps=200, extraprec=ctx.prec)
-    except Exception as exc:  # mpmath raises a bare NoConvergence
-        raise RootFindingFailed(f"cubic root isolation failed: {exc}") from exc
     if c.discriminant > 0:
-        e1, e2, e3 = sorted((r.real for r in roots), reverse=True)
-        return e1, e2, e3
-    real = min(roots, key=lambda r: abs(r.imag))
-    pair = sorted((r for r in roots if r is not real), key=lambda r: -r.imag)
-    return real.real, pair[0], pair[1]
+        return tuple(_real_root(c, ctx, branch) for branch in (1, 0, -1))
+    for lo, hi, k in _brackets(c, -1 if c.B > 0 else 1, ctx.prec + 8):
+        e1 = _rounded(ctx, lo, hi, k)
+        if e1 is None:
+            continue
+        # 3 e1^2 + 4A at scale 4^k over the bracket, which no longer straddles 0
+        four_a = c.A << 2 * k + 2
+        q_lo = 3 * min(lo * lo, hi * hi) + four_a
+        q_hi = 3 * max(lo * lo, hi * hi) + four_a
+        im = _rounded(ctx, math.isqrt(q_lo), math.isqrt(q_hi - 1) + 1, k + 1) if q_lo > 0 else None
+        if im is not None:
+            re = -ctx.ldexp(e1, -1)
+            return e1, ctx.mpc(re, im), ctx.mpc(re, -im)
+
+
+def _real_root(c: Curve, ctx, branch: int):
+    """The real root of c on branch (see _brackets), correctly rounded to ctx.prec."""
+    for lo, hi, k in _brackets(c, branch, ctx.prec + 8):
+        root = _rounded(ctx, lo, hi, k)
+        if root is not None:
+            return root
+
+
+def _rounded(ctx, lo: int, hi: int, k: int):
+    """lo / 2^k rounded to ctx.prec when hi / 2^k rounds to the same value, else None.
+
+    Two distinct ends round apart while the smaller fits in ctx.prec bits.
+    """
+    if hi != lo and min(abs(lo), abs(hi)).bit_length() <= ctx.prec:
+        return None
+    value = ctx.mpf(lo)
+    if hi != lo and ctx.mpf(hi) != value:
+        return None
+    return ctx.ldexp(value, -k)
+
+
+def _root_bound(c: Curve) -> int:
+    """j >= 0 with every root of x^3 + A x + B strictly inside (-4^j, 4^j).
+
+    Fujiwara's bound puts every root below 2 max(|A|^(1/2), |B|^(1/3)).
+    """
+    return max(-(-(4 * abs(c.A)).bit_length() // 4), -(-(8 * abs(c.B)).bit_length() // 6))
+
+
+def _brackets(c: Curve, branch: int, bits: int) -> Iterator[Tuple[int, int, int]]:
+    """Nested brackets (lo, hi, k) of one real root r of g(x) = x^3 + A x + B, for k growing without end.
+
+    lo / 2^k < r < hi / 2^k with hi = lo + 1, or r = lo / 2^k = hi / 2^k
+    exactly.  branch picks the root: 1, 0 and -1 are the largest, middle and
+    smallest of three real roots; a single real root is branch 1 when B <= 0,
+    so r >= 0, and -1 when B > 0.  Every root lies inside (-R, R), R = 4^j
+    with j = _root_bound(c), and a point is placed against r exactly: by the
+    sign of g where x lies on the branch of g that r lies on, and otherwise by
+    that of g' = 3x^2 + A (which side of the critical points +-sqrt(-A/3)).
+
+    Within a bracket, a point x on r's branch with g(x) g''(x) > 0 takes a
+    Newton step x - g(x)/g'(x), rounded towards x, and at least one unit:
+    from such a point Newton's iterates approach r from one side and never
+    pass it.  Any other point is followed by the midpoint.  The bracket
+    shrinks at every step, so each scale ends.  Its bracket of width one at
+    scale 2^k becomes the bracket of the next scale, with about twice the
+    relative precision until that reaches bits, and 16 bits more per scale
+    past it.  An exact root of a monic integer cubic is an integer, which
+    every scale k >= 0 hits.
+    """
+    A, B = c.A, c.B
+    R = 1 << 2 * _root_bound(c)
+    lo, hi, x, k = -R - 1, R + 1, R * branch, 0
+    while True:
+        a, b = A << 2 * k, B << 3 * k
+        while hi - lo > 1:
+            xx = x * x
+            gx, dx = x * (xx + a) + b, 3 * xx + a
+            if branch == 0:
+                own = dx < 0  # inside (-sqrt(-A/3), sqrt(-A/3)), where g decreases
+                side = (gx < 0) - (gx > 0) if own else (1 if x > 0 else -1)
+            else:
+                own = dx >= 0 and x * branch >= 0
+                side = (gx > 0) - (gx < 0) if own else -branch
+            if side == 0:
+                lo = hi = x
+                break
+            if side < 0:
+                lo = x
+            else:
+                hi = x
+            if own and gx * x > 0:
+                x -= side * max(abs(gx) // abs(dx), 1)
+            else:
+                x = (lo + hi) >> 1
+        yield lo, hi, k
+        t = min(abs(lo), abs(hi)).bit_length()
+        shift = min(t, max(bits - t, 16)) if t > 16 else k + 16
+        lo, hi, k = lo << shift, hi << shift, k + shift
+        x = (lo + hi) >> 1
 
 
 def real_period(c: Curve, precision_bits: int = 128) -> object:
@@ -201,12 +303,11 @@ def _tanh_sinh(ctx, pieces, shift: int = 0):
 def _normalizing_shift(c: Curve, x0: Optional[Fraction] = None) -> int:
     """j >= 0 with the roots of c, and x0 when given, inside [-4^j, 4^j].
 
-    Fujiwara's bound puts every root below 2 max(|A|^(1/2), |B|^(1/3)).  Under
-    t = 4^j s the integral of 1/sqrt(t^3 + A t + B) from a root becomes 2^-j
-    times the same integral for (A / 16^j, B / 64^j), whose roots and
+    Under t = 4^j s the integral of 1/sqrt(t^3 + A t + B) from a root becomes
+    2^-j times the same integral for (A / 16^j, B / 64^j), whose roots and
     integrands are of order one, which is what a fixed-point sum needs.
     """
-    j = max(-(-(4 * abs(c.A)).bit_length() // 4), -(-(8 * abs(c.B)).bit_length() // 6))
+    j = _root_bound(c)
     if x0 is not None and x0 > 0:
         j = max(j, (x0.numerator.bit_length() - x0.denominator.bit_length() + 2) // 2)
     return j

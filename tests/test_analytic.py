@@ -187,10 +187,20 @@ def test_large_x_log_window():
 # --- the fixed-point tanh-sinh kernel ------------------------------------------
 
 
+def _polyroots(c, ctx):
+    """(e1, e2, e3) of x^3 + A x + B by ctx.polyroots, ordered as analytic._cubic_roots orders them."""
+    roots = ctx.polyroots([1, 0, c.A, c.B], maxsteps=400, extraprec=ctx.prec)
+    if c.discriminant > 0:
+        return tuple(sorted((r.real for r in roots), reverse=True))
+    real = min(roots, key=lambda r: abs(r.imag))
+    pair = sorted((r for r in roots if r is not real), key=lambda r: -r.imag)
+    return (real.real, *pair)
+
+
 def _reference_period(c, bits):
     """ctx.quad on the substituted period integrals, at bits of precision."""
     ctx = context(bits)
-    e1 = analytic._cubic_roots(c, ctx)[0]
+    e1 = _polyroots(c, ctx)[0]
     slope = 3 * e1 * e1 + c.A
 
     def near(v):
@@ -209,7 +219,7 @@ def _reference_period(c, bits):
 def _reference_log(c, P, bits):
     """ctx.quad on the substituted elliptic-log integrals, at bits of precision."""
     ctx = context(bits)
-    e1 = analytic._cubic_roots(c, ctx)[0]
+    e1 = _polyroots(c, ctx)[0]
     x0 = ctx.mpf(P.x.numerator) / P.x.denominator
     q_x0 = x0 * x0 + e1 * x0 + c.A + e1 * e1
 
@@ -287,3 +297,75 @@ def test_kernel_matches_quad_at_twice_the_precision_at_512_bits():
     # in for draws: (0, 1) on y^2 = x^3 + x + 1 puts a split point in both of
     # the log's pieces and in the period's near piece.
     _check_against_quad(1, 1, 0, 1, 1, 512)
+
+
+# --- root isolation -------------------------------------------------------------
+
+# a double root of x^3 + A x + B at 10^5 or 10^6, moved by B +- 1
+NEARLY_SINGULAR = [(-3 * 10**10, 2 * 10**15 + d) for d in (1, -1)] + [(-3 * 10**12, 2 * 10**18 + d) for d in (1, -1)]
+
+
+def _straddles(c, root, prec):
+    """Whether g(x) = x^3 + A x + B changes sign across half an ulp of prec bits on each side of root."""
+    man, exp = root.man_exp  # man is |mantissa|
+    if man == 0:
+        return c.B == 0
+    half_ulp = Fraction(2) ** (exp + man.bit_length() - prec - 1)
+    x = (man if root > 0 else -man) * Fraction(2) ** exp
+    lo, hi = x - half_ulp, x + half_ulp
+    return (lo**3 + c.A * lo + c.B) * (hi**3 + c.A * hi + c.B) < 0
+
+
+def _check_roots(A, B, bits):
+    """Each part of _cubic_roots is polyroots at 4x precision rounded to bits, and g changes sign across each real root."""
+    c = make_curve(A, B)
+    ctx = context(bits)
+    roots = analytic._cubic_roots(c, ctx)
+    assert roots == tuple(ctx.mpc(r) if ctx.im(r) else ctx.mpf(r) for r in _polyroots(c, context(4 * bits)))
+    real = roots if c.discriminant > 0 else roots[:1]
+    assert all(_straddles(c, r, bits) for r in real)
+
+
+def test_exact_roots_are_returned_exactly():
+    ctx = context(160)
+    for N in range(1, 76):
+        assert analytic._cubic_roots(make_curve(-N * N, 0), ctx) == (N, 0, -N)
+    assert analytic._cubic_roots(make_curve(-7, 6), ctx) == (2, 1, -3)
+
+
+@st.composite
+def _curves(draw, sign):
+    """(A, B) with |A| <= 10^12, |B| <= 10^18 and a discriminant of the given sign."""
+    if sign > 0:
+        a = draw(st.integers(1, 10**12))
+        bound = min(math.isqrt((4 * a**3 - 1) // 27), 10**18)  # 27 B^2 < -4 A^3
+        return -a, draw(st.integers(-bound, bound))
+    A = draw(st.integers(-(10**12), 10**12))
+    if A >= 0:
+        return A, draw(st.integers(-(10**18), 10**18).filter(lambda B: A or B))
+    bound = math.isqrt(-4 * A**3 // 27)  # 27 B^2 > -4 A^3 from |B| = bound + 1 on
+    return A, draw(st.integers(bound + 1, 10**18) | st.integers(-(10**18), -bound - 1))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_roots_are_correctly_rounded(sign, data):
+    A, B = data.draw(_curves(sign))
+    assert sign * make_curve(A, B).discriminant > 0
+    _check_roots(A, B, data.draw(st.sampled_from([64, 160, 288])))
+
+
+@pytest.mark.parametrize("A, B", NEARLY_SINGULAR)
+def test_roots_of_nearly_singular_curves_are_correctly_rounded(A, B):
+    _check_roots(A, B, 160)
+
+
+def test_a_tiny_root_is_correctly_rounded():
+    # the real root of x^3 + 10^60 x + 1 is about -10^-60, and polyroots
+    # returned 0 for it at 160 bits: its bits count from its own leading bit
+    c = make_curve(10**60, 1)
+    ctx = context(160)
+    e1 = analytic._cubic_roots(c, ctx)[0]
+    assert abs(e1 * ctx.mpf(10) ** 60 + 1) < ctx.mpf(10) ** -100
+    assert _straddles(c, e1, 160)
