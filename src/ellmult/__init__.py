@@ -42,7 +42,6 @@ from .errors import (
     OffCurve,
     ParityMismatch,
     PrecisionExhausted,
-    RootFindingFailed,
     SingularCurve,
     TorsionInput,
     UnknownBound,
@@ -64,8 +63,6 @@ from .analytic import (
     omega_floor,
     period_data,
     principal_linear_form,
-    real_period,
-    real_period_quadrature,
     torsion_x_coords,
     weierstrass_point,
 )
@@ -96,7 +93,6 @@ __all__ = [
     "PeriodData",
     "PrecisionExhausted",
     "RatPoint",
-    "RootFindingFailed",
     "SingularCurve",
     "TorsionInput",
     "UnknownBound",
@@ -124,8 +120,6 @@ __all__ = [
     "psi_value_binary",
     "quasi_minimalize",
     "rational_point",
-    "real_period",
-    "real_period_quadrature",
     "torsion_order",
     "torsion_x_coords",
     "ward_terms",

@@ -1,9 +1,11 @@
 """Real periods, lattice ratio, elliptic logarithms, and torsion abscissas.
 
-Two independent period routes are kept alive on purpose: an AGM iteration and
-the defining improper integral under substitutions that make both pieces
-analytic on [0, 1] (t = x0 + v^2 near the lower endpoint, t = x0 + 1/w^2 for
-the tail).  period_data refuses to return unless they agree.
+period_data is the one public period route.  It computes the real period
+twice, on purpose, by two independent routes: one AGM routine, _agm_lattice,
+which also gives the second lattice generator, and the defining improper
+integral under substitutions that make both pieces analytic on [0, 1]
+(t = x0 + v^2 near the lower endpoint, t = x0 + 1/w^2 for the tail).  It
+refuses to return unless they agree.
 
 Both start from the roots e1, e2, e3 of x^3 + A x + B, isolated exactly in
 integers (_brackets): each real root is bracketed inside Fujiwara's bound by
@@ -45,12 +47,7 @@ from typing import Iterator, List, Optional, Tuple
 from ._precision import context
 from .curves import Curve, RatPoint
 from .divpoly import psi_polynomial
-from .errors import (
-    InternalInvariantError,
-    NotIdentityComponent,
-    PrecisionExhausted,
-    RootFindingFailed,
-)
+from .errors import InternalInvariantError, NotIdentityComponent, PrecisionExhausted
 
 GUARD_BITS = 32
 HEADROOM_BITS = 32
@@ -63,14 +60,13 @@ class PeriodData:
     tau lives in the fundamental domain (im > 0, |tau| >= 1, |re| <= 1/2); when
     the reduction lands on the domain boundary the representative reached by
     the reduction is kept and described in boundary_note.  roots holds the
-    cubic's (e1, e2, e3) at precision_bits, for elliptic_log to reuse.
+    cubic's (e1, e2, e3), for elliptic_log at the same precision_bits to reuse.
     """
 
     omega: object
     omega_quadrature: object
     omega2: object
     tau: object
-    precision_bits: int
     roots: Tuple[object, object, object]
     boundary_note: Optional[str] = None
 
@@ -191,19 +187,20 @@ def _brackets(c: Curve, branch: int, bits: int) -> Iterator[Tuple[int, int, int]
         x = (lo + hi) >> 1
 
 
-def real_period(c: Curve, precision_bits: int = 128) -> object:
-    """Real period by AGM; the quadrature route is real_period_quadrature."""
-    ctx = context(precision_bits + GUARD_BITS)
-    return _agm_period(c, ctx, *_cubic_roots(c, ctx))
-
-
-def _agm_period(c: Curve, ctx, e1, e2, e3):
+def _agm_lattice(c: Curve, ctx, e1, e2, e3) -> Tuple[object, object]:
+    """(omega, omega2): the real period and a second lattice generator, each by one AGM."""
     if c.discriminant > 0:
-        return ctx.pi / ctx.agm(ctx.sqrt(e1 - e3), ctx.sqrt(e1 - e2))
+        root13 = ctx.sqrt(e1 - e3)
+        omega = ctx.pi / ctx.agm(root13, ctx.sqrt(e1 - e2))
+        return omega, ctx.mpc(0, 1) * ctx.pi / ctx.agm(root13, ctx.sqrt(e2 - e3))
     # One real root: sqrt(e1-e2) and sqrt(e1-e3) are conjugate, so the AGM
-    # collapses to a real iteration on (Re sqrt(e1-e2), |e1-e2|^(1/2)).
+    # collapses to a real iteration on (Re sqrt(e1-e2), |e1-e2|^(1/2)); the
+    # rhombic lattice's companion AGM runs on the imaginary part instead.
     u = ctx.sqrt(e1 - e2)
-    return ctx.pi / ctx.agm(u.real, ctx.sqrt(abs(e1 - e2)))
+    modulus = ctx.sqrt(abs(e1 - e2))
+    omega = ctx.pi / ctx.agm(u.real, modulus)
+    s = ctx.pi / ctx.agm(abs(u.imag), modulus)
+    return omega, omega / 2 + ctx.mpc(0, 1) * s / 2
 
 
 def _width(prec: int) -> int:
@@ -346,12 +343,6 @@ def _split(width: int, dip) -> list:
     return [0, one]
 
 
-def real_period_quadrature(c: Curve, precision_bits: int = 128) -> object:
-    """Real period as the defining integral from the largest real root."""
-    ctx = context(precision_bits + GUARD_BITS)
-    return _quadrature_period(c, ctx, _cubic_roots(c, ctx)[0])
-
-
 def _quadrature_period(c: Curve, ctx, e1):
     """The integral of 1/sqrt(f) over [e1, oo), after t = 4^j s (see _normalizing_shift).
 
@@ -373,15 +364,6 @@ def _quadrature_period(c: Curve, ctx, e1):
     near = _split(width, -3 * e // 2 if e < 0 else None)
     tail = _split(width, (-3 * e << width) // (2 * slope) if e < 0 < slope else None)
     return _tanh_sinh(ctx, [(piece_near, near), (piece_tail, tail)], -j)
-
-
-def _second_period(c: Curve, ctx, e1, e2, e3, omega):
-    if c.discriminant > 0:
-        return ctx.mpc(0, 1) * ctx.pi / ctx.agm(ctx.sqrt(e1 - e3), ctx.sqrt(e2 - e3))
-    # Rhombic lattice: the companion AGM runs on the imaginary part instead.
-    u = ctx.sqrt(e1 - e2)
-    s = ctx.pi / ctx.agm(abs(u.imag), ctx.sqrt(abs(e1 - e2)))
-    return omega / 2 + ctx.mpc(0, 1) * s / 2
 
 
 def _reduce_tau(ctx, tau):
@@ -408,16 +390,15 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     """Both periods and the reduced ratio, cross-checked between the two routes."""
     ctx = context(precision_bits + GUARD_BITS)
     e1, e2, e3 = _cubic_roots(c, ctx)
-    omega = _agm_period(c, ctx, e1, e2, e3)
+    omega, omega2 = _agm_lattice(c, ctx, e1, e2, e3)
     check = _quadrature_period(c, ctx, e1)
     if abs(omega - check) > abs(omega) * ctx.mpf(2) ** (-(precision_bits - 16)):
         raise PrecisionExhausted("period routes disagree beyond the working tolerance")
-    omega2 = _second_period(c, ctx, e1, e2, e3, omega)
     tau, note = _reduce_tau(ctx, omega2 / omega)
     eps = ctx.mpf(2) ** (-(precision_bits // 2))
     if not (tau.imag > 0 and abs(tau) >= 1 - eps and abs(tau.real) <= ctx.mpf(1) / 2 + eps):
         raise PrecisionExhausted("reduced lattice ratio violates the domain invariants")
-    return PeriodData(omega, check, omega2, tau, precision_bits, (e1, e2, e3), note)
+    return PeriodData(omega, check, omega2, tau, (e1, e2, e3), note)
 
 
 def omega_floor(A: int, B: int) -> float:
@@ -442,7 +423,7 @@ def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Option
     if c.discriminant > 0 and x0 < (e1 + e2) / 2:
         raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
     if P.y == 0:
-        return _agm_period(c, ctx, e1, e2, e3) / 2
+        return _agm_lattice(c, ctx, e1, e2, e3)[0] / 2
     # In s = t / 4^j the pieces are [x, x + 1] under s = x + v^2 and
     # [x + 1, oo) under s = x + 1/w^2, with q(s) = s^2 + e s + a + e^2.
     width, j, e, e_sq_a = _scaled_root(c, ctx, e1, P.x)
@@ -517,5 +498,5 @@ def torsion_x_coords(c: Curve, n: int, precision_bits: int = 128) -> List[object
     try:
         roots = ctx.polyroots(coeffs, maxsteps=400, extraprec=ctx.prec)
     except Exception as exc:
-        raise RootFindingFailed(f"division polynomial roots at n={n}: {exc}") from exc
+        raise PrecisionExhausted(f"division polynomial roots at n={n}: {exc}") from exc
     return list(roots)

@@ -70,6 +70,8 @@ def poly_growth_check(coeffs: Sequence[float], W: float) -> BoundReport:
     degree = len(coeffs) - 1
     if degree > 8:
         raise ValueError("degree must be at most 8")
+    if W <= 0:
+        raise ValueError("W must be positive")
     ctx = context(EVAL_BITS)
     logw = ctx.ln(W)
     current = [ctx.mpf(c) for c in coeffs]
@@ -166,6 +168,8 @@ def n_cap_general(M: int, hE: float) -> Optional[float]:
     log B = log V1 = 2 log n + (11 M^2 + 4) h(E) and locates the crossover of
     n^2 against the resulting floor.  Heights below 2 pi sqrt(3) return None.
     """
+    if M < 1:
+        raise ValueError("need M >= 1")
     if hE < N_CAP_HEIGHT_FLOOR:
         return None
     ctx = context(EVAL_BITS)
@@ -209,6 +213,8 @@ def gap_relation(n1: int, n2: int, hE: float, c1: float, omega: float) -> BoundR
 
 def composite_cap(M: int, hE: float, Clam: float) -> float:
     """Cap on the smaller factor of a composite multiplier with an integral multiple."""
+    if M < 1 or hE <= 0:
+        raise ValueError("need M >= 1 and hE > 0")
     if Clam <= 0:
         raise ValueError("Clam must be positive")
     return max(math.e, (1 / Clam) * (1 / hE + 16 * M * M / 3 + 2))

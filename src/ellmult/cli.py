@@ -460,8 +460,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bounds", help="evaluate a named bound report")
     bnd.add_argument("name")
+    finite = _checked(float, math.isfinite, "finite")
     for flag, kind in sorted(BOUND_FLAGS.items(), key=lambda item: item[0].casefold()):
-        bnd.add_argument(f"--{flag}", type=kind, default=None)
+        bnd.add_argument(f"--{flag}", type=finite if kind is float else kind, default=None)
     _add_settings(bnd, cmd_bounds, ())
 
     table = sub.add_parser("congruent-table", help=f"rebuild the N <= {GOLDEN_N_MAX} point table")

@@ -310,7 +310,7 @@ def n_cap(N: int) -> float:
 
 @lru_cache(maxsize=None)
 def _omega_one():
-    return analytic.real_period(make_curve(-1, 0), bounds.EVAL_BITS)
+    return analytic.period_data(make_curve(-1, 0), bounds.EVAL_BITS).omega
 
 
 def gap_floor(n1: int, N: int) -> float:

@@ -41,10 +41,6 @@ class NotBoundedComponent(EllmultError):
     """Raised for points lying off the bounded real component, the oval."""
 
 
-class RootFindingFailed(PrecisionExhausted):
-    """Raised when polynomial root isolation does not converge."""
-
-
 class InadmissibleParameters(EllmultError):
     """Raised when lower-bound parameters violate their admissibility order."""
 

@@ -125,11 +125,11 @@ def test_criterion_01_table_reproduction(capsys):
 
 def test_criterion_02_period_window(capsys):
     ctx = context(128)
-    omega1 = analytic.real_period(make_curve(-1, 0), 128)
+    omega1 = analytic.period_data(make_curve(-1, 0), 128).omega
     ok = 2.62 < float(omega1) < 2.63
     worst = 0.0
     for N in (5, 6, 7, 29):
-        omegaN = analytic.real_period(make_curve(-N * N, 0), 128)
+        omegaN = analytic.period_data(make_curve(-N * N, 0), 128).omega
         gap = abs(omegaN * ctx.sqrt(N) - omega1)
         worst = max(worst, float(gap))
         ok = ok and gap < ctx.mpf("1e-10")

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from mpmath.ctx_mp import MPContext
+from mpmath.libmp import NoConvergence
 
 from ellmult import analytic
 from ellmult._precision import context
@@ -13,8 +15,6 @@ from ellmult.analytic import (
     omega_floor,
     period_data,
     principal_linear_form,
-    real_period,
-    real_period_quadrature,
     torsion_x_coords,
     weierstrass_point,
 )
@@ -32,30 +32,32 @@ ONE_REAL_ROOT = [(1, 1, 0, 1), (-7, 10, 1, 2), (-1, 1, 1, 1), (0, 1, 2, 3), (2, 
 
 
 def test_base_period_window():
-    w1 = real_period(E1)
+    w1 = period_data(E1).omega
     assert 2.62 < float(w1) < 2.63
 
 
 def test_period_scaling_over_congruent_family():
-    w1 = real_period(E1, 128)
+    w1 = period_data(E1, 128).omega
     for N in (5, 6, 7, 29):
-        wN = real_period(make_curve(-N * N, 0), 128)
+        wN = period_data(make_curve(-N * N, 0), 128).omega
         assert abs(float(wN * CTX.sqrt(N) - w1)) < 1e-10
 
 
 def test_two_period_routes_agree():
     for A, B in SAMPLE_CURVES:
         c = make_curve(A, B)
-        agm = real_period(c, 160)
-        quad = real_period_quadrature(c, 160)
-        assert abs(agm - quad) <= abs(agm) * CTX.mpf(2) ** -140
         pd = period_data(c, 160)
-        assert pd.omega == agm and pd.omega_quadrature == quad
+        agm, quad = pd.omega, pd.omega_quadrature
+        assert abs(agm - quad) <= abs(agm) * CTX.mpf(2) ** -140
+        # period_data returns each route's value as the route computes it
+        ctx = context(160 + analytic.GUARD_BITS)
+        assert (agm, pd.omega2) == analytic._agm_lattice(c, ctx, *pd.roots)
+        assert quad == analytic._quadrature_period(c, ctx, pd.roots[0])
 
 
 def test_period_precision_is_stable():
-    lo = real_period(E5, 128)
-    hi = real_period(E5, 256)
+    lo = period_data(E5, 128).omega
+    hi = period_data(E5, 256).omega
     assert abs(lo - hi) <= abs(hi) * CTX.mpf(2) ** -120
 
 
@@ -79,12 +81,12 @@ def test_omega_floor():
     # floor applies when the largest real root is below 1
     for A, B in [(0, 1), (0, 2), (-1, 1), (2, 1)]:
         c = make_curve(A, B)
-        assert float(real_period(c, 128)) > omega_floor(A, B)
+        assert float(period_data(c, 128).omega) > omega_floor(A, B)
 
 
 def test_elliptic_log_half_period_at_two_torsion():
     z = elliptic_log(E5, rational_point(5, 0))
-    w = real_period(E5, 128)
+    w = period_data(E5, 128).omega
     assert abs(z - w / 2) < CTX.mpf(2) ** -120
 
 
@@ -112,13 +114,13 @@ def test_log_additivity_mod_lattice():
     P = rational_point(45, 300)
     z1 = elliptic_log(E5, P, 160)
     z2 = elliptic_log(E5, multiply(E5, 2, P), 160)
-    w = real_period(E5, 160)
+    w = period_data(E5, 160).omega
     k = (2 * z1 - z2) / w
     assert abs(k - CTX.nint(k)) < 1e-35
 
 
 def test_principal_form_examples():
-    w = real_period(E5, 128)
+    w = period_data(E5, 128).omega
     assert principal_linear_form(1, w / 5, w).m == 0
     lf = principal_linear_form(2, w / 3, w)
     assert lf.m == -1
@@ -149,6 +151,17 @@ def test_torsion_counts():
         assert len(torsion_x_coords(E5, n)) == (n * n - 1) // 2
     assert len(torsion_x_coords(E5, 2)) == 3
     assert len(torsion_x_coords(E5, 4)) == 9
+
+
+def test_torsion_roots_that_do_not_converge_exhaust_precision(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise NoConvergence("did not converge in 400 steps")
+
+    monkeypatch.setattr(MPContext, "polyroots", no_convergence)
+    with pytest.raises(PrecisionExhausted) as caught:
+        torsion_x_coords(E5, 3)
+    assert type(caught.value) is PrecisionExhausted
+    assert str(caught.value) == "division polynomial roots at n=3: did not converge in 400 steps"
 
 
 def test_congruent_torsion_abscissa_bound():
@@ -272,7 +285,7 @@ def _check_against_quad(A, B, x, y, n, bits):
     ctx = context(2 * bits)
     tol = ctx.mpf(2) ** -(bits + 24)
     omega = _reference_period(c, 2 * bits)
-    assert abs(real_period_quadrature(c, bits) - omega) <= omega * tol
+    assert abs(period_data(c, bits).omega_quadrature - omega) <= omega * tol
     P = multiply(c, n, rational_point(x, y))
     if P.is_infinity or P.y == 0:
         return

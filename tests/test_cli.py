@@ -808,6 +808,28 @@ def test_bounds_upper_form_and_composite(capsys):
     assert doc["bound"]["threshold"] == pytest.approx(1e5 * (0.1 + 16 / 3 + 2))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", sorted(flag for flag, kind in cli.BOUND_FLAGS.items() if kind is float))
+def test_bounds_float_flags_must_be_finite_exit_2(capsys, flag, value):
+    code, doc = run_json(capsys, "bounds", "calculus", f"--{flag}={value}")
+    assert code == 2
+    assert doc["error"]["message"] == f"argument --{flag}: must be finite, got {value}"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["n-cap-general", "--M", "0", "--hE", "11"], "need M >= 1"),
+        (["composite-cap", "--M", "1", "--hE", "0", "--Clam", "1"], "need M >= 1 and hE > 0"),
+        (["poly-growth", "--W", "-5"], "W must be positive"),
+    ],
+)
+def test_bounds_reject_input_outside_their_statement_exit_2(capsys, argv, message):
+    code, doc = run_json(capsys, "bounds", *argv)
+    assert code == 2
+    assert doc["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
+
+
 def test_bounds_double_not_integral(capsys):
     code, doc = run_json(capsys, "bounds", "double-not-integral", "--N", "5", "--x", "-4")
     assert code == 0
