@@ -70,6 +70,8 @@ def _checked(convert: Callable[[str], object], holds: Callable[[object], bool], 
     return parse
 
 
+FINITE = _checked(float, math.isfinite, "finite")
+
 SETTINGS: Dict[str, Setting] = {
     "precision_bits": Setting(
         "--precision-bits", "ELLMULT_PRECISION_BITS", _checked(int, lambda v: v >= 64, "at least 64"), 128
@@ -115,7 +117,7 @@ def _emit(args: argparse.Namespace, body: dict) -> int:
     """Write the subcommand's document, schema and command first, in its --format."""
     doc = {"schema": SCHEMA_VERSION, "command": args.command, **body}
     if args.output_format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
         return EXIT_OK
     rows: List[Tuple[str, object]] = []
     _flatten("", doc, rows)
@@ -287,7 +289,11 @@ def _value_report(name: str, inputs: dict, value: Optional[float], citation: str
 def _poly_growth(W: float, coeffs: Optional[str] = None) -> BoundReport:
     if coeffs is None:
         return bounds.poly_growth_check(congruent.growth_poly(), W)
-    return bounds.poly_growth_check(tuple(float(part) for part in coeffs.split(",")), W)
+    try:
+        parsed = tuple(FINITE(part) for part in coeffs.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"argument --coeffs: {exc}") from None
+    return bounds.poly_growth_check(parsed, W)
 
 
 def _n_cap_congruent(N: int) -> BoundReport:
@@ -460,9 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = sub.add_parser("bounds", help="evaluate a named bound report")
     bnd.add_argument("name")
-    finite = _checked(float, math.isfinite, "finite")
     for flag, kind in sorted(BOUND_FLAGS.items(), key=lambda item: item[0].casefold()):
-        bnd.add_argument(f"--{flag}", type=finite if kind is float else kind, default=None)
+        bnd.add_argument(f"--{flag}", type=FINITE if kind is float else kind, default=None)
     _add_settings(bnd, cmd_bounds, ())
 
     table = sub.add_parser("congruent-table", help=f"rebuild the N <= {GOLDEN_N_MAX} point table")

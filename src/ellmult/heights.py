@@ -2,11 +2,17 @@
 
 The canonical height is the doubling limit (1/2) lim h(x_{2^k P}) / 4^k.
 Running it literally squares the coordinate size every step, so the engine
-renormalizes: floating copies of numerator and denominator carry the size,
-and integer residues modulo a shrinking power of the discriminant recover
-each step's common factor exactly.  The resultant of the duplication forms
-equals the squared discriminant, so every common factor divides disc^2 and
-k doublings cost O(k) big-integer work instead of exponentially many digits.
+renormalizes, and each step does integer work only.  Integers (u, v) at
+scale 2^W, W = precision_bits + 32, carry the size of numerator and
+denominator: the duplication forms are exact integer products of u^2, v^2
+and uv, and one integer division per coordinate renormalizes them by
+m = max(|U|, V).  Integer residues modulo a shrinking power of the
+discriminant recover each step's common factor g exactly.  The resultant of
+the duplication forms equals the squared discriminant, so g divides disc^2
+and is read off the residues modulo disc^2.  k doublings thus cost O(k)
+big-integer work instead of exponentially many digits.  The only floating
+work is ln(m / 2^(4W)), ln(g) and the sum
+s_k = 4 s_{k-1} + ln(m / 2^(4W)) - ln(g).
 """
 
 from __future__ import annotations
@@ -59,39 +65,42 @@ def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Opt
 
 
 def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: int) -> Iterator[Tuple[int, object]]:
-    """Yield (k, s_k) with s_k = h(x_{2^k P}) to working precision.
+    """Yield (k, s_k) with s_k = h(x_{2^k P}), an mpf at precision_bits.
 
-    Residues of the exact numerator and denominator are kept modulo K, a power
-    of disc^2 large enough to survive depth steps of dividing out common
-    factors; gcds of the duplication forms divide disc^2, so each is read off
-    the residues exactly.
+    The residues of the exact numerator and denominator are kept modulo K, a
+    power of disc^2 large enough to survive depth steps of dividing out
+    common factors; fa < K g, so fa / g is already reduced modulo the new K.
+    ln(m) is taken of m scaled by 2^(-4W), which keeps its rounding error at
+    the size of the step's own contribution.
     """
     ctx = context(precision_bits)
+    W = precision_bits + 32
     A, B = c.A, c.B
     d2 = c.discriminant * c.discriminant
     K = d2 ** (depth + 2)
     a, b = P.x.numerator, P.x.denominator
     ar, br = a % K, b % K
     scale = max(abs(a), b)
-    u = ctx.mpf(a) / scale
-    v = ctx.mpf(b) / scale
+    u, v = (a << W) // scale, (b << W) // scale
     s = ctx.ln(scale)
     yield 0, s
     for k in range(1, depth + 1):
-        fa = (ar**4 - 2 * A * ar**2 * br**2 - 8 * B * ar * br**3 + A * A * br**4) % K
-        gb = (4 * (ar**3 * br + A * ar * br**3 + B * br**4)) % K
-        g = math.gcd(math.gcd(fa, gb), d2)
+        a2, b2, ab = ar * ar % K, br * br % K, ar * br % K
+        fa = ((a2 - A * b2) ** 2 - 8 * B * ab * b2) % K
+        gb = 4 * (ab * (a2 + A * b2) + B * b2 * b2) % K
+        g = math.gcd(math.gcd(fa, d2), gb)
         K //= g
-        ar = (fa // g) % K
-        br = (gb // g) % K
-        U = u**4 - 2 * A * u**2 * v**2 - 8 * B * u * v**3 + A * A * v**4
-        V = 4 * (u**3 * v + A * u * v**3 + B * v**4)
+        ar, br = fa // g, gb // g
+        u2, v2, uv = u * u, v * v, u * v
+        U = (u2 - A * v2) ** 2 - 8 * B * uv * v2
+        V = 4 * (uv * (u2 + A * v2) + B * v2 * v2)
         m = max(abs(U), V)
         if not m > 0:
             raise PrecisionExhausted("duplication forms vanished numerically; raise the working precision")
-        s = 4 * s + ctx.ln(m) - ctx.ln(g)
-        u = U / m
-        v = V / m
+        s = 4 * s + ctx.ln(ctx.ldexp(m, -4 * W))
+        if g > 1:
+            s -= ctx.ln(g)
+        u, v = (U << W) // m, (V << W) // m
         yield k, s
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
@@ -14,7 +15,8 @@ class BoundReport:
 
     holds is None when the inequality does not constrain the given inputs
     (e.g. a height window queried at torsion); applicable says whether it does.
-    The citation is the inequality itself, spelled out.
+    The citation is the inequality itself, spelled out.  A threshold or float
+    input that is not finite (an overflow, or a NaN) raises ValueError.
     """
 
     name: str
@@ -22,6 +24,11 @@ class BoundReport:
     threshold: Optional[float]
     holds: Optional[bool]
     citation: str
+
+    def __post_init__(self) -> None:
+        for key, value in (("threshold", self.threshold), *self.inputs.items()):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"bound {self.name}: {key} is {value}, not a finite number")
 
     @property
     def applicable(self) -> bool:

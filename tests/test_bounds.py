@@ -28,6 +28,7 @@ from ellmult.bounds import (
     upper_form_bound,
 )
 from ellmult.errors import InadmissibleParameters
+from ellmult.reports import BoundReport
 
 
 def test_constants():
@@ -205,3 +206,13 @@ def test_composite_cap():
     assert composite_cap(1, 10.0, 1e6) == pytest.approx(math.e)
     with pytest.raises(ValueError):
         composite_cap(1, 10.0, 0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_bound_report_rejects_non_finite_threshold_and_inputs(value):
+    with pytest.raises(ValueError, match="threshold is"):
+        BoundReport(name="b", inputs={"n": 2}, threshold=value, holds=True, citation="c")
+    with pytest.raises(ValueError, match="hE is"):
+        BoundReport(name="b", inputs={"n": 2, "hE": value}, threshold=1.0, holds=True, citation="c")
+    report = BoundReport(name="b", inputs={"n": 2, "flag": True}, threshold=None, holds=None, citation="c")
+    assert report.to_json()["threshold"] is None

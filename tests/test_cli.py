@@ -830,6 +830,31 @@ def test_bounds_reject_input_outside_their_statement_exit_2(capsys, argv, messag
     assert doc["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly-growth", "--W", "2", "--coeffs", "nan,1"], "argument --coeffs: must be finite, got nan"),
+        (["poly-growth", "--W", "2", "--coeffs", "1e400"], "argument --coeffs: must be finite, got 1e400"),
+        (
+            ["multiple-height-cap", "--n", "2", "--M", "1000", "--hE", "1e308"],
+            "bound multiple-height-cap: threshold is inf, not a finite number",
+        ),
+    ],
+)
+def test_bounds_never_emit_nan_or_infinity_exit_2(capsys, argv, message):
+    code, out = run(capsys, "bounds", *argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_emit_refuses_non_finite_floats(capsys):
+    args = argparse.Namespace(command="bounds", output_format="json")
+    with pytest.raises(ValueError):
+        cli._emit(args, {"value": float("nan")})
+    assert capsys.readouterr().out == ""
+
+
 def test_bounds_double_not_integral(capsys):
     code, doc = run_json(capsys, "bounds", "double-not-integral", "--N", "5", "--x", "-4")
     assert code == 0

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from ellmult.curves import INFINITY, add, make_curve, multiply, rational_point
+from ellmult._precision import context
+from ellmult.curves import INFINITY, Curve, add, make_curve, multiply, rational_point
 from ellmult.divpoly import psi_polynomial
 from ellmult.errors import PrecisionExhausted
 from ellmult.heights import (
@@ -95,6 +96,81 @@ def test_trace_matches_exact_doubling_nonintegral_start():
     for k, s in enumerate(trace):
         exact = naive_height(multiply(E5, 2**k, start).x)
         assert abs(s - exact) <= 1e-9 * max(1.0, exact)
+
+
+def _mpf_doubling(c, P, depth, precision_bits):
+    """The doubling engine on mpf floats, kept as the oracle for the fixed-point one.
+
+    (u, v) are mpfs with max(|u|, v) = 1, renormalized by max(|U|, V) each
+    step; the residues and their gcds are computed as in the engine.
+    """
+    ctx = context(precision_bits)
+    A, B = c.A, c.B
+    d2 = c.discriminant * c.discriminant
+    K = d2 ** (depth + 2)
+    a, b = P.x.numerator, P.x.denominator
+    ar, br = a % K, b % K
+    scale = max(abs(a), b)
+    u = ctx.mpf(a) / scale
+    v = ctx.mpf(b) / scale
+    s = ctx.ln(scale)
+    yield 0, s
+    for k in range(1, depth + 1):
+        fa = (ar**4 - 2 * A * ar**2 * br**2 - 8 * B * ar * br**3 + A * A * br**4) % K
+        gb = (4 * (ar**3 * br + A * ar * br**3 + B * br**4)) % K
+        g = math.gcd(math.gcd(fa, gb), d2)
+        K //= g
+        ar = (fa // g) % K
+        br = (gb // g) % K
+        U = u**4 - 2 * A * u**2 * v**2 - 8 * B * u * v**3 + A * A * v**4
+        V = 4 * (u**3 * v + A * u * v**3 + B * v**4)
+        m = max(abs(U), V)
+        s = 4 * s + ctx.ln(m) - ctx.ln(g)
+        u = U / m
+        v = V / m
+        yield k, s
+
+
+def _oracle_points(golden_multiples, other_multiples):
+    """(curve, point): golden nP for n <= 6, a non-integral start, and the points on curves with B != 0."""
+    points = [
+        (make_curve(-N * N, 0), rational_point(*multiples[n]))
+        for N, _, _, multiples in golden_multiples
+        for n in range(1, 7)
+    ]
+    points.append((E5, multiply(E5, 2, Q5)))
+    points += [(make_curve(A, B), rational_point(*multiples[n])) for A, B, _, _, multiples in other_multiples for n in (1, 2, 3)]
+    return points
+
+
+def test_oracle_points_cover_the_b_terms_and_are_not_torsion(golden_multiples, other_multiples):
+    points = _oracle_points(golden_multiples, other_multiples)
+    assert all(torsion_order(c, P) is None for c, P in points)
+    assert any(c.B != 0 and c.A == 0 for c, _ in points)
+    assert any(c.B != 0 and c.A != 0 for c, _ in points)
+    assert any(P.x < 0 for _, P in points)
+    assert any(P.x.denominator > 1 for _, P in points)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_fixed_point_engine_matches_mpf_oracle_at_twice_the_precision(golden_multiples, other_multiples, bits):
+    for c, P in _oracle_points(golden_multiples, other_multiples):
+        trace = list(_renormalized_doubling(c, P, 20, bits))
+        oracle = list(_mpf_doubling(c, P, 20, 2 * bits))
+        assert [k for k, _ in trace] == [k for k, _ in oracle] == list(range(21))
+        for (k, s), (_, exact) in zip(trace, oracle):
+            assert s.context.prec == bits
+            assert abs(s - exact) <= abs(exact) * 2.0 ** -(bits - 8), (c, P, k)
+
+
+def test_vanishing_duplication_forms_exhaust_precision():
+    # y^2 = x^3 - 3x + 2 is nodal at x = 1, where both duplication forms vanish;
+    # it is built past make_curve's smoothness check with a stand-in discriminant.
+    nodal = Curve(-3, 2, 1, Fraction(0))
+    steps = _renormalized_doubling(nodal, rational_point(1, 0), 3, 128)
+    assert next(steps) == (0, 0)
+    with pytest.raises(PrecisionExhausted, match="duplication forms vanished"):
+        next(steps)
 
 
 def test_internal_oracle_agreement():
