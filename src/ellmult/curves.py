@@ -137,11 +137,15 @@ def from_triple(T: Triple) -> RatPoint:
     return RatPoint(Fraction(X, D * D), Fraction(Y, D**3))
 
 
-def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
+def add_triples(c: Curve, T1: Triple, T2: Triple, t: Optional[int] = None) -> Triple:
     """T1 + T2 on c without an on-curve check: both must come from to_triple or from here.
 
-    The chord or tangent gives x as num / W^2 with slope L / (K W); one gcd
-    reduces x, and y follows from the summand with the smaller denominator.
+    The chord or tangent gives x as num / W^2 with slope L / (K W), and
+    gcd(num, W^2) = u^2 reduces x.  A trial factor t >= 1 of u shrinks that
+    gcd: when t | W and t^2 | num, gcd(num, W^2) = t^2 gcd(num / t^2, (W / t)^2),
+    so the gcd runs on the quotients, which are usually coprime.  Otherwise
+    it runs on num and W^2.  y follows from the summand with the smaller
+    denominator.
     """
     if T1 is None:
         return T2
@@ -164,12 +168,21 @@ def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
         # x3 = slope^2 - 2 x1 with slope (3 x1^2 + A) / (2 y1)
         K, L, W = 1, 3 * X1 * X1 + c.A * E1 * E1, 2 * Y1 * D1
         num = L * L - 8 * X1 * Y1 * Y1
-    # on an integral model the reduced denominator of x is a square, so g = u^2
-    g = math.gcd(num, W * W)
-    u = math.isqrt(g)
-    if u * u != g:
-        raise InternalInvariantError(f"reduced denominator {W * W // g} of x(P + Q) is not a perfect square")
-    X, D = num // g, abs(W) // u
+    X, D, u = num, abs(W), 1
+    if t is not None:
+        Dt, r = divmod(D, t)
+        if not r:
+            Xt, r = divmod(X, t * t)
+            if not r:
+                X, D, u = Xt, Dt, t
+    # on an integral model the reduced denominator of x is a square, so gcd(X, D^2) = v^2;
+    # after a trial factor it is mostly 1, which the smaller gcd(X, D) shows
+    if u == 1 or math.gcd(X, D) != 1:
+        g = math.gcd(X, D * D)
+        v = math.isqrt(g)
+        if v * v != g:
+            raise InternalInvariantError(f"reduced denominator {D * D // g} of x(P + Q) is not a perfect square")
+        X, D, u = X // g, D // v, u * v
     if W < 0:
         L = -L
     # y3 = slope (x2 - x3) - y2, exact over u K D2^3
@@ -180,12 +193,17 @@ def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
 
 
 def multiple_triples(c: Curve, P: RatPoint) -> Iterator[Triple]:
-    """The triples of P, 2P, 3P, ... without end: one on-curve check, then one addition per step."""
+    """The triples of P, 2P, 3P, ... without end: one on-curve check, then one addition per step.
+
+    The step to (n + 1)P passes D_{n-1} as the trial factor.  It divided u
+    at every step on the golden points; what is left of u comes from the bad
+    primes (Ayad 1992).
+    """
     base = to_triple(c, P)
-    acc = base
+    prev, acc = None, base
     while True:
         yield acc
-        acc = add_triples(c, acc, base)
+        prev, acc = acc, add_triples(c, acc, base, None if prev is None else prev[2])
 
 
 def add(c: Curve, P: RatPoint, Q: RatPoint) -> RatPoint:

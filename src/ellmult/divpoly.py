@@ -15,26 +15,30 @@ never divides (Ward 1948; Silverman, AEC, Exercise 3.7):
 The same recurrence runs on integers at an integral point P = (a, b), where
 16F^2 = 16b^4, and on integer polynomials for psi_polynomial.  At P it gives
 h_n = psi_n(P), that is f_n(a) for odd n and 2b f_n(a) for even n, and the
-companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.  The
-exact denominator D_n of x(nP) is recomputed independently through the
-group law, so the two routes check each other.
+companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.
+
+The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms
+(curves.multiple_triples).  ward_terms compares the two routes at every n:
+it divides g_n = h_n^2 / D_n^2 and requires the division to be exact and
+k_n = g_n X_n.  As gcd(X_n, D_n) = 1, that proves g_n = gcd(k_n, h_n^2)
+without computing the gcd, and that both routes give the same x(nP).  A
+disagreement raises InternalInvariantError.
 
 Every h_n and k_n is an exact integer, at torsion base points too, and
-h_n = 0 exactly when nP is the point at infinity.  Only D_n and
-g_n = gcd(k_n, h_n^2) are None there.
+h_n = 0 exactly when nP is the point at infinity; ward_terms requires the
+group law to reach infinity at the same n.  Only D_n and g_n are None there.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .curves import Curve, RatPoint, multiple_triples
-from .errors import NonIntegralBasePoint
+from .curves import Curve, RatPoint, Triple, multiple_triples
+from .errors import InternalInvariantError, NonIntegralBasePoint
 
 OptInt = Optional[int]
 
@@ -111,22 +115,46 @@ def _require_integral(P: RatPoint) -> Tuple[int, int]:
     return P.x.numerator, P.y.numerator
 
 
-def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int]]:
-    """h_0..h_n_max and k_0..k_n_max (k_0 = 1) at an integral base point."""
+def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int], List[int]]:
+    """h_0..h_n_max, their squares, and k_0..k_n_max (k_0 = 1) at an integral base point."""
     a, b = _require_integral(P)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f = _x_parts(c.A, c.B, a, n_max + 1)  # k_n needs h_{n+1}
     h = [v if n % 2 else 2 * b * v for n, v in enumerate(f)]
-    k = [1] + [a * h[n] ** 2 - h[n + 1] * h[n - 1] for n in range(1, n_max + 1)]
-    return h[: n_max + 1], k
+    h2 = [v * v for v in h[: n_max + 1]]
+    k = [1] + [a * h2[n] - h[n + 1] * h[n - 1] for n in range(1, n_max + 1)]
+    return h[: n_max + 1], h2, k
+
+
+def _walk(c: Curve, P: RatPoint, n_max: int) -> Iterator[Triple]:
+    """The group-law triples of P, 2P, ..., n_max P at an integral base point, one at a time."""
+    _require_integral(P)
+    return islice(multiple_triples(c, P), n_max)
 
 
 def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
-    """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g by gcd."""
-    h, k = _h_k(c, P, n_max)
-    D = denominator_sequence(c, P, n_max)
-    g = [math.gcd(k[n], h[n] ** 2) if h[n] else None for n in range(n_max + 1)]
+    """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g from both.
+
+    Raises InternalInvariantError where the two routes disagree on nP.
+    """
+    h, h2, k = _h_k(c, P, n_max)
+    D: List[OptInt] = [None]
+    g: List[OptInt] = [None]
+    for n, T in enumerate(_walk(c, P, n_max), 1):
+        if T is None:
+            if h[n]:
+                raise InternalInvariantError(f"the group law puts {n}P at infinity, but h_{n} is not 0")
+            D.append(None)
+            g.append(None)
+            continue
+        X, _, Dn = T
+        # h_n^2 = g_n D_n^2 and k_n = g_n X_n with gcd(X_n, D_n) = 1 make g_n = gcd(k_n, h_n^2)
+        gn, r = divmod(h2[n], Dn * Dn)
+        if not gn or r or k[n] != gn * X:
+            raise InternalInvariantError(f"the group law and the recurrence disagree on x({n}P)")
+        D.append(Dn)
+        g.append(gn)
     return WardSequence(h, k, D, g)
 
 
@@ -135,8 +163,7 @@ def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
 
     Index n holds D_n >= 1, or None when nP is the point at infinity.
     """
-    _require_integral(P)
-    return [None] + [None if T is None else T[2] for T in islice(multiple_triples(c, P), n_max)]
+    return [None] + [None if T is None else T[2] for T in _walk(c, P, n_max)]
 
 
 @lru_cache(maxsize=None)
@@ -170,5 +197,5 @@ def psi_value_binary(n: int, x: int, N: int) -> int:
 
 def x_multiple_exact(c: Curve, P: RatPoint, n: int) -> Optional[Fraction]:
     """x(nP) as k_n / h_n^2, or None when nP is at infinity; recurrence route only."""
-    h, k = _h_k(c, P, n)
-    return Fraction(k[n], h[n] ** 2) if h[n] else None
+    h, h2, k = _h_k(c, P, n)
+    return Fraction(k[n], h2[n]) if h[n] else None

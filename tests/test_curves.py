@@ -1,15 +1,19 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellmult.curves import (
     INFINITY,
     add,
+    add_triples,
     curve_height,
+    from_triple,
     make_curve,
+    multiple_triples,
     multiply,
     on_curve,
     quasi_minimalize,
@@ -171,6 +175,42 @@ def test_group_law_commutes_and_associates():
     assert add(E5, p, q) == add(E5, q, p)
     assert add(E5, add(E5, p, q), t) == add(E5, p, add(E5, q, t))
     assert on_curve(E5, add(E5, p, q))
+
+
+def _assert_trial_factors_exact(c, P, n_max=40):
+    """The walk equals double-and-add, and no trial factor changes a step of it."""
+    walk = list(islice(multiple_triples(c, P), n_max))
+    assert [from_triple(T) for T in walk] == [multiply(c, n, P) for n in range(1, n_max + 1)]
+    base = walk[0]
+    for prev, T in zip(walk, walk[1:]):
+        if prev is None or T is None:
+            continue
+        expected = add_triples(c, T, base)
+        # D_{n-1} as the walk passes it, the trivial factor, and a multiple that does not divide
+        for t in (prev[2], 1, 1000003 * prev[2]):
+            assert add_triples(c, T, base, t) == expected, (c, P, t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-500, 500), st.integers(-6, 6), st.data())
+def test_trial_factor_is_exact_on_random_curves(A, x, data):
+    # an integral point (x, y) on y^2 = x^3 + A x + B with |B| <= 500
+    v = x**3 + A * x
+    assume(v + 500 >= 0)
+    low = math.isqrt(max(v - 500, 0))
+    y = data.draw(st.integers(low + (low * low < v - 500), math.isqrt(v + 500)))
+    B = y * y - v
+    assume(4 * A**3 + 27 * B**2 != 0)
+    _assert_trial_factors_exact(make_curve(A, B), rational_point(x, y))
+
+
+@pytest.mark.parametrize("N, x, y", [(5, -4, 6), (5, 45, 300), (6, 12, 36), (29, 284229, 151531380)])
+def test_trial_factor_is_exact_on_golden_points(N, x, y):
+    c = make_curve(-N * N, 0)
+    P = rational_point(x, y)
+    _assert_trial_factors_exact(c, P)
+    # a non-integral base point: 2P, whose D_{n-1} need not divide
+    _assert_trial_factors_exact(c, multiply(c, 2, P), 20)
 
 
 def test_quasi_minimalize():

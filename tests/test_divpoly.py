@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellmult import curves
+from ellmult import cli, curves, divpoly
 from ellmult.curves import make_curve, multiply, rational_point
 from ellmult.divpoly import (
     denominator_sequence,
@@ -14,7 +15,7 @@ from ellmult.divpoly import (
     ward_terms,
     x_multiple_exact,
 )
-from ellmult.errors import NonIntegralBasePoint
+from ellmult.errors import InternalInvariantError, NonIntegralBasePoint
 
 E5 = make_curve(-25, 0)
 P5 = rational_point(-4, 6)
@@ -78,6 +79,45 @@ def test_denominator_sequence_checks_the_point_once(monkeypatch):
     monkeypatch.setattr(curves, "on_curve", lambda c, P: calls.append(P) or original(c, P))
     denominator_sequence(E5, P5, 50)
     assert calls == [P5]
+
+
+def test_ward_terms_checks_the_point_once(monkeypatch):
+    calls = []
+    original = curves.on_curve
+    monkeypatch.setattr(curves, "on_curve", lambda c, P: calls.append(P) or original(c, P))
+    ward_terms(E5, P5, 50)
+    assert calls == [P5]
+
+
+def _corrupt_walk(monkeypatch, n_bad, change):
+    """Make the group-law walk that ward_terms reads yield change(T) in place of the triple T of n_bad P."""
+    original = divpoly._walk
+
+    def walk(c, P, n_max):
+        for n, T in enumerate(original(c, P, n_max), 1):
+            yield change(T) if n == n_bad else T
+
+    monkeypatch.setattr(divpoly, "_walk", walk)
+
+
+# (base point, n, change): one wrong triple each, which the recurrence must refuse
+WRONG_TRIPLES = {
+    "D times 3": ((-4, 6), 7, lambda T: (T[0], T[1], 3 * T[2])),
+    "X off by one": ((-4, 6), 7, lambda T: (T[0] + 1, T[1], T[2])),
+    "infinity at a finite n": ((-4, 6), 7, lambda T: None),
+    "finite at infinity": ((0, 0), 4, lambda T: (0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("point, n, change", WRONG_TRIPLES.values(), ids=WRONG_TRIPLES.keys())
+def test_ward_terms_refuses_a_wrong_group_law_triple(monkeypatch, capsys, point, n, change):
+    _corrupt_walk(monkeypatch, n, change)
+    with pytest.raises(InternalInvariantError, match=f"{n}P"):
+        ward_terms(E5, rational_point(*point), 10)
+    x, y = (str(v) for v in point)
+    code = cli.main(["eds", "--A", "-25", "--B", "0", "--x", x, "--y", y, "--n-max", "10"])
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert (code, error["type"], error["exit_code"]) == (2, "InternalInvariantError", 2)
 
 
 def test_cancellation_values():
