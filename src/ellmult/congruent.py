@@ -7,7 +7,9 @@ of admissible N, and the bounded integral-point search that rebuilds the
 point table for square-free N up to 75.
 
 The search enumerates abscissas x = +-s a^2 over the square-free divisors s
-of N, the only shapes an integral point can take, and checks each exactly.
+of N, the only shapes an integral point can take.  It sieves the a with
+quadratic-residue masks modulo small numbers, which reject only a whose
+abscissa provably carries no point, and checks each survivor exactly.
 The threshold search bisects, since both cap branches are monotone in N.
 """
 
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import analytic, bounds
 from ._precision import context
@@ -428,6 +430,74 @@ def height_windows(
     return hdiff, floor, cap
 
 
+# Pairwise coprime sieve moduli, each at most 256 so that a residue fits a
+# byte.  64, 63 and 65 come first, as squares are rarest among their residues
+# (12/64, 16/63, 21/65); then the primes from 11, without 13, which divides 65.
+_SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+_SIEVE_BLOCK = 1 << 14
+
+
+def _sieve_rows() -> Tuple[Tuple[int, bytes, Tuple[int, ...], bytes], ...]:
+    """Per modulus m: the row a^4 mod m over a in [0, m), its distinct values, and the square flags mod m."""
+    rows = []
+    for m in _SIEVE_MODULI:
+        fourth = bytes(pow(a, 4, m) for a in range(m))
+        square = bytearray(m)
+        for b in range(m):
+            square[b * b % m] = 1
+        rows.append((m, fourth, tuple(sorted(set(fourth))), bytes(square)))
+    return tuple(rows)
+
+
+_SIEVE_ROWS = _sieve_rows()
+
+
+def _square_cofactor_masks(c3: int, c0: int, count: int, block: int) -> List[Tuple[int, bytes]]:
+    """Residue masks for w(a) = c3 a^4 + c0, tiled to cover any block of a.
+
+    For each modulus m the byte at a mod m is 1 when w(a) mod m is a square
+    mod m, so a 0 proves w(a) is no square.  Moduli that reject nothing are
+    skipped, and moduli are added until the expected number of survivors
+    among `count` values of a, taking the residues as independent (the moduli
+    are coprime), falls below one.
+    """
+    masks = []
+    expected = float(count)
+    for m, fourth, values, square in _SIEVE_ROWS:
+        if expected < 1:
+            break
+        cm, dm = c3 % m, c0 % m
+        table = bytearray(256)
+        for t in values:
+            table[t] = square[(cm * t + dm) % m]
+        row = fourth.translate(table)
+        kept = row.count(1)
+        if kept < m:
+            masks.append((m, row * (block // m + 2)))
+            expected *= kept / m
+    return masks
+
+
+def _sieve_survivors(c3: int, c0: int, lo: int, hi: int) -> Iterator[int]:
+    """The a in [lo, hi], ascending, at which c3 a^4 + c0 passes every residue mask, one block at a time."""
+    count = hi - lo + 1
+    if count < 1:
+        return
+    block = min(_SIEVE_BLOCK, count)
+    masks = _square_cofactor_masks(c3, c0, count, block)
+    for start in range(lo, hi + 1, block):
+        size = min(block, hi + 1 - start)
+        alive = int.from_bytes(b"\x01" * size, "big")
+        for m, tiled in masks:
+            offset = start % m
+            alive &= int.from_bytes(tiled[offset : offset + size], "big")
+        survivors = alive.to_bytes(size, "big")
+        i = survivors.find(1)
+        while i >= 0:
+            yield start + i
+            i = survivors.find(1, i + 1)
+
+
 def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     """All integral non-torsion (x, y), y > 0, with -N <= x <= x_max, x ascending.
 
@@ -435,13 +505,21 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     x - N and x + N are prime to p, so ord_p(x) = ord_p(y^2) is even.  Every
     prime with odd valuation in x therefore divides N, and x = +-s a^2 with
     s | N square-free; s is the square-free part of |x|, so each abscissa
-    arises once.  The search runs over (s, a) with a <= isqrt(x_max // s)
-    for x > 0 and a <= isqrt(N // s) on the bounded oval -N <= x < 0, at
-    most sum_{s | N} (sqrt(x_max / s) + sqrt(N / s)) candidates.  Each is
-    kept when x^3 - N^2 x is a positive perfect square, tested exactly with
-    isqrt; the 2-torsion abscissas 0, +-N give 0 and drop out, and so does
-    0 < x < N, so any x_max >= 1 is a window.  Only the hits are held, so
-    memory does not grow with x_max.
+    arises once.  Then x^3 - N^2 x = a^2 w with w = +-s (s^2 a^4 - N^2), so
+    x carries a point exactly when w is a positive square, and y = a isqrt(w).
+    w > 0 means N < s a^2 <= x_max for x > 0 and s a^2 < N on the bounded
+    oval; the 2-torsion abscissas 0, +-N and 0 < x < N fall outside these
+    ranges, so any x_max >= 1 is a window.
+
+    The a of each range are sieved before any exact test (Stoll's ratpoints,
+    Elkies ANTS IV): for small moduli m (64, 63, 65 and the primes 11 to 97
+    but 13) a row over a mod m marks whether w(a) is a square mod m, and the
+    rows, tiled across a block of a, are ANDed as big ints.  A perfect square
+    is a square modulo every m, so a rejected a provably carries no point;
+    each survivor is kept only when isqrt(w)^2 == w, so every hit is proven
+    exactly.  Moduli are added until fewer than one survivor is expected over
+    the range.  The a run in blocks of _SIEVE_BLOCK, and the rows depend only
+    on m and are built once, so memory does not grow with x_max.
     """
     congruent_curve(N)
     if x_max < 1:
@@ -452,14 +530,14 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     N2 = N * N
     hits = []
     for s in divisors:
-        for sign, bound in ((1, x_max), (-1, N)):
-            for a in range(1, math.isqrt(bound // s) + 1):
-                x = sign * s * a * a
-                v = x * x * x - N2 * x
-                if v > 0:
-                    y = math.isqrt(v)
-                    if y * y == v:
-                        hits.append((x, y))
+        ranges = ((1, math.isqrt(N // s) + 1, math.isqrt(x_max // s)), (-1, 1, math.isqrt((N - 1) // s)))
+        for sign, lo, hi in ranges:
+            c3, c0 = sign * s**3, -sign * s * N2
+            for a in _sieve_survivors(c3, c0, lo, hi):
+                w = c3 * a**4 + c0
+                r = math.isqrt(w)
+                if r * r == w:
+                    hits.append((sign * s * a * a, a * r))
     return [rational_point(x, y) for x, y in sorted(hits)]
 
 

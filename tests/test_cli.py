@@ -1005,6 +1005,14 @@ def test_table_csv_matches_golden_prefix(capsys):
     assert out.splitlines() == expected
 
 
+def test_table_csv_at_a_wider_window_matches_golden(capsys):
+    code, out = run(capsys, "congruent-table", "--x-max", "10000000000", "--format", "csv")
+    assert code == 0
+    from importlib import resources
+
+    assert out == resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
+
+
 def test_import_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (

@@ -8,9 +8,12 @@ values, not against the predicting formulas.
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellmult import congruent
 from ellmult._precision import context
@@ -42,7 +45,7 @@ from ellmult.congruent import (
 from ellmult.curves import INFINITY, rational_point
 from ellmult.divpoly import denominator_sequence, psi_value_binary, ward_terms
 from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
-from ellmult.factorization import prime_divisors, valuation
+from ellmult.factorization import factor_int, is_square_free, prime_divisors, valuation
 from ellmult.heights import canonical_height, height_window_check
 
 EXPECTED_TABLE = {
@@ -385,6 +388,95 @@ def test_search_to_1e8_adds_no_table_points():
     for N in TABLE_N_VALUES:
         assert search_integral_points(N, 10**8) == search_integral_points(N, 10**6)
     assert time.perf_counter() - start < 30
+
+
+def _divisors(N):
+    divisors = [1]
+    for p in factor_int(N):
+        divisors += [d * p for d in divisors]
+    return divisors
+
+
+def _unsieved_points(N, x_max):
+    """The search as one exact isqrt per candidate (s, a), with no sieve: the reference for the sieved search."""
+    hits = []
+    for s in _divisors(N):
+        for sign, bound in ((1, x_max), (-1, N)):
+            for a in range(1, math.isqrt(bound // s) + 1):
+                x = sign * s * a * a
+                v = x * x * x - N * N * x
+                if v > 0:
+                    y = math.isqrt(v)
+                    if y * y == v:
+                        hits.append((x, y))
+    return sorted(hits)
+
+
+def _points(N, x_max):
+    return [(int(P.x), int(P.y)) for P in search_integral_points(N, x_max)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_sieved_search_matches_unsieved_loop(data):
+    N = data.draw(st.integers(1, 2000).filter(is_square_free), label="N")
+    s = data.draw(st.sampled_from(_divisors(N)), label="s")
+    a = data.draw(st.integers(1, 200), label="a")
+    x_max = data.draw(st.sampled_from((1, N - 1, N, N + 1, s * a * a - 1, s * a * a, s * a * a + 1)), label="x_max")
+    x_max = max(x_max, 1)
+    assert _points(N, x_max) == _unsieved_points(N, x_max)
+
+
+def test_sieve_keeps_every_square():
+    # w(a) = c3 a^4 + c0 is set to r^2; r runs over every residue of every
+    # modulus (all are at most 97), and the huge count makes every modulus
+    # that rejects anything contribute a mask
+    assert max(congruent._SIEVE_MODULI) <= 97
+    for c3 in (1, -5, 6**3):
+        for a in (1, 2, 7, 12345):
+            for r in range(97):
+                masks = congruent._square_cofactor_masks(c3, r * r - c3 * a**4, 10**60, 1)
+                assert all(tiled[a % m] == 1 for m, tiled in masks), (c3, a, r)
+
+
+@pytest.mark.parametrize("N", [5, 6, 29, 77, 78, 210])
+def test_sieved_search_matches_unsieved_loop_at_1e9(N):
+    assert _points(N, 10**9) == _unsieved_points(N, 10**9)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("N, s", [(6, 1), (6, 2), (29, 29)])
+def test_sieved_search_at_block_boundaries(N, s, offset):
+    # x > 0 runs over isqrt(N // s) < a <= isqrt(x_max // s)
+    count = congruent._SIEVE_BLOCK + offset
+    x_max = s * (math.isqrt(N // s) + count) ** 2
+    assert math.isqrt(x_max // s) - math.isqrt(N // s) == count
+    assert _points(N, x_max) == _unsieved_points(N, x_max)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_sieved_search_at_block_boundaries_on_the_oval(offset):
+    # x < 0 runs over 1 <= a <= isqrt((N - 1) // s); take s = 1
+    count = congruent._SIEVE_BLOCK + offset
+    N = next(N for N in range(count * count + 1, (count + 1) ** 2) if is_square_free(N))
+    assert math.isqrt(N - 1) == count
+    assert _points(N, 1) == _unsieved_points(N, 1)
+
+
+def test_search_memory_does_not_grow_with_the_window():
+    tracemalloc.start()
+    try:
+        points = search_integral_points(5, 10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [(int(P.x), int(P.y)) for P in points] == [(-4, 6), (45, 300)]
+    assert peak < 2**20
+
+
+def test_search_to_1e10_adds_no_table_points():
+    for N in TABLE_N_VALUES:
+        assert search_integral_points(N, 10**10) == search_integral_points(N, 10**6), N
 
 
 def test_table_matches_expected(table):
