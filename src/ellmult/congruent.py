@@ -26,7 +26,7 @@ from ._precision import context
 from .curves import Curve, RatPoint, make_curve, rational_point
 from .divpoly import psi_value_binary
 from .errors import NotBoundedComponent, ParityMismatch, TorsionInput
-from .factorization import factor_int, is_square_free, valuation
+from .factorization import factor_int, valuation
 from .heights import canonical_height, naive_height
 from .reports import BoundReport
 
@@ -53,10 +53,17 @@ UPPER_WINDOW_CITATION = (
 )
 
 
+def _square_free_primes(N: int) -> Tuple[int, ...]:
+    """The primes of N from one factorization; ValueError unless N is a square-free positive integer."""
+    factors = factor_int(N) if N >= 1 else {}
+    if N < 1 or any(e > 1 for e in factors.values()):
+        raise ValueError(f"N must be a square-free positive integer, got {N}")
+    return tuple(factors)
+
+
 def congruent_curve(N: int) -> Curve:
     """Validate N and build y^2 = x^3 - N^2 x; discriminant is 64 N^6 and j = 1728."""
-    if N < 1 or not is_square_free(N):
-        raise ValueError(f"N must be a square-free positive integer, got {N}")
+    _square_free_primes(N)
     return make_curve(-N * N, 0)
 
 
@@ -521,11 +528,11 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     the range.  The a run in blocks of _SIEVE_BLOCK, and the rows depend only
     on m and are built once, so memory does not grow with x_max.
     """
-    congruent_curve(N)
+    primes = _square_free_primes(N)
     if x_max < 1:
         raise ValueError("x_max must be at least 1")
     divisors = [1]
-    for p in factor_int(N):
+    for p in primes:
         divisors += [d * p for d in divisors]
     N2 = N * N
     hits = []
@@ -547,15 +554,20 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6, height_tol: float = 1e-
     Rows appear only for N with non-torsion integral points; each row carries
     canonical heights and the pairwise check that no height reaches 121 times
     another (which would allow one point to be a multiple of another).
+    The square-free N come from a sieve, so the search's validation is the
+    only factorization of each N.
     """
+    square_free = [True] * (N_max + 1)
+    for p in range(2, math.isqrt(max(N_max, 0)) + 1):
+        square_free[p * p :: p * p] = [False] * (N_max // (p * p))
     rows = []
     for N in range(1, N_max + 1):
-        if not is_square_free(N):
+        if not square_free[N]:
             continue
         points = search_integral_points(N, x_max)
         if not points:
             continue
-        c = congruent_curve(N)
+        c = make_curve(-N * N, 0)
         heights = tuple(float(canonical_height(c, P, tol=height_tol)) for P in points)
         ratio_ok = all(hp < HEIGHT_RATIO_LIMIT * hq for hp in heights for hq in heights)
         rows.append(TableRow(N, tuple(points), heights, ratio_ok))

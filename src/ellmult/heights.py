@@ -6,13 +6,29 @@ renormalizes, and each step does integer work only.  Integers (u, v) at
 scale 2^W, W = precision_bits + 32, carry the size of numerator and
 denominator: the duplication forms are exact integer products of u^2, v^2
 and uv, and one integer division per coordinate renormalizes them by
-m = max(|U|, V).  Integer residues modulo a shrinking power of the
-discriminant recover each step's common factor g exactly.  The resultant of
-the duplication forms equals the squared discriminant, so g divides disc^2
-and is read off the residues modulo disc^2.  k doublings thus cost O(k)
-big-integer work instead of exponentially many digits.  The only floating
-work is ln(m / 2^(4W)), ln(g) and the sum
-s_k = 4 s_{k-1} + ln(m / 2^(4W)) - ln(g).
+m = max(|U|, V).  Then h(x_{2^k P}) = 4 h(x_{2^(k-1) P}) + ln(m / 2^(4W))
+- ln(g), where g is the common factor the exact doubling divides out.
+
+The engine runs in two phases.  In the exact phase, integer residues modulo
+a shrinking power of the discriminant recover each g exactly.  The resultant
+of the duplication forms equals the squared discriminant, so g divides
+disc^2 and is read off the residues modulo disc^2.  The phase ends at the
+first step with g = 1, because every later g is 1 too.  With x = a/b in
+lowest terms and f(x) = x^3 + A x + B, the forms are F = b^4 (f'^2 - 8 x f)
+and G = 4 b^4 f.  For odd p, p divides both exactly when p does not divide b
+and f(x) = f'(x) = 0 mod p, that is when the point reduces to the singular
+point of the model mod p.  The points with nonsingular reduction form a
+subgroup (Silverman, AEC VII.2.1), so once g = 1 no later double reduces to
+the singular point at an odd p.  At p = 2, 4 | G always, and an odd F makes
+the next a odd and 4 | b, so the next F = a^4 mod 2 is odd again.  A point
+whose g never reaches 1 stays in the exact phase to the end.
+
+In the log phase no residue is kept, and no floating-point work is done in
+the loop.  The sum telescopes into one product, scale^(4^depth) times
+prod_k (m_k / (2^(4W) g_k))^(4^(depth-k)) with scale = max(|a|, b) for
+x_P = a/b, kept as an integer mantissa and an exact binary exponent.  One
+logarithm of that product ends the run, so k doublings cost O(k)
+big-integer work and a single mpf logarithm.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from ._precision import context
 from .curves import Curve, RatPoint, curve_height, multiple_triples, naive_height
@@ -64,44 +80,63 @@ def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Opt
     return None
 
 
-def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: int) -> Iterator[Tuple[int, object]]:
-    """Yield (k, s_k) with s_k = h(x_{2^k P}), an mpf at precision_bits.
+def _mantissa(x: int, bits: int) -> Tuple[int, int]:
+    """(M, t) with M = floor(x / 2^t) of exactly bits + 1 bits, for x >= 1; t may be negative."""
+    t = x.bit_length() - bits - 1
+    return (x >> t, t) if t >= 0 else (x << -t, t)
 
-    The residues of the exact numerator and denominator are kept modulo K, a
-    power of disc^2 large enough to survive depth steps of dividing out
-    common factors; fa < K g, so fa / g is already reduced modulo the new K.
-    ln(m) is taken of m scaled by 2^(-4W), which keeps its rounding error at
-    the size of the step's own contribution.
+
+def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: int) -> object:
+    """Return s_depth = h(x_{2^depth P}) as an mpf at precision_bits.
+
+    Exact phase: the residues of the exact numerator and denominator are kept
+    modulo K, a power of disc^2 large enough to survive depth steps of
+    dividing out common factors (fa < K g, so fa / g is already reduced
+    modulo the new K), up to the first step with g = 1.  Log phase: the
+    product of the module docstring is kept as M 2^E, with M an integer of
+    W' + 1 bits, W' = W + 2 depth, and E exact; each step raises M to the
+    fourth power, multiplies it by m / g and rounds once.  The rounding at
+    step k costs 2^-W' relative, which the later fourth powers raise to
+    4^(depth-k) 2^-W', so together they move s by a few units of 2^-W.  The
+    logarithm is taken of M 2^-W', which lies in [1, 2), not of M, whose ln
+    would nearly cancel against W' ln 2.  The product stands for
+    max(|a|, b) >= 1 of x(2^depth P) = a/b, so both terms of
+    s = ln(M 2^-W') + (E + W') ln 2 are nonnegative, and the sum loses no
+    bits to cancellation at W bits.
     """
-    ctx = context(precision_bits)
     W = precision_bits + 32
+    Wm = W + 2 * depth
     A, B = c.A, c.B
     d2 = c.discriminant * c.discriminant
     K = d2 ** (depth + 2)
     a, b = P.x.numerator, P.x.denominator
-    ar, br = a % K, b % K
+    residues = (a % K, b % K)
     scale = max(abs(a), b)
     u, v = (a << W) // scale, (b << W) // scale
-    s = ctx.ln(scale)
-    yield 0, s
-    for k in range(1, depth + 1):
-        a2, b2, ab = ar * ar % K, br * br % K, ar * br % K
-        fa = ((a2 - A * b2) ** 2 - 8 * B * ab * b2) % K
-        gb = 4 * (ab * (a2 + A * b2) + B * b2 * b2) % K
-        g = math.gcd(math.gcd(fa, d2), gb)
-        K //= g
-        ar, br = fa // g, gb // g
+    M, E = _mantissa(scale, Wm)
+    for _ in range(depth):
+        g = 1
+        if residues is not None:
+            ar, br = residues
+            a2, b2, ab = ar * ar % K, br * br % K, ar * br % K
+            fa = ((a2 - A * b2) ** 2 - 8 * B * ab * b2) % K
+            gb = 4 * (ab * (a2 + A * b2) + B * b2 * b2) % K
+            g = math.gcd(math.gcd(fa, d2), gb)
+            K //= g
+            residues = (fa // g, gb // g) if g > 1 else None
         u2, v2, uv = u * u, v * v, u * v
         U = (u2 - A * v2) ** 2 - 8 * B * uv * v2
         V = 4 * (uv * (u2 + A * v2) + B * v2 * v2)
         m = max(abs(U), V)
         if not m > 0:
             raise PrecisionExhausted("duplication forms vanished numerically; raise the working precision")
-        s = 4 * s + ctx.ln(ctx.ldexp(m, -4 * W))
-        if g > 1:
-            s -= ctx.ln(g)
         u, v = (U << W) // m, (V << W) // m
-        yield k, s
+        shift = g.bit_length()
+        M, t = _mantissa((M**4 * m << shift) // g, Wm)
+        E = 4 * E + t - shift - 4 * W
+    ctx = context(W)
+    s = ctx.ln(ctx.ldexp(M, -Wm)) + (E + Wm) * ctx.ln2
+    return context(precision_bits).mpf(s)
 
 
 def working_bits(tol: float) -> int:
@@ -137,10 +172,8 @@ def canonical_height(
             f"tolerance {tol} needs doubling depth {depth}, beyond the cap {depth_cap}"
         )
     bits = precision_bits if precision_bits is not None else working_bits(tol)
-    est = None
-    for k, s in _renormalized_doubling(c, P, depth, bits):
-        est = s / (2 * 4**k)
-    return HeightEstimate(float(est), tol, depth, None)
+    s = _renormalized_doubling(c, P, depth, bits)
+    return HeightEstimate(float(s / (2 * 4**depth)), tol, depth, None)
 
 
 def height_window_check(c: Curve, P: RatPoint, estimate: HeightEstimate) -> BoundReport:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellmult import congruent
+from ellmult import congruent, curves, factorization
 from ellmult._precision import context
 from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
@@ -483,6 +483,22 @@ def test_table_matches_expected(table):
     assert tuple(row.N for row in table.rows) == TABLE_N_VALUES
     for row in table.rows:
         assert tuple((int(P.x), int(P.y)) for P in row.points) == EXPECTED_TABLE[row.N]
+
+
+def test_table_factors_each_N_once(monkeypatch):
+    square_free = [N for N in range(1, 76) if is_square_free(N)]
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factor_int(n)
+
+    for module in (congruent, curves, factorization):
+        monkeypatch.setattr(module, "factor_int", counting)
+    table = reproduce_table(75)
+    assert tuple(row.N for row in table.rows) == TABLE_N_VALUES
+    # one factorization per square-free N, the search's validation; none for the others
+    assert calls == square_free
 
 
 def test_table_heights(table):

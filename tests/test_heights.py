@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ellmult._precision import context
 from ellmult.curves import INFINITY, Curve, add, make_curve, multiply, rational_point
@@ -79,23 +81,25 @@ def test_torsion_height_is_zero():
 
 
 def _doubling_trace(c, P, depth):
-    """h(x_{2^k P}) for k = 0..depth from the renormalized engine, at 192 bits."""
-    return [float(s) for _, s in _renormalized_doubling(c, P, depth, 192)]
+    """h(x_{2^k P}) for k = 0..depth, one engine run per depth, at 192 bits."""
+    return [float(_renormalized_doubling(c, P, k, 192)) for k in range(depth + 1)]
+
+
+def _assert_trace_is_exact(c, P, depth):
+    """The engine's h(x_{2^k P}), k <= depth, against exact doubling by the group law."""
+    Q = P
+    for k, s in enumerate(_doubling_trace(c, P, depth)):
+        exact = naive_height(Q.x)
+        assert abs(s - exact) <= 1e-9 * max(1.0, exact), (c, P, k)
+        Q = multiply(c, 2, Q)
 
 
 def test_trace_matches_exact_doubling():
-    trace = _doubling_trace(E5, P5, 6)
-    for k, s in enumerate(trace):
-        exact = naive_height(multiply(E5, 2**k, P5).x)
-        assert abs(s - exact) <= 1e-9 * max(1.0, exact)
+    _assert_trace_is_exact(E5, P5, 6)
 
 
 def test_trace_matches_exact_doubling_nonintegral_start():
-    start = multiply(E5, 2, Q5)
-    trace = _doubling_trace(E5, start, 5)
-    for k, s in enumerate(trace):
-        exact = naive_height(multiply(E5, 2**k, start).x)
-        assert abs(s - exact) <= 1e-9 * max(1.0, exact)
+    _assert_trace_is_exact(E5, multiply(E5, 2, Q5), 5)
 
 
 def _mpf_doubling(c, P, depth, precision_bits):
@@ -155,10 +159,10 @@ def test_oracle_points_cover_the_b_terms_and_are_not_torsion(golden_multiples, o
 @pytest.mark.parametrize("bits", [128, 256])
 def test_fixed_point_engine_matches_mpf_oracle_at_twice_the_precision(golden_multiples, other_multiples, bits):
     for c, P in _oracle_points(golden_multiples, other_multiples):
-        trace = list(_renormalized_doubling(c, P, 20, bits))
         oracle = list(_mpf_doubling(c, P, 20, 2 * bits))
-        assert [k for k, _ in trace] == [k for k, _ in oracle] == list(range(21))
-        for (k, s), (_, exact) in zip(trace, oracle):
+        assert [k for k, _ in oracle] == list(range(21))
+        for k, exact in oracle:
+            s = _renormalized_doubling(c, P, k, bits)
             assert s.context.prec == bits
             assert abs(s - exact) <= abs(exact) * 2.0 ** -(bits - 8), (c, P, k)
 
@@ -167,10 +171,60 @@ def test_vanishing_duplication_forms_exhaust_precision():
     # y^2 = x^3 - 3x + 2 is nodal at x = 1, where both duplication forms vanish;
     # it is built past make_curve's smoothness check with a stand-in discriminant.
     nodal = Curve(-3, 2, 1, Fraction(0))
-    steps = _renormalized_doubling(nodal, rational_point(1, 0), 3, 128)
-    assert next(steps) == (0, 0)
+    assert _renormalized_doubling(nodal, rational_point(1, 0), 0, 128) == 0
     with pytest.raises(PrecisionExhausted, match="duplication forms vanished"):
-        next(steps)
+        _renormalized_doubling(nodal, rational_point(1, 0), 3, 128)
+
+
+def _exact_gcds(c, P, depth):
+    """g_k = gcd(F(a, b), G(a, b)) for k = 1..depth, with a/b = x(2^(k-1) P) in lowest terms, by exact doubling."""
+    A, B = c.A, c.B
+    out = []
+    for _ in range(depth):
+        a, b = P.x.numerator, P.x.denominator
+        F = a**4 - 2 * A * a * a * b * b - 8 * B * a * b**3 + A * A * b**4
+        G = 4 * (a**3 * b + A * a * b**3 + B * b**4)
+        out.append(math.gcd(F, G))
+        P = multiply(c, 2, P)
+    return out
+
+
+@pytest.mark.parametrize(
+    "A, B, x, y, gcds",
+    [
+        (-60, -44, -6, 10, [16, 16, 1, 1, 1, 1]),
+        (-60, 0, -6, 12, [576, 16, 1, 1, 1, 1]),
+        (-60, -55, -4, 11, [4, 4, 4, 4, 4, 4]),
+    ],
+)
+def test_exact_phase_lasts_until_the_first_unit_gcd(A, B, x, y, gcds):
+    # the first g = 1 comes at step 3 on the first two points; on the last, g = 4 at every step
+    c, P = make_curve(A, B), rational_point(x, y)
+    assert _exact_gcds(c, P, 6) == gcds
+    _assert_trace_is_exact(c, P, 6)
+
+
+@st.composite
+def _random_points(draw):
+    """A non-torsion (curve, P) with |A|, |B| <= 500 and a small integral abscissa."""
+    A = draw(st.integers(-500, 500))
+    x = draw(st.integers(-12, 12))
+    f0 = x**3 + A * x
+    assume(f0 + 500 >= 0)
+    y = draw(st.integers(math.isqrt(max(0, f0 - 500)), math.isqrt(f0 + 500)))
+    B = y * y - f0
+    assume(abs(B) <= 500 and 4 * A**3 + 27 * B**2 != 0)
+    c, P = make_curve(A, B), rational_point(x, y)
+    assume(torsion_order(c, P) is None)
+    return c, P
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_random_points())
+def test_engine_matches_exact_doubling_on_random_curves(point):
+    c, P = point
+    for Q in (P, multiply(c, 2, P)):
+        _assert_trace_is_exact(c, Q, 4)
 
 
 def test_internal_oracle_agreement():
