@@ -24,7 +24,6 @@ from .curves import (
 from .divpoly import (
     DivisionPolynomial,
     WardSequence,
-    denominator_sequence,
     psi_polynomial,
     psi_value_binary,
     ward_terms,
@@ -104,7 +103,6 @@ __all__ = [
     "component_order",
     "congruent",
     "curve_height",
-    "denominator_sequence",
     "elliptic_log",
     "global_M",
     "height_window_check",

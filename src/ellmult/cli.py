@@ -171,7 +171,7 @@ def _height_doc(point, estimate: heights.HeightEstimate) -> dict:
             "value": float(estimate),
             "tolerance": estimate.tolerance,
             "iterations": estimate.iterations,
-            "precision_bits": heights.working_bits(estimate.tolerance),
+            "precision_bits": heights.HEIGHT_BITS,
         },
         "torsion_order": estimate.torsion_order,
     }
@@ -200,7 +200,8 @@ def _analytic_doc(curve, point, precision_bits: int) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     curve, point = _parse_point(args)
-    terms = ward_terms(curve, point, args.n_max) if _is_integral(point) else None
+    integral = _is_integral(point)
+    terms = ward_terms(curve, point, args.n_max) if integral else None
     profile = localdata.global_M(curve, point)
     estimate = heights.canonical_height(curve, point, tol=args.tol)
     reports = [heights.height_window_check(curve, point, estimate)]
@@ -212,7 +213,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return _emit(args, {
         "precision_bits": args.precision_bits,
         "curve": _curve_doc(curve),
-        "point": {"x": str(point.x), "y": str(point.y), "integral": _is_integral(point)},
+        "point": {"x": str(point.x), "y": str(point.y), "integral": integral},
         "reduction": profile.to_json(),
         "heights": _height_doc(point, estimate),
         "analytic": _analytic_doc(curve, point, args.precision_bits),
@@ -251,7 +252,7 @@ def cmd_heights(args: argparse.Namespace) -> int:
     profile = localdata.global_M(curve, point)
     estimate = heights.canonical_height(curve, point, tol=args.tol)
     return _emit(args, {
-        "precision_bits": heights.working_bits(args.tol),
+        "precision_bits": heights.HEIGHT_BITS,
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y)},
         "heights": _height_doc(point, estimate),
@@ -413,7 +414,7 @@ def cmd_congruent_table(args: argparse.Namespace) -> int:
         sys.stdout.write(csv_text)
     else:
         _emit(args, {
-            "precision_bits": heights.working_bits(args.tol),
+            "precision_bits": heights.HEIGHT_BITS,
             "table": table.to_json(),
             "golden": {"resource": GOLDEN_RESOURCE, "match": match, "diff": diff},
         })

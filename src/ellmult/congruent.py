@@ -91,13 +91,12 @@ class IntegralPointTable:
     rows: Tuple[TableRow, ...]
     N_max: int
     x_max: int
-    certified: bool = False
 
     def to_json(self) -> dict:
         return {
             "N_max": self.N_max,
             "x_max": self.x_max,
-            "certified": self.certified,
+            "certified": False,
             "rows": [
                 {
                     "N": row.N,
@@ -167,7 +166,7 @@ def point_from_abscissa(N: int, x: Union[int, Fraction, str]) -> RatPoint:
     x^3 - N^2 x is negative (no real point) or not the square of a rational
     (no rational point).
     """
-    congruent_curve(N)
+    _square_free_primes(N)
     q = Fraction(x)
     v = q**3 - N * N * q
     if v < 0:
@@ -391,21 +390,18 @@ def nonidentity_multiplier(N: int, P: RatPoint, n: int) -> BoundReport:
     )
 
 
-def height_windows(
-    N: int, P: RatPoint, hhat: Optional[float] = None
-) -> Tuple[BoundReport, BoundReport, BoundReport]:
+def height_windows(N: int, P: RatPoint, hhat: float) -> Tuple[BoundReport, BoundReport, BoundReport]:
     """Three explicit windows pinning hhat against the naive height on y^2 = x^3 - N^2 x.
 
     The difference window bounds hhat(P) - h(x_P)/2 on both sides, the floor
     window keeps non-torsion heights above (1/16) log(2 N^2), and the upper
     window caps hhat by h(x_P)/2 + (1/3) log 2.  The upper window applies only
     to integral abscissas x >= N: the bounded oval genuinely violates it.
+    hhat is the canonical height of P, which the caller has computed.
     """
-    c = congruent_curve(N)
+    _square_free_primes(N)
     if P.x in (0, N, -N):
         raise TorsionInput(f"x = {P.x} is 2-torsion on y^2 = x^3 - {N}^2 x")
-    if hhat is None:
-        hhat = float(canonical_height(c, P))
     half_naive = naive_height(P.x) / 2
     diff = hhat - half_naive
     lower = -math.log(N) / 2 - math.log(2) / 4

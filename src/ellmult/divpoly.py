@@ -18,7 +18,8 @@ h_n = psi_n(P), that is f_n(a) for odd n and 2b f_n(a) for even n, and the
 companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.
 
 The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms
-(curves.multiple_triples).  ward_terms compares the two routes at every n:
+(curves.multiple_triples), and ward_terms(...).D is that route's sequence.
+ward_terms walks the group law once and compares the two routes at every n:
 it divides g_n = h_n^2 / D_n^2 and requires the division to be exact and
 k_n = g_n X_n.  As gcd(X_n, D_n) = 1, that proves g_n = gcd(k_n, h_n^2)
 without computing the gcd, and that both routes give the same x(nP).  A
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .curves import Curve, RatPoint, Triple, multiple_triples
+from .curves import Curve, RatPoint, multiple_triples
 from .errors import InternalInvariantError, NonIntegralBasePoint
 
 OptInt = Optional[int]
@@ -127,12 +128,6 @@ def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int], List[
     return h[: n_max + 1], h2, k
 
 
-def _walk(c: Curve, P: RatPoint, n_max: int) -> Iterator[Triple]:
-    """The group-law triples of P, 2P, ..., n_max P at an integral base point, one at a time."""
-    _require_integral(P)
-    return islice(multiple_triples(c, P), n_max)
-
-
 def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
     """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g from both.
 
@@ -141,7 +136,7 @@ def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
     h, h2, k = _h_k(c, P, n_max)
     D: List[OptInt] = [None]
     g: List[OptInt] = [None]
-    for n, T in enumerate(_walk(c, P, n_max), 1):
+    for n, T in enumerate(islice(multiple_triples(c, P), n_max), 1):
         if T is None:
             if h[n]:
                 raise InternalInvariantError(f"the group law puts {n}P at infinity, but h_{n} is not 0")
@@ -156,14 +151,6 @@ def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
         D.append(Dn)
         g.append(gn)
     return WardSequence(h, k, D, g)
-
-
-def denominator_sequence(c: Curve, P: RatPoint, n_max: int) -> List[OptInt]:
-    """Exact square roots of the denominators of x(nP), via the group law only.
-
-    Index n holds D_n >= 1, or None when nP is the point at infinity.
-    """
-    return [None] + [None if T is None else T[2] for T in _walk(c, P, n_max)]
 
 
 @lru_cache(maxsize=None)

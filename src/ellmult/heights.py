@@ -4,7 +4,8 @@ The canonical height is the doubling limit (1/2) lim h(x_{2^k P}) / 4^k.
 Running it literally squares the coordinate size every step, so the engine
 renormalizes, and each step does integer work only.  Integers (u, v) at
 scale 2^W, W = precision_bits + 32, carry the size of numerator and
-denominator: the duplication forms are exact integer products of u^2, v^2
+denominator, with precision_bits = HEIGHT_BITS = 128 unless a caller asks
+for more: the duplication forms are exact integer products of u^2, v^2
 and uv, and one integer division per coordinate renormalizes them by
 m = max(|U|, V).  Then h(x_{2^k P}) = 4 h(x_{2^(k-1) P}) + ln(m / 2^(4W))
 - ln(g), where g is the common factor the exact doubling divides out.
@@ -45,6 +46,8 @@ from .reports import BoundReport
 
 TORSION_SCAN_LIMIT = 12
 DEPTH_CAP = 24
+# A tol that reaches the engine is above 2 h(E) / 4^DEPTH_CAP >= 2^-47, as h(E) >= 2 log 2, so 128 bits cover it.
+HEIGHT_BITS = 128
 LANG_SMALL_HEIGHT_CUTOFF = 2 * (28 * math.log(2) + 24 * math.log(3))
 
 HEIGHT_WINDOW_CITATION = "|hhat(P) - h(x_P)/2| < 2 h(E)"
@@ -139,17 +142,12 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
     return context(precision_bits).mpf(s)
 
 
-def working_bits(tol: float) -> int:
-    """Precision in bits at which canonical_height computes a height to tol."""
-    return max(128, int(-math.log2(tol)) + 64)
-
-
 def canonical_height(
     c: Curve,
     P: RatPoint,
     tol: float = 1e-10,
     depth_cap: int = DEPTH_CAP,
-    precision_bits: Optional[int] = None,
+    precision_bits: int = HEIGHT_BITS,
 ) -> HeightEstimate:
     """Doubling-limit canonical height, iterated to a window-certified depth.
 
@@ -171,8 +169,7 @@ def canonical_height(
         raise PrecisionExhausted(
             f"tolerance {tol} needs doubling depth {depth}, beyond the cap {depth_cap}"
         )
-    bits = precision_bits if precision_bits is not None else working_bits(tol)
-    s = _renormalized_doubling(c, P, depth, bits)
+    s = _renormalized_doubling(c, P, depth, precision_bits)
     return HeightEstimate(float(s / (2 * 4**depth)), tol, depth, None)
 
 

@@ -27,7 +27,6 @@ import sympy
 from ellmult import (
     canonical_height,
     curve_height,
-    denominator_sequence,
     height_window_check,
     make_curve,
     multiply,
@@ -240,8 +239,8 @@ def test_criterion_05_sequence_sandwich(capsys, table):
         log_disc = math.log(abs(E.discriminant))
         for P in row.points:
             M = global_M(E, P).M
-            D = denominator_sequence(E, P, 50)
-            h = ward_terms(E, P, 50).h
+            terms = ward_terms(E, P, 50)
+            D, h = terms.D, terms.h
             for n in range(1, 51):
                 abs_h = abs(h[n])
                 ok = ok and D[n] <= abs_h

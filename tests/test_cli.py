@@ -394,14 +394,37 @@ def test_readme_lists_every_subcommand_with_its_settings():
 def test_heights_reports_the_precision_it_used(capsys, tol):
     code, doc = run_json(capsys, *SUBCOMMAND_ARGV["heights"], "--tol", tol)
     assert code == 0
-    assert doc["precision_bits"] == heights.working_bits(float(tol)) == 128
+    assert doc["precision_bits"] == heights.HEIGHT_BITS == 128
 
 
 def test_analyze_reports_its_height_precision(capsys):
     code, doc = run_json(capsys, *SUBCOMMAND_ARGV["analyze"], "--precision-bits", "256", "--n-max", "2")
     assert code == 0
     assert doc["precision_bits"] == 256
-    assert doc["heights"]["canonical"]["precision_bits"] == heights.working_bits(1e-10) == 128
+    assert doc["heights"]["canonical"]["precision_bits"] == heights.HEIGHT_BITS == 128
+
+
+TORSION_ARGV = ["--A", "-25", "--B", "0", "--x", "5", "--y", "0"]
+
+
+@pytest.mark.parametrize(
+    "argv, height_keys",
+    [
+        (["heights", *TORSION_ARGV, "--tol", "1e-30"], [(), ("heights", "canonical")]),
+        (["analyze", *TORSION_ARGV, "--n-max", "3", "--tol", "1e-30"], [("heights", "canonical")]),
+        (["congruent-table", "--N-max", "4", "--tol", "1e-30"], [()]),
+    ],
+    ids=["heights", "analyze", "congruent-table"],
+)
+def test_tight_tolerance_reports_the_height_precision_it_ran_at(capsys, argv, height_keys):
+    # no doubling runs here (a torsion point, a table without rows), so nothing ran above 128 bits
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    for keys in height_keys:
+        section = doc
+        for key in keys:
+            section = section[key]
+        assert section["precision_bits"] == 128, keys
 
 
 @pytest.mark.parametrize(

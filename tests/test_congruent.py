@@ -43,7 +43,7 @@ from ellmult.congruent import (
     verify_double_not_integral,
 )
 from ellmult.curves import INFINITY, rational_point
-from ellmult.divpoly import denominator_sequence, psi_value_binary, ward_terms
+from ellmult.divpoly import psi_value_binary, ward_terms
 from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from ellmult.factorization import factor_int, is_square_free, prime_divisors, valuation
 from ellmult.heights import canonical_height, height_window_check
@@ -516,7 +516,7 @@ def test_table_points_have_nonintegral_small_multiples(table):
     for row in table.rows:
         c = congruent_curve(row.N)
         for P in row.points:
-            dens = denominator_sequence(c, P, 7)
+            dens = ward_terms(c, P, 7).D
             for n in range(2, 8):
                 assert dens[n] is not None and dens[n] > 1
 
@@ -530,7 +530,8 @@ def test_table_height_windows(table):
 
 def test_height_windows_literals():
     # N = 5, P = (-4, 6): hhat = 0.94974..., h(x)/2 = log(4)/2
-    hdiff, floor, cap = height_windows(5, rational_point(-4, 6))
+    P = rational_point(-4, 6)
+    hdiff, floor, cap = height_windows(5, P, canonical_height(congruent_curve(5), P).value)
     assert hdiff.holds
     assert hdiff.inputs["lower"] == pytest.approx(-math.log(5) / 2 - math.log(2) / 4)
     assert hdiff.inputs["upper"] == pytest.approx(math.log(26) / 4 + math.log(2) / 12)
@@ -544,7 +545,8 @@ def test_height_windows_literals():
 
 
 def test_height_windows_unbounded_point():
-    hdiff, floor, cap = height_windows(5, rational_point(45, 300))
+    P = rational_point(45, 300)
+    hdiff, floor, cap = height_windows(5, P, canonical_height(congruent_curve(5), P).value)
     assert hdiff.holds and floor.holds
     assert cap.applicable is True and cap.holds is True
     assert cap.threshold == pytest.approx(math.log(45) / 2 + math.log(2) / 3)
@@ -558,9 +560,15 @@ def test_height_windows_accepts_precomputed_height(table):
 
 def test_height_windows_torsion_rejected():
     with pytest.raises(TorsionInput):
-        height_windows(5, rational_point(5, 0))
+        height_windows(5, rational_point(5, 0), 0.0)
     with pytest.raises(TorsionInput):
-        height_windows(5, rational_point(0, 0))
+        height_windows(5, rational_point(0, 0), 0.0)
+
+
+@pytest.mark.parametrize("N", [0, -5, 4, 12])
+def test_height_windows_validates_N(N):
+    with pytest.raises(ValueError, match=f"N must be a square-free positive integer, got {N}"):
+        height_windows(N, rational_point(-4, 6), 1.0)
 
 
 def test_table_ord_l_structure(table):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellmult import cli, curves, divpoly
 from ellmult.curves import make_curve, multiply, rational_point
 from ellmult.divpoly import (
-    denominator_sequence,
     psi_polynomial,
     psi_value_binary,
     ward_terms,
@@ -38,11 +37,11 @@ def test_phi_terms_values():
 
 
 def test_denominator_sequence_values():
-    D = denominator_sequence(E5, P5, 3)
+    D = ward_terms(E5, P5, 3).D
     assert D[1] == 1
     assert D[2] == 12
     t = rational_point(0, 0)
-    Dt = denominator_sequence(E5, t, 4)
+    Dt = ward_terms(E5, t, 4).D
     assert Dt[1] == 1 and Dt[2] is None and Dt[3] == 1 and Dt[4] is None
 
 
@@ -55,29 +54,29 @@ def test_denominator_sequence_matches_reference_on_golden_points(golden_multiple
             assert root * root == q
             expected.append(root)
         n_max = len(multiples) - 1
-        assert denominator_sequence(make_curve(-N * N, 0), rational_point(x, y), n_max) == expected, (N, x)
+        assert ward_terms(make_curve(-N * N, 0), rational_point(x, y), n_max).D == expected, (N, x)
 
 
 def test_denominator_sequence_matches_reference_with_nonzero_B(other_multiples):
     for A, B, x, y, multiples in other_multiples:
         expected = [None] + [math.isqrt(Q[0].denominator) for Q in multiples[1:]]
-        assert denominator_sequence(make_curve(A, B), rational_point(x, y), len(multiples) - 1) == expected
+        assert ward_terms(make_curve(A, B), rational_point(x, y), len(multiples) - 1).D == expected
 
 
 def test_denominator_sequence_at_torsion_points():
     for x in (0, 5, -5):
-        assert denominator_sequence(E5, rational_point(x, 0), 8) == [None, 1, None, 1, None, 1, None, 1, None]
+        assert ward_terms(E5, rational_point(x, 0), 8).D == [None, 1, None, 1, None, 1, None, 1, None]
     c = make_curve(0, 1)
     for (x, y), order in (((2, 3), 6), ((0, 1), 3), ((-1, 0), 2)):
         expected = [None] + [None if n % order == 0 else 1 for n in range(1, 13)]
-        assert denominator_sequence(c, rational_point(x, y), 12) == expected
+        assert ward_terms(c, rational_point(x, y), 12).D == expected
 
 
 def test_denominator_sequence_checks_the_point_once(monkeypatch):
     calls = []
     original = curves.on_curve
     monkeypatch.setattr(curves, "on_curve", lambda c, P: calls.append(P) or original(c, P))
-    denominator_sequence(E5, P5, 50)
+    ward_terms(E5, P5, 50).D
     assert calls == [P5]
 
 
@@ -91,13 +90,13 @@ def test_ward_terms_checks_the_point_once(monkeypatch):
 
 def _corrupt_walk(monkeypatch, n_bad, change):
     """Make the group-law walk that ward_terms reads yield change(T) in place of the triple T of n_bad P."""
-    original = divpoly._walk
+    original = divpoly.multiple_triples
 
-    def walk(c, P, n_max):
-        for n, T in enumerate(original(c, P, n_max), 1):
+    def walk(c, P):
+        for n, T in enumerate(original(c, P), 1):
             yield change(T) if n == n_bad else T
 
-    monkeypatch.setattr(divpoly, "_walk", walk)
+    monkeypatch.setattr(divpoly, "multiple_triples", walk)
 
 
 # (base point, n, change): one wrong triple each, which the recurrence must refuse

@@ -164,7 +164,7 @@ def test_fixed_point_engine_matches_mpf_oracle_at_twice_the_precision(golden_mul
         for k, exact in oracle:
             s = _renormalized_doubling(c, P, k, bits)
             assert s.context.prec == bits
-            assert abs(s - exact) <= abs(exact) * 2.0 ** -(bits - 8), (c, P, k)
+            assert abs(s - exact) <= abs(exact) * 2.0 ** -(bits - 4), (c, P, k)
 
 
 def test_vanishing_duplication_forms_exhaust_precision():
