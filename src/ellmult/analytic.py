@@ -2,10 +2,10 @@
 
 period_data is the one public period route.  It computes the real period
 twice, on purpose, by two independent routes: one AGM routine, _agm_lattice,
-which also gives the second lattice generator, and the defining improper
-integral under substitutions that make both pieces analytic on [0, 1]
-(t = x0 + v^2 near the lower endpoint, t = x0 + 1/w^2 for the tail).  It
-refuses to return unless they agree.
+which also gives the second lattice generator, and Carlson's symmetric
+integral, omega = 2 R_F(0, e1 - e2, e1 - e3).  It refuses to return unless
+they agree.  The elliptic logarithm is R_F(x - e1, x - e2, x - e3), half the
+integral of 1/sqrt(f) from x to infinity.
 
 Both start from the roots e1, e2, e3 of x^3 + A x + B, isolated exactly in
 integers (_brackets): each real root is bracketed inside Fujiwara's bound by
@@ -20,17 +20,11 @@ integer root is found exactly.  With one real root the complex pair is
 brackets until it too is certified.  No step count is capped: for a
 nonsingular curve the isolation always ends.
 
-The period integral and the elliptic logarithm run on one fixed-point
-tanh-sinh kernel, _tanh_sinh.  Its rule is mpmath's: the nodes of
-TanhSinh.calc_nodes, degrees 1 to guess_degree(prec), and the
-Bailey-Borwein-Girgensohn error estimate, run until it reaches eps/8.  The
-curve is first scaled by a power of 4 so that its roots, and the integrals,
-are of order one; the estimate is taken on those scaled integrals, so eps/8
-bounds a relative error where ctx.quad's bound is absolute.  Each integrand is
-built from integer products, math.isqrt and one integer division at scale 2^W
-(W = prec + 20 + HEADROOM_BITS), and the sum of w f(t) is exact, rounded once
-to the working precision.  Where ctx.quad returns an unconverged sum, the
-kernel raises PrecisionExhausted (exit 4 on the command line).
+R_F is mpmath's ctx.elliprf: Carlson's duplication, run at 20 bits above the
+working precision until its explicit truncation bound is met (Carlson, Numer.
+Algorithms 10, 1995; DLMF 19.36(i)), then a fifth-order series.  With one real
+root its last two arguments are complex conjugates, and the real part of its
+value is kept.
 
 All precision is explicit: every entry point takes precision_bits and works on
 a context of that size plus guard bits; nothing reads ambient mpmath state.
@@ -40,8 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, List, Optional, Tuple
 
 from ._precision import context
@@ -50,21 +42,22 @@ from .divpoly import psi_polynomial
 from .errors import InternalInvariantError, NotIdentityComponent, PrecisionExhausted
 
 GUARD_BITS = 32
-HEADROOM_BITS = 32
 
 
 @dataclass(frozen=True)
 class PeriodData:
-    """Real period by AGM and by quadrature, a second lattice generator, and the reduced lattice ratio.
+    """Real period by AGM and by Carlson's R_F, a second lattice generator, and the reduced lattice ratio.
 
     tau lives in the fundamental domain (im > 0, |tau| >= 1, |re| <= 1/2); when
     the reduction lands on the domain boundary the representative reached by
     the reduction is kept and described in boundary_note.  roots holds the
     cubic's (e1, e2, e3), for elliptic_log at the same precision_bits to reuse.
+    The periods document prints omega_carlson under its ellmult/1 key
+    omega_quadrature_str, which the fixed schema keeps.
     """
 
     omega: object
-    omega_quadrature: object
+    omega_carlson: object
     omega2: object
     tau: object
     roots: Tuple[object, object, object]
@@ -203,169 +196,6 @@ def _agm_lattice(c: Curve, ctx, e1, e2, e3) -> Tuple[object, object]:
     return omega, omega / 2 + ctx.mpc(0, 1) * s / 2
 
 
-def _width(prec: int) -> int:
-    """Fixed-point scale W of the kernel at working precision prec.
-
-    mpmath sums at prec + 20 bits; HEADROOM_BITS more cover the digits lost
-    where an integrand's inner form dips towards zero.
-    """
-    return prec + 20 + HEADROOM_BITS
-
-
-@lru_cache(maxsize=None)
-def _nodes(prec: int, degree: int) -> Tuple[Tuple[int, int], ...]:
-    """mpmath's tanh-sinh nodes of one degree, mapped to [0, 1], as pairs (t, w) at scale 2^W.
-
-    The nodes come in pairs t, 1 - t that share a weight; each pair is kept
-    once, with t <= 1/2.  Degree 1's centre t = 1/2 is kept with half its
-    weight, since the kernel evaluates every entry at t and at 1 - t.
-    """
-    width = _width(prec)
-    one = 1 << width
-    ctx = context(prec + 20)  # the precision mpmath's get_nodes computes them at
-    try:
-        nodes = ctx._tanh_sinh.calc_nodes(degree, prec)
-    finally:
-        ctx.prec = prec + 20  # calc_nodes raises it while it works
-    pairs = []
-    for x, w in nodes:
-        if x > 0:
-            pairs.append(((one - ctx.to_fixed(x, width)) >> 1, ctx.to_fixed(w, width - 1)))
-        elif x == 0:
-            pairs.append((one >> 1, ctx.to_fixed(w, width - 2)))
-    return tuple(pairs)
-
-
-def _converged(d1: int, d2: Optional[int], exp: int, prec: int) -> bool:
-    """Whether mpmath's tanh-sinh error estimate is at most eps/8.
-
-    d1 = I_k - I_(k-1) and d2 = I_k - I_(k-2), each times 2^exp, or d2 = None
-    at k = 2.  With two results the estimate is |d1|.  Past that it is the
-    Bailey-Borwein-Girgensohn extrapolation 10^int(D4), D4 = min(0, max(D1^2/D2,
-    2 D1, -prec)) with D1, D2 the base-10 logarithms of |d1|, |d2|.  eps is
-    2^(1 - prec), so the target is 2^-(prec + 2); it is compared in integers.
-    """
-    if d2 is None:  # |d1| 2^(exp + prec + 2) <= 1
-        return abs(d1) << max(0, exp + prec + 2) <= 1 << max(0, -(exp + prec + 2))
-    if d1 == d2 == 0:
-        return True
-    lg2 = math.log10(2)
-    D1 = math.log10(abs(d1)) + exp * lg2 if d1 else -math.inf
-    D2 = math.log10(abs(d2)) + exp * lg2 if d2 else -math.inf
-    if D2 >= 0:
-        return False
-    D4 = min(0.0, max(D1 * D1 / D2, 2 * D1, -prec))
-    return 10 ** -int(D4) >= 1 << (prec + 2)
-
-
-def _tanh_sinh(ctx, pieces, shift: int = 0):
-    """2^shift times the sum of the integrals of pieces, by mpmath's tanh-sinh rule in fixed point.
-
-    pieces is a list of (f, points): f takes t * 2^W for t in [0, 1] and
-    returns f(t) * 2^W as an int, W = _width(ctx.prec); points are the ends of
-    the subintervals of [0, 1], at the same scale.  Each subinterval runs
-    degrees 1 to guess_degree(ctx.prec) until the error estimate of its
-    integral, before the factor 2^shift, reaches ctx.eps / 8, as ctx.quad does,
-    and raises PrecisionExhausted if the top degree has not.  The sums are
-    exact; the total is rounded once, to ctx.prec.
-    """
-    prec = ctx.prec
-    width = _width(prec)
-    top = ctx._tanh_sinh.guess_degree(prec)
-    exp = -3 * width
-    total = 0
-    for f, points in pieces:
-        for a, b in zip(points, points[1:]):
-            span = b - a
-            sums = []  # sums[k - 1] = C_k; the degree-k value is span * C_k * 2^(exp - k)
-            for degree in range(1, top + 1):
-                s = 0
-                for t, w in _nodes(prec, degree):
-                    off = span * t >> width
-                    s += w * (f(a + off) + f(b - off))
-                sums.append(sums[-1] + s if sums else s)
-                if degree > 1 and _converged(
-                    span * (sums[-1] - 2 * sums[-2]),
-                    span * (sums[-1] - 4 * sums[-3]) if degree > 2 else None,
-                    exp - degree,
-                    prec,
-                ):
-                    break
-            else:
-                raise PrecisionExhausted(f"tanh-sinh quadrature did not converge by degree {top}")
-            total += span * sums[-1] << (top - degree)
-    return ctx.ldexp(ctx.mpf(total), shift + exp - top)
-
-
-def _normalizing_shift(c: Curve, x0: Optional[Fraction] = None) -> int:
-    """j >= 0 with the roots of c, and x0 when given, inside [-4^j, 4^j].
-
-    Under t = 4^j s the integral of 1/sqrt(t^3 + A t + B) from a root becomes
-    2^-j times the same integral for (A / 16^j, B / 64^j), whose roots and
-    integrands are of order one, which is what a fixed-point sum needs.
-    """
-    j = _root_bound(c)
-    if x0 is not None and x0 > 0:
-        j = max(j, (x0.numerator.bit_length() - x0.denominator.bit_length() + 2) // 2)
-    return j
-
-
-def _fixed(value, shift: int) -> int:
-    """floor(value * 2^shift) for an int or a Fraction."""
-    value = Fraction(value)
-    if shift >= 0:
-        return (value.numerator << shift) // value.denominator
-    return value.numerator // (value.denominator << -shift)
-
-
-def _scaled_root(c: Curve, ctx, e1, x0: Optional[Fraction] = None) -> Tuple[int, int, int, int]:
-    """(W, j, e, e^2 + a): e = e1 / 4^j at scale 2^W, a = A / 16^j, e^2 + a at scale 2^2W.
-
-    j is _normalizing_shift(c, x0) and W is _width(ctx.prec).
-    """
-    width = _width(ctx.prec)
-    j = _normalizing_shift(c, x0)
-    e = ctx.to_fixed(e1, width - 2 * j)
-    return width, j, e, e * e + _fixed(c.A, 2 * width - 4 * j)
-
-
-def _split(width: int, dip) -> list:
-    """[0, 1] at scale 2^W, with an interior point where the integrand's inner form dips.
-
-    dip is the square of that point, or None.  When the complex root pair sits
-    close to the real path the form under the square root has a sharp interior
-    minimum; giving the quadrature that point keeps tanh-sinh at full accuracy
-    without raising its degree.
-    """
-    one = 1 << width
-    if dip is not None and 0 < dip < one:
-        return [0, math.isqrt(dip << width), one]
-    return [0, one]
-
-
-def _quadrature_period(c: Curve, ctx, e1):
-    """The integral of 1/sqrt(f) over [e1, oo), after t = 4^j s (see _normalizing_shift).
-
-    In s the pieces are [e, e + 1] under s = e + v^2, where the root factor
-    cancels, and [e + 1, oo) under s = e + 1/w^2.
-    """
-    width, j, e, e_sq_a = _scaled_root(c, ctx, e1)
-    two = 2 << 2 * width
-    slope = 2 * e * e + e_sq_a >> width  # 3 e^2 + a = g'(e) > 0 for a simple largest root
-
-    def piece_near(v):
-        s = e + (v * v >> width)
-        return two // math.isqrt(s * s + e * s + e_sq_a)
-
-    def piece_tail(w):
-        w2 = w * w >> width
-        return two // math.isqrt((1 << 2 * width) + 3 * e * w2 + (slope * w2 >> width) * w2)
-
-    near = _split(width, -3 * e // 2 if e < 0 else None)
-    tail = _split(width, (-3 * e << width) // (2 * slope) if e < 0 < slope else None)
-    return _tanh_sinh(ctx, [(piece_near, near), (piece_tail, tail)], -j)
-
-
 def _reduce_tau(ctx, tau):
     """Translate/invert into the fundamental domain; note boundary landings."""
     eps = ctx.mpf(2) ** (-ctx.prec // 2)
@@ -391,7 +221,7 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     ctx = context(precision_bits + GUARD_BITS)
     e1, e2, e3 = _cubic_roots(c, ctx)
     omega, omega2 = _agm_lattice(c, ctx, e1, e2, e3)
-    check = _quadrature_period(c, ctx, e1)
+    check = ctx.re(2 * ctx.elliprf(0, e1 - e2, e1 - e3))
     if abs(omega - check) > abs(omega) * ctx.mpf(2) ** (-(precision_bits - 16)):
         raise PrecisionExhausted("period routes disagree beyond the working tolerance")
     tau, note = _reduce_tau(ctx, omega2 / omega)
@@ -409,11 +239,11 @@ def omega_floor(A: int, B: int) -> float:
 def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Optional[Tuple] = None) -> object:
     """Principal elliptic logarithm of a real identity-component point.
 
-    z lies in (-omega/2, omega/2]; |z| is half the tail integral of 1/sqrt(f)
-    from x_P, and the sign is opposite to the sign of y_P.  Points on the
-    bounded real component are rejected.  roots, when given, must be the
-    PeriodData.roots of period_data(c, precision_bits); they are isolated
-    here otherwise.
+    z lies in (-omega/2, omega/2]; |z| = R_F(x - e1, x - e2, x - e3), half
+    the tail integral of 1/sqrt(f) from x_P, and the sign is opposite to the
+    sign of y_P.  Points on the bounded real component are rejected.  roots,
+    when given, must be the PeriodData.roots of period_data(c, precision_bits);
+    they are isolated here otherwise.
     """
     ctx = context(precision_bits + GUARD_BITS)
     if P.is_infinity:
@@ -424,25 +254,7 @@ def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Option
         raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
     if P.y == 0:
         return _agm_lattice(c, ctx, e1, e2, e3)[0] / 2
-    # In s = t / 4^j the pieces are [x, x + 1] under s = x + v^2 and
-    # [x + 1, oo) under s = x + 1/w^2, with q(s) = s^2 + e s + a + e^2.
-    width, j, e, e_sq_a = _scaled_root(c, ctx, e1, P.x)
-    x = _fixed(P.x, width - 2 * j)
-    one, two = 1 << 2 * width, 2 << 3 * width
-    q_x = x * x + e * x + e_sq_a >> width
-    x_e, mid = x - e, 2 * x + e
-
-    def piece_near(v):
-        s = x + (v * v >> width)
-        return (v << 2 * width + 1) // math.isqrt((s - e) * (s * s + e * s + e_sq_a) << width)
-
-    def piece_tail(w):
-        w2 = w * w >> width
-        return two // math.isqrt((one + x_e * w2) * (one + mid * w2 + (q_x * w2 >> width) * w2))
-
-    near = _split(width, -e // 2 - x if mid < 0 else None)
-    tail = _split(width, (-mid << width) // (2 * q_x) if mid < 0 < q_x else None)
-    magnitude = _tanh_sinh(ctx, [(piece_near, near), (piece_tail, tail)], -j - 1)
+    magnitude = ctx.re(ctx.elliprf(x0 - e1, x0 - e2, x0 - e3))
     return -magnitude if P.y > 0 else magnitude
 
 

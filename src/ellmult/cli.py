@@ -270,8 +270,8 @@ def cmd_periods(args: argparse.Namespace) -> int:
         "curve": {"A": curve.A, "B": curve.B, "discriminant": curve.discriminant},
         "omega": float(data.omega),
         "omega_str": str(data.omega),
-        "omega_quadrature_str": str(data.omega_quadrature),
-        "route_delta": float(abs(data.omega - data.omega_quadrature)),
+        "omega_quadrature_str": str(data.omega_carlson),
+        "route_delta": float(abs(data.omega - data.omega_carlson)),
         "omega2": _mp_pair(data.omega2),
         "tau": _mp_pair(data.tau),
         "boundary_note": data.boundary_note,

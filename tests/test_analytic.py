@@ -47,12 +47,13 @@ def test_two_period_routes_agree():
     for A, B in SAMPLE_CURVES:
         c = make_curve(A, B)
         pd = period_data(c, 160)
-        agm, quad = pd.omega, pd.omega_quadrature
-        assert abs(agm - quad) <= abs(agm) * CTX.mpf(2) ** -140
+        agm, carlson = pd.omega, pd.omega_carlson
+        assert abs(agm - carlson) <= abs(agm) * CTX.mpf(2) ** -140
         # period_data returns each route's value as the route computes it
         ctx = context(160 + analytic.GUARD_BITS)
-        assert (agm, pd.omega2) == analytic._agm_lattice(c, ctx, *pd.roots)
-        assert quad == analytic._quadrature_period(c, ctx, pd.roots[0])
+        e1, e2, e3 = pd.roots
+        assert (agm, pd.omega2) == analytic._agm_lattice(c, ctx, e1, e2, e3)
+        assert carlson == ctx.re(2 * ctx.elliprf(0, e1 - e2, e1 - e3))
 
 
 def test_period_precision_is_stable():
@@ -197,7 +198,7 @@ def test_large_x_log_window():
         assert -cap <= val <= cap
 
 
-# --- the fixed-point tanh-sinh kernel ------------------------------------------
+# --- Carlson's R_F against ctx.quad at twice the precision ---------------------
 
 
 def _polyroots(c, ctx):
@@ -251,22 +252,6 @@ def _reference_log(c, P, bits):
     return -magnitude if P.y > 0 else magnitude
 
 
-def test_kernel_integrates_a_polynomial_to_working_precision():
-    ctx = context(160)
-    width = analytic._width(ctx.prec)
-    value = analytic._tanh_sinh(ctx, [(lambda t: t * t >> width, [0, 1 << width])])
-    assert abs(value - ctx.mpf(1) / 3) <= ctx.mpf(2) ** -158
-
-
-def test_kernel_raises_when_the_top_degree_has_not_converged():
-    # |t - 1/3| has a kink inside [0, 1]: the step sums converge only like h^2
-    ctx = context(160)
-    width = analytic._width(ctx.prec)
-    third = (1 << width) // 3
-    with pytest.raises(PrecisionExhausted):
-        analytic._tanh_sinh(ctx, [(lambda t: abs(t - third), [0, 1 << width])])
-
-
 @pytest.mark.parametrize("sign", [1, -1])
 def test_elliptic_log_is_correctly_rounded_at_its_working_precision(sign):
     # 128 bits work at 160; ctx.quad gave ...771163 here, while the value at
@@ -280,12 +265,12 @@ def test_elliptic_log_is_correctly_rounded_at_its_working_precision(sign):
 
 
 def _check_against_quad(A, B, x, y, n, bits):
-    """The kernel's period and the log of nP, when defined, within 2^-(bits + 24) omega of ctx.quad at 2 bits."""
+    """The Carlson period and the log of nP, when defined, within 2^-(bits + 24) omega of ctx.quad at 2 bits."""
     c = make_curve(A, B)
     ctx = context(2 * bits)
     tol = ctx.mpf(2) ** -(bits + 24)
     omega = _reference_period(c, 2 * bits)
-    assert abs(period_data(c, bits).omega_quadrature - omega) <= omega * tol
+    assert abs(period_data(c, bits).omega_carlson - omega) <= omega * tol
     P = multiply(c, n, rational_point(x, y))
     if P.is_infinity or P.y == 0:
         return
@@ -310,6 +295,21 @@ def test_kernel_matches_quad_at_twice_the_precision_at_512_bits():
     # in for draws: (0, 1) on y^2 = x^3 + x + 1 puts a split point in both of
     # the log's pieces and in the period's near piece.
     _check_against_quad(1, 1, 0, 1, 1, 512)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_elliptic_log_near_two_torsion(bits):
+    # (2, 3) lies 9/A from the real 2-torsion point
+    c = make_curve(10**16 + 7, -2 * 10**16 - 13)
+    z = elliptic_log(c, rational_point(2, 3), bits)
+    assert str(z).startswith("-0.000185407466459")
+    ctx = context(2 * bits)
+    e1, e2, e3 = _polyroots(c, ctx)
+    reference = -ctx.re(ctx.elliprf(2 - e1, 2 - e2, 2 - e3))
+    assert abs(z - reference) <= abs(reference) * ctx.mpf(2) ** -(bits + 16)
+    # near 2-torsion the inverse map is ill-conditioned: x came back to 5e-41 at 128 bits
+    x, _ = weierstrass_point(c, z, bits)
+    assert abs(x - 2) <= 2 * 1e-35
 
 
 # --- root isolation -------------------------------------------------------------

@@ -16,6 +16,8 @@ from mpmath.ctx_mp import MPContext
 
 import ellmult
 from ellmult import analytic, bounds, cli, curves, heights
+from ellmult._precision import context
+from test_analytic import _polyroots
 
 
 def run(capsys, *argv):
@@ -181,12 +183,28 @@ def test_periods_on_a_curve_with_large_coefficients(capsys):
     assert doc["route_delta"] <= doc["omega"] * 2.0**-140
 
 
-def test_unconverged_quadrature_exit_4(capsys):
-    # 4A^3 + 27B^2 = 108 * 10^18 + 27: the complex root pair almost meets the
-    # real path, and the period integral has not converged by the top degree
-    code, doc = run_json(capsys, "periods", f"--A={-3 * 10**12}", f"--B={2 * 10**18 + 1}")
-    assert code == 4
-    assert doc["error"]["message"] == "tanh-sinh quadrature did not converge by degree 8"
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("A, B", [(-3 * 10**12, 2 * 10**18 + d) for d in (1, -1)] + [(-3 * 10**10, 2 * 10**15 + 1)])
+def test_nearly_singular_periods_exit_0(capsys, A, B, bits):
+    # a double root of x^3 + A x + B at 10^6 or 10^5, split by B +- 1
+    code, doc = run_json(capsys, "periods", f"--A={A}", f"--B={B}", "--precision-bits", str(bits))
+    assert code == 0
+    ctx = context(2 * bits)
+    omega = ctx.mpf(doc["omega_str"])
+    assert ctx.mpf(doc["route_delta"]) <= omega * ctx.mpf(2) ** -(bits - 16)
+    # an AGM of its own at twice the precision, on the roots ctx.polyroots finds
+    e1, e2, e3 = _polyroots(curves.make_curve(A, B), ctx)
+    reference = ctx.pi / ctx.re(ctx.agm(ctx.sqrt(e1 - e2), ctx.sqrt(e1 - e3)))
+    assert abs(omega - reference) <= reference * ctx.mpf(2) ** -bits
+
+
+def test_analyze_near_two_torsion_exit_0(capsys):
+    # (2, 3) lies 9/A from the real 2-torsion point
+    code, doc = run_json(
+        capsys, "analyze", "--A=10000000000000007", "--B=-20000000000000013", "--x=2", "--y=3", "--n-max", "10"
+    )
+    assert code == 0
+    assert doc["analytic"]["elliptic_log_str"].startswith("-0.000185407466459")
 
 
 def test_periods_isolates_the_roots_of_a_curve_with_huge_coefficients(capsys):
