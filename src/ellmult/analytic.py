@@ -20,11 +20,14 @@ integer root is found exactly.  With one real root the complex pair is
 brackets until it too is certified.  No step count is capped: for a
 nonsingular curve the isolation always ends.
 
-R_F is mpmath's ctx.elliprf: Carlson's duplication, run at 20 bits above the
-working precision until its explicit truncation bound is met (Carlson, Numer.
-Algorithms 10, 1995; DLMF 19.36(i)), then a fifth-order series.  With one real
-root its last two arguments are complex conjugates, and the real part of its
-value is kept.
+Both routes read the root differences (_root_differences), which are
+isolated again at a wider precision when two real roots lie so close that
+their difference at the working precision has lost too many bits.  R_F is
+_carlson_rf: Carlson's duplication on Python integers in fixed point, stopped
+on Carlson's explicit truncation bound (Carlson, Numer. Algorithms 10, 1995;
+DLMF 19.36(i)), then a fifth-order series, and one rounding of one integer to
+the working precision.  With one real root its last two arguments are complex
+conjugates and R_F is real.
 
 All precision is explicit: every entry point takes precision_bits and works on
 a context of that size plus guard bits; nothing reads ambient mpmath state.
@@ -180,20 +183,121 @@ def _brackets(c: Curve, branch: int, bits: int) -> Iterator[Tuple[int, int, int]
         x = (lo + hi) >> 1
 
 
-def _agm_lattice(c: Curve, ctx, e1, e2, e3) -> Tuple[object, object]:
-    """(omega, omega2): the real period and a second lattice generator, each by one AGM."""
+def _root_differences(c: Curve, ctx, roots) -> Tuple[object, object, object]:
+    """(e1 - e2, e1 - e3, e2 - e3) to ctx.prec, where roots = _cubic_roots(c, ctx).
+
+    With one real root no difference cancels: the real parts are 3 e1 / 2
+    and 0, the imaginary parts +-Im e2.  Two close real roots cancel: taken at
+    precision q, a difference keeps q bits less as many as its magnitude lies
+    below the largest root's (none when it rounds to 0).  While one keeps more
+    than half of GUARD_BITS fewer than ctx.prec, the roots are isolated again
+    at twice q, and the differences taken there are rounded into ctx.
+    """
+    e1, e2, e3 = roots
+    q = ctx.prec
+    while c.discriminant > 0:
+        diffs = (e1 - e2, e1 - e3, e2 - e3)
+        kept = q - max(ctx.mag(e1), ctx.mag(e3)) + min(ctx.mag(d) for d in diffs)  # -inf at a 0
+        if kept >= ctx.prec - GUARD_BITS // 2:
+            return tuple(ctx.mpf(d) for d in diffs)
+        q *= 2
+        e1, e2, e3 = _cubic_roots(c, context(q))
+    return e1 - e2, e1 - e3, e2 - e3
+
+
+def _agm_lattice(c: Curve, ctx, d12, d13, d23) -> Tuple[object, object]:
+    """(omega, omega2): the real period and a second lattice generator, each by one AGM on the root differences."""
     if c.discriminant > 0:
-        root13 = ctx.sqrt(e1 - e3)
-        omega = ctx.pi / ctx.agm(root13, ctx.sqrt(e1 - e2))
-        return omega, ctx.mpc(0, 1) * ctx.pi / ctx.agm(root13, ctx.sqrt(e2 - e3))
+        root13 = ctx.sqrt(d13)
+        omega = ctx.pi / ctx.agm(root13, ctx.sqrt(d12))
+        return omega, ctx.mpc(0, 1) * ctx.pi / ctx.agm(root13, ctx.sqrt(d23))
     # One real root: sqrt(e1-e2) and sqrt(e1-e3) are conjugate, so the AGM
     # collapses to a real iteration on (Re sqrt(e1-e2), |e1-e2|^(1/2)); the
     # rhombic lattice's companion AGM runs on the imaginary part instead.
-    u = ctx.sqrt(e1 - e2)
-    modulus = ctx.sqrt(abs(e1 - e2))
+    u = ctx.sqrt(d12)
+    modulus = ctx.sqrt(abs(d12))
     omega = ctx.pi / ctx.agm(u.real, modulus)
     s = ctx.pi / ctx.agm(abs(u.imag), modulus)
     return omega, omega / 2 + ctx.mpc(0, 1) * s / 2
+
+
+def _carlson_rf(ctx, x, y, z):
+    """Carlson's R_F(x, y, z) rounded once to ctx.prec: the duplication on integers in fixed point.
+
+    The arguments are three reals >= 0, at most one of them 0, or a real
+    x >= 0 and a conjugate pair y, z = u +- iv, v != 0, where R_F is real.
+    They are scaled by an even power of two, 4^k, so the smallest nonzero part
+    (of x, y, z, or of x, u, |v|) lies in [1, 4), and held as integers in
+    units of 2^-F, F = ctx.prec + 28, which every part fits exactly.
+
+    Each step replaces every argument a by (a + lam) / 4, lam = sqrt(x)sqrt(y)
+    + sqrt(x)sqrt(z) + sqrt(y)sqrt(z), and A_m, started at A_0 = (x + y + z)/3,
+    the same way.  For a conjugate pair sqrt(y)sqrt(z) = |y| and lam =
+    2 sqrt(x) Re sqrt(y) + |y|; when u < 0, Re sqrt(y) = |v| / (2 Im sqrt(y)),
+    so |y| + u is never formed, and the product is taken whole, since Re sqrt(y)
+    alone can fall far below 2^-F.  Either way a step takes three isqrt.  The
+    iteration stops on Carlson's bound as mpmath's RF_calc states it: at the
+    first m with 4^-m Q < |A_m|, Q = (3r)^(-1/6) max|A_0 - a|,
+    r = 2^-(ctx.prec + 20), compared exactly in integers as
+    D^6 2^(ctx.prec + 20) < 3 (4^m A_m)^6 with D = max|A_0 - a|.  Then every
+    X_a = (A_0 - a) / (4^m A_m) is below (3r)^(1/6), and the fifth-order series
+    in E2, E3 leaves out terms of order r (Carlson, Numer. Algorithms 10, 1995;
+    DLMF 19.36(i)).
+
+    Rounding budget: the floors of a step move each iterate by a few units of
+    2^-F, against iterates no smaller than a quarter of the smallest part, and
+    no step doubles an earlier error; m is about (ctx.prec + 20) / 12 plus a
+    few steps for spread-out arguments, 97 at most at ctx.prec = 1056 in tests.
+    So the integer of about F bits that is rounded, once, to ctx.prec lies
+    within 2^-(ctx.prec + 16) of R_F; in tests from 128 to 1024 bits it lay
+    within 2^-(ctx.prec + 22).
+    """
+    F = ctx.prec + 28
+    pair = ctx.im(y) != 0
+    parts = (x, ctx.re(y), abs(ctx.im(y))) if pair else (x, y, z)
+    shift = (2 - min(ctx.mag(a) for a in parts if a)) & ~1
+    X, Y, Z = (int(ctx.ldexp(a, shift + F)) for a in parts)
+    # 3 (A_0 - a) for each argument a; for a pair, Y and Z hold Re y and |Im y|
+    if pair:
+        dx, dy, dv = 2 * (Y - X), X - Y, 3 * Z
+        A = (X + 2 * Y) // 3
+        spread = max(dx * dx, dy * dy + dv * dv)
+    else:
+        dx, dy = Y + Z - 2 * X, X + Z - 2 * Y
+        A = (X + Y + Z) // 3
+        spread = max(dx * dx, dy * dy, (dx + dy) ** 2)
+    limit = spread**3 << ctx.prec + 20  # (3D)^6 2^(prec+20), against 3^7 (4^m A_m)^6
+    top = limit.bit_length()
+    m = 0
+    # 3^7 < 2^12: while the bit lengths leave room, the powers need not be formed
+    while 6 * A.bit_length() + 12 * m + 12 < top or 2187 * A**6 << 12 * m <= limit:
+        sx = math.isqrt(X << F)
+        if pair:
+            modulus = math.isqrt(Y * Y + Z * Z)
+            if Y >= 0:  # 2 sqrt(x) Re sqrt(y), Re sqrt(y) = sqrt((|y| + u) / 2)
+                lam = (sx * math.isqrt(modulus + Y << F - 1) >> F - 1) + modulus
+            else:  # Re sqrt(y) = |v| / (2 Im sqrt(y)), Im sqrt(y) = sqrt((|y| - u) / 2)
+                lam = sx * Z // math.isqrt(modulus - Y << F - 1) + modulus
+            X, Y, Z = X + lam >> 2, Y + lam >> 2, Z >> 2
+        else:
+            sy, sz = math.isqrt(Y << F), math.isqrt(Z << F)
+            lam = sx * (sy + sz) + sy * sz >> F
+            X, Y, Z = X + lam >> 2, Y + lam >> 2, Z + lam >> 2
+        A = A + lam >> 2
+        m += 1
+    den = 3 * A << 2 * m
+    if pair:
+        # X_x = -2a and X_y, X_z = a -+ ib
+        a, b = (dy << F) // den, (dv << F) // den
+        e2, e3 = b * b - 3 * a * a >> F, -2 * a * (a * a + b * b) >> 2 * F
+    else:
+        p, q = (dx << F) // den, (dy << F) // den
+        e2, e3 = -(p * p + p * q + q * q) >> F, -p * q * (p + q) >> 2 * F
+    series = (9240 << F) - 924 * e2 + 660 * e3 + ((385 * e2 - 630 * e3) * e2 >> F)
+    # R_F(x, y, z)^2 = 2^shift series^2 / (9240^2 A 2^F), taken to 2F bits
+    extra = A.bit_length() + (A.bit_length() + F & 1)
+    root = math.isqrt((series * series << extra) // (85377600 * A))
+    return ctx.ldexp(ctx.mpf(root), shift - extra - F >> 1)
 
 
 def _reduce_tau(ctx, tau):
@@ -219,21 +323,27 @@ def _reduce_tau(ctx, tau):
 def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     """Both periods and the reduced ratio, cross-checked between the two routes."""
     ctx = context(precision_bits + GUARD_BITS)
-    e1, e2, e3 = _cubic_roots(c, ctx)
-    omega, omega2 = _agm_lattice(c, ctx, e1, e2, e3)
-    check = ctx.re(2 * ctx.elliprf(0, e1 - e2, e1 - e3))
+    roots = _cubic_roots(c, ctx)
+    d12, d13, d23 = _root_differences(c, ctx, roots)
+    omega, omega2 = _agm_lattice(c, ctx, d12, d13, d23)
+    check = 2 * _carlson_rf(ctx, 0, d12, d13)
     if abs(omega - check) > abs(omega) * ctx.mpf(2) ** (-(precision_bits - 16)):
         raise PrecisionExhausted("period routes disagree beyond the working tolerance")
     tau, note = _reduce_tau(ctx, omega2 / omega)
     eps = ctx.mpf(2) ** (-(precision_bits // 2))
     if not (tau.imag > 0 and abs(tau) >= 1 - eps and abs(tau.real) <= ctx.mpf(1) / 2 + eps):
         raise PrecisionExhausted("reduced lattice ratio violates the domain invariants")
-    return PeriodData(omega, check, omega2, tau, (e1, e2, e3), note)
+    return PeriodData(omega, check, omega2, tau, roots, note)
 
 
 def omega_floor(A: int, B: int) -> float:
     """Unconditional period floor (1+|A|+|B|)^(-1/2), valid when the largest root is below 1."""
-    return float((1 + abs(A) + abs(B)) ** -0.5)
+    n = 1 + abs(A) + abs(B)
+    try:
+        return float(n**-0.5)
+    except OverflowError:  # n is past the float range; split off a power of 4
+        k = n.bit_length() // 2 - 500
+        return math.ldexp((n >> 2 * k) ** -0.5, -k)
 
 
 def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Optional[Tuple] = None) -> object:
@@ -253,8 +363,8 @@ def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Option
     if c.discriminant > 0 and x0 < (e1 + e2) / 2:
         raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
     if P.y == 0:
-        return _agm_lattice(c, ctx, e1, e2, e3)[0] / 2
-    magnitude = ctx.re(ctx.elliprf(x0 - e1, x0 - e2, x0 - e3))
+        return _agm_lattice(c, ctx, *_root_differences(c, ctx, (e1, e2, e3)))[0] / 2
+    magnitude = _carlson_rf(ctx, x0 - e1, x0 - e2, x0 - e3)
     return -magnitude if P.y > 0 else magnitude
 
 

@@ -51,9 +51,10 @@ def test_two_period_routes_agree():
         assert abs(agm - carlson) <= abs(agm) * CTX.mpf(2) ** -140
         # period_data returns each route's value as the route computes it
         ctx = context(160 + analytic.GUARD_BITS)
-        e1, e2, e3 = pd.roots
-        assert (agm, pd.omega2) == analytic._agm_lattice(c, ctx, e1, e2, e3)
-        assert carlson == ctx.re(2 * ctx.elliprf(0, e1 - e2, e1 - e3))
+        d12, d13, d23 = analytic._root_differences(c, ctx, pd.roots)
+        assert (agm, pd.omega2) == analytic._agm_lattice(c, ctx, d12, d13, d23)
+        assert carlson == 2 * analytic._carlson_rf(ctx, 0, d12, d13)
+        assert abs(carlson - ctx.re(2 * ctx.elliprf(0, d12, d13))) <= agm * ctx.mpf(2) ** -(160 + 16)
 
 
 def test_period_precision_is_stable():
@@ -196,6 +197,37 @@ def test_large_x_log_window():
         z = elliptic_log(c, rational_point(x, y), 128)
         val = math.log(abs(float(z))) + 0.5 * math.log(x)
         assert -cap <= val <= cap
+
+
+# --- the R_F kernel against ctx.elliprf -------------------------------------------
+
+
+@st.composite
+def _rf_arguments(draw):
+    """(ctx, x, y, z): three reals, or x and a conjugate pair, x = 0 or not, parts 2^-100 to 2^100."""
+    ctx = context(draw(st.sampled_from([128, 256, 512, 1024])) + analytic.GUARD_BITS)
+
+    def part():
+        mantissa = draw(st.integers(1, 2**ctx.prec - 1))
+        return ctx.ldexp(ctx.mpf(mantissa), draw(st.integers(-100, 100)) - ctx.prec)
+
+    x = part() if draw(st.booleans()) else ctx.mpf(0)
+    if draw(st.booleans()):
+        return ctx, x, part(), part()
+    u, v = draw(st.sampled_from([1, -1])) * part(), part()
+    return ctx, x, ctx.mpc(u, v), ctx.mpc(u, -v)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_rf_arguments())
+def test_carlson_rf_matches_elliprf_at_twice_the_precision(arguments):
+    ctx, x, y, z = arguments
+    # elliprf forms Re sqrt(y) from |y| + Re y, which cancels for Re y < 0 and
+    # loses about log2(|Re y| / |Im y|) bits; the reference works that much wider
+    lost = max(0, ctx.mag(ctx.re(y)) - ctx.mag(ctx.im(y))) if ctx.re(y) < 0 < abs(ctx.im(y)) else 0
+    ref = context(2 * ctx.prec + 2 * lost)
+    want = ref.re(ref.elliprf(x, y, z))
+    assert abs(analytic._carlson_rf(ctx, x, y, z) - want) <= want * ref.mpf(2) ** -(ctx.prec - 1)
 
 
 # --- Carlson's R_F against ctx.quad at twice the precision ---------------------

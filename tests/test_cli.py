@@ -198,6 +198,51 @@ def test_nearly_singular_periods_exit_0(capsys, A, B, bits):
     assert abs(omega - reference) <= reference * ctx.mpf(2) ** -bits
 
 
+def _close_pair_omega(A, B, bits):
+    """omega of y^2 = x^3 + A x + B by an AGM at 2 bits, on root differences that do not cancel.
+
+    The root far from the close pair e, e' comes from Newton's method, and
+    |e - e'| from the discriminant 16 prod (e_i - e_j)^2 over g'(far)^2 =
+    ((far - e)(far - e'))^2, so no two nearly equal numbers are subtracted.
+    """
+    ctx = context(2 * bits)
+    far = -2 * ctx.sqrt(ctx.mpf(-A) / 3)
+    for _ in range(12):
+        far -= (far**3 + A * far + B) / (3 * far**2 + A)
+    disc = curves.make_curve(A, B).discriminant
+    gap = ctx.sqrt(abs(ctx.mpf(disc)) / 16) / (3 * far**2 + A)
+    if disc > 0:  # e1 - e2 = gap, e3 = far
+        return ctx.pi / ctx.agm(ctx.sqrt((gap - 3 * far) / 2), ctx.sqrt(gap))
+    # e1 = far and e2 = -far/2 + i gap/2
+    y = ctx.mpc(3 * far / 2, -gap / 2)
+    return ctx.pi / ctx.agm(ctx.sqrt(y).real, ctx.sqrt(abs(y)))
+
+
+@pytest.mark.parametrize("k, d", [(60, -1), (66, -1), (200, -1), (30, 1), (200, 1)])
+def test_periods_of_a_split_double_root_exit_0(capsys, k, d):
+    # (-3 10^k, 2 10^(3k/2) + d) has a double root at 10^(k/2) split by d.  With
+    # d = -1 the two close real roots differ only in the last 10 of 160 bits
+    # at k = 60 and round to one value from k = 66 on, so their difference is
+    # taken from roots isolated again at a wider precision.  With d = 1 the
+    # pair is 10^(k/2) +- i 10^(-k/4)/sqrt(3) and e1 - e2 lies close to the
+    # negative axis, where R_F must not form Re sqrt(e1 - e2) by cancellation.
+    A, B = -3 * 10**k, 2 * 10 ** (3 * k // 2) + d
+    code, doc = run_json(capsys, "periods", f"--A={A}", f"--B={B}", "--precision-bits", "128")
+    assert code == 0
+    ctx = context(256)
+    omega = ctx.mpf(doc["omega_str"])
+    assert ctx.mpf(doc["route_delta"]) <= omega * ctx.mpf(2) ** -(128 - 16)
+    reference = _close_pair_omega(A, B, 128)
+    assert abs(omega - reference) <= reference * ctx.mpf(2) ** -128
+
+
+def test_periods_floor_past_the_float_range(capsys):
+    # 1 + |A| + |B| = 10^400 + 2 does not convert to a float
+    code, doc = run_json(capsys, "periods", f"--A={10**400}", "--B=1")
+    assert code == 0
+    assert doc["omega_floor"] == pytest.approx(1e-200, rel=1e-15)
+
+
 def test_analyze_near_two_torsion_exit_0(capsys):
     # (2, 3) lies 9/A from the real 2-torsion point
     code, doc = run_json(
@@ -283,26 +328,42 @@ def test_periods_isolates_roots_once(capsys, monkeypatch):
     assert calls == {"_cubic_roots": 1}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--A", "-25", "--B", "0", "--x", "45", "--y", "300", "--n-max", "4"],
-        ["analyze", "--A", "1", "--B", "1", "--x", "0", "--y", "1", "--n-max", "4"],
-        ["periods", "--A", "-25", "--B", "0"],
-        ["periods", "--A", "1", "--B", "1", "--precision-bits", "256"],
-    ],
-)
-def test_no_command_reaches_mpmath_quadrature(capsys, monkeypatch, argv):
-    def refuse(*args, **kwargs):
-        raise AssertionError("mpmath's quad was called")
+PERIOD_ARGV = [
+    ["analyze", "--A", "-25", "--B", "0", "--x", "45", "--y", "300", "--n-max", "4"],
+    ["analyze", "--A", "1", "--B", "1", "--x", "0", "--y", "1", "--n-max", "4"],
+    ["periods", "--A", "-25", "--B", "0"],
+    ["periods", "--A", "1", "--B", "1", "--precision-bits", "256"],
+]
 
-    monkeypatch.setattr(MPContext, "quad", refuse)
+
+def _run_without(capsys, monkeypatch, method, argv):
+    """Run argv with MPContext.<method> raising; both period routes and the log must still come out.
+
+    argv runs once unpatched first, so every context it needs exists: creating
+    an MPContext binds its special functions on the class again, over the patch.
+    """
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"mpmath's {method} was called")
+
+    assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(MPContext, method, refuse)
     code, doc = run_json(capsys, *argv)
     assert code == 0
     if argv[0] == "analyze":
         assert doc["analytic"]["elliptic_log_str"]
     else:
         assert doc["omega_quadrature_str"]
+
+
+@pytest.mark.parametrize("argv", PERIOD_ARGV)
+def test_no_command_reaches_mpmath_quadrature(capsys, monkeypatch, argv):
+    _run_without(capsys, monkeypatch, "quad", argv)
+
+
+@pytest.mark.parametrize("argv", PERIOD_ARGV)
+def test_no_command_reaches_elliprf(capsys, monkeypatch, argv):
+    _run_without(capsys, monkeypatch, "elliprf", argv)
 
 
 # --- config precedence ----------------------------------------------------------
