@@ -20,23 +20,24 @@ integer root is found exactly.  With one real root the complex pair is
 brackets until it too is certified.  No step count is capped: for a
 nonsingular curve the isolation always ends.
 
-Both routes read the root differences (_root_differences), which are
-isolated again at a wider precision when two real roots lie so close that
-their difference at the working precision has lost too many bits.  R_F is
+Both routes read the root differences, and the elliptic logarithm x - e1,
+x - e2, x - e3 (_differences): the roots are isolated again at a wider
+precision while one of them has lost too many bits at the working one.  R_F is
 _carlson_rf: Carlson's duplication on Python integers in fixed point, stopped
 on Carlson's explicit truncation bound (Carlson, Numer. Algorithms 10, 1995;
 DLMF 19.36(i)), then a fifth-order series, and one rounding of one integer to
 the working precision.  With one real root its last two arguments are complex
 conjugates and R_F is real.
 
-All precision is explicit: every entry point takes precision_bits and works on
-a context of that size plus guard bits; nothing reads ambient mpmath state.
+All precision is explicit: period_data's precision_bits plus guard bits,
+handed on in its PeriodData; nothing reads ambient mpmath state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, product
 from typing import Iterator, List, Optional, Tuple
 
 from ._precision import context
@@ -53,12 +54,14 @@ class PeriodData:
 
     tau lives in the fundamental domain (im > 0, |tau| >= 1, |re| <= 1/2); when
     the reduction lands on the domain boundary the representative reached by
-    the reduction is kept and described in boundary_note.  roots holds the
-    cubic's (e1, e2, e3), for elliptic_log at the same precision_bits to reuse.
-    The periods document prints omega_carlson under its ellmult/1 key
-    omega_quadrature_str, which the fixed schema keeps.
+    the reduction is kept and described in boundary_note.  elliptic_log and
+    weierstrass_point read the curve, precision_bits and the cubic's roots
+    (e1, e2, e3) from here.  The periods document prints omega_carlson under
+    its ellmult/1 key omega_quadrature_str, which the fixed schema keeps.
     """
 
+    curve: Curve
+    precision_bits: int
     omega: object
     omega_carlson: object
     omega2: object
@@ -183,26 +186,33 @@ def _brackets(c: Curve, branch: int, bits: int) -> Iterator[Tuple[int, int, int]
         x = (lo + hi) >> 1
 
 
+def _differences(c: Curve, ctx, roots, pairs) -> Tuple[object, ...]:
+    """a - b to ctx.prec for each (a, b) in pairs(wide, roots), with wide and roots at precision q, from ctx.prec.
+
+    A difference taken at q keeps q bits less as many as its magnitude lies
+    below the largest operand's (none at 0).  While one keeps more than half
+    of GUARD_BITS fewer than ctx.prec, c's roots are isolated again at twice q.
+    """
+    q = ctx.prec
+    while True:
+        operands = pairs(context(q), roots)
+        diffs = tuple(ctx.fsub(a, b) for a, b in operands)
+        top = max(ctx.mag(t) for pair in operands for t in pair)
+        if q - top + min(ctx.mag(d) for d in diffs) >= ctx.prec - GUARD_BITS // 2:  # -inf at a 0
+            return diffs
+        q *= 2
+        roots = _cubic_roots(c, context(q))
+
+
 def _root_differences(c: Curve, ctx, roots) -> Tuple[object, object, object]:
     """(e1 - e2, e1 - e3, e2 - e3) to ctx.prec, where roots = _cubic_roots(c, ctx).
 
-    With one real root no difference cancels: the real parts are 3 e1 / 2
-    and 0, the imaginary parts +-Im e2.  Two close real roots cancel: taken at
-    precision q, a difference keeps q bits less as many as its magnitude lies
-    below the largest root's (none when it rounds to 0).  While one keeps more
-    than half of GUARD_BITS fewer than ctx.prec, the roots are isolated again
-    at twice q, and the differences taken there are rounded into ctx.
+    With one real root none cancels: the real parts are 3 e1 / 2 and 0, the
+    imaginary parts +-Im e2.  Two close real roots cancel (_differences).
     """
-    e1, e2, e3 = roots
-    q = ctx.prec
-    while c.discriminant > 0:
-        diffs = (e1 - e2, e1 - e3, e2 - e3)
-        kept = q - max(ctx.mag(e1), ctx.mag(e3)) + min(ctx.mag(d) for d in diffs)  # -inf at a 0
-        if kept >= ctx.prec - GUARD_BITS // 2:
-            return tuple(ctx.mpf(d) for d in diffs)
-        q *= 2
-        e1, e2, e3 = _cubic_roots(c, context(q))
-    return e1 - e2, e1 - e3, e2 - e3
+    if c.discriminant < 0:
+        return tuple(a - b for a, b in combinations(roots, 2))
+    return _differences(c, ctx, roots, lambda wide, r: tuple(combinations(r, 2)))
 
 
 def _agm_lattice(c: Curve, ctx, d12, d13, d23) -> Tuple[object, object]:
@@ -333,7 +343,7 @@ def period_data(c: Curve, precision_bits: int = 128) -> PeriodData:
     eps = ctx.mpf(2) ** (-(precision_bits // 2))
     if not (tau.imag > 0 and abs(tau) >= 1 - eps and abs(tau.real) <= ctx.mpf(1) / 2 + eps):
         raise PrecisionExhausted("reduced lattice ratio violates the domain invariants")
-    return PeriodData(omega, check, omega2, tau, roots, note)
+    return PeriodData(c, precision_bits, omega, check, omega2, tau, roots, note)
 
 
 def omega_floor(A: int, B: int) -> float:
@@ -346,32 +356,32 @@ def omega_floor(A: int, B: int) -> float:
         return math.ldexp((n >> 2 * k) ** -0.5, -k)
 
 
-def elliptic_log(c: Curve, P: RatPoint, precision_bits: int = 128, roots: Optional[Tuple] = None) -> object:
-    """Principal elliptic logarithm of a real identity-component point.
+def elliptic_log(data: PeriodData, P: RatPoint) -> object:
+    """Principal elliptic logarithm of a real identity-component point of data.curve, at data.precision_bits.
 
     z lies in (-omega/2, omega/2]; |z| = R_F(x - e1, x - e2, x - e3), half
     the tail integral of 1/sqrt(f) from x_P, and the sign is opposite to the
-    sign of y_P.  Points on the bounded real component are rejected.  roots,
-    when given, must be the PeriodData.roots of period_data(c, precision_bits);
-    they are isolated here otherwise.
+    sign of y_P.  Real 2-torsion gives omega/2; points on the bounded real
+    component are rejected.
     """
-    ctx = context(precision_bits + GUARD_BITS)
+    c, x = data.curve, P.x
+    ctx = context(data.precision_bits + GUARD_BITS)
     if P.is_infinity:
         return ctx.mpf(0)
-    e1, e2, e3 = roots if roots is not None else _cubic_roots(c, ctx)
-    x0 = ctx.mpf(P.x.numerator) / P.x.denominator
-    if c.discriminant > 0 and x0 < (e1 + e2) / 2:
-        raise NotIdentityComponent(f"x = {P.x} lies on the bounded component")
+    e1, e2, _ = data.roots
+    if c.discriminant > 0 and ctx.mpf(x.numerator) / x.denominator < (e1 + e2) / 2:
+        raise NotIdentityComponent(f"x = {x} lies on the bounded component")
     if P.y == 0:
-        return _agm_lattice(c, ctx, *_root_differences(c, ctx, (e1, e2, e3)))[0] / 2
-    magnitude = _carlson_rf(ctx, x0 - e1, x0 - e2, x0 - e3)
+        return data.omega / 2
+    diffs = _differences(c, ctx, data.roots, lambda wide, r: tuple(product([wide.mpf(x.numerator) / x.denominator], r)))
+    magnitude = _carlson_rf(ctx, *diffs)
     return -magnitude if P.y > 0 else magnitude
 
 
-def weierstrass_point(c: Curve, z, precision_bits: int = 128) -> Tuple[object, object]:
-    """(x, y) of the curve point with elliptic logarithm z, via Jacobi functions."""
-    ctx = context(precision_bits + GUARD_BITS)
-    e1, e2, e3 = _cubic_roots(c, ctx)
+def weierstrass_point(data: PeriodData, z) -> Tuple[object, object]:
+    """(x, y) of the point of data.curve with elliptic logarithm z, via Jacobi functions, at data.precision_bits."""
+    ctx = context(data.precision_bits + GUARD_BITS)
+    e1, e2, e3 = data.roots
     m = (e2 - e3) / (e1 - e3)
     root = ctx.sqrt(e1 - e3)
     u = z * root
@@ -419,6 +429,6 @@ def torsion_x_coords(c: Curve, n: int, precision_bits: int = 128) -> List[object
     coeffs = [ctx.mpf(a) for a in reversed(pol.coefficients)]
     try:
         roots = ctx.polyroots(coeffs, maxsteps=400, extraprec=ctx.prec)
-    except Exception as exc:
+    except ctx.NoConvergence as exc:
         raise PrecisionExhausted(f"division polynomial roots at n={n}: {exc}") from exc
     return list(roots)

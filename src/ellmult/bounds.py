@@ -8,7 +8,7 @@ inequality they certify, spelled out, plus every input that went into it.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ._precision import context
 from .errors import InadmissibleParameters
@@ -17,6 +17,7 @@ from .reports import BoundReport
 DAVID_C = 4 * 10**41
 EVAL_BITS = 128
 N_CAP_HEIGHT_FLOOR = 2 * math.pi * math.sqrt(3)
+CROSSING_LOG_CEILING = 750.0
 
 MULTIPLE_HEIGHT_CITATION = "hhat(P) <= log n + (16 M^2 / 3 + 2) h(E) when nP is integral"
 CALCULUS_CITATION = "x^2 - a log x - b >= 0 for every x >= max{e, a + b}"
@@ -131,11 +132,11 @@ def david_floor_log(logB: float, logV1: float, logV2: float, hE: float) -> float
     return float(-DAVID_C * (lb + 1) * (ctx.ln(lb) + hE + 1) ** 3 * logV1 * logV2)
 
 
-def crossing_point(rhs: Callable[[object], object], hi_log: float = 750.0) -> float:
+def crossing_point(rhs: Callable[[object], object]) -> float:
     """Largest x >= 2 with x^2 <= rhs(x), for rhs growing slower than x^2.
 
-    Bisection runs on y = log x, so astronomically large crossings cost the
-    same as small ones.
+    Bisection runs on y = log x <= CROSSING_LOG_CEILING, so astronomically
+    large crossings cost the same as small ones.
     """
     ctx = context(EVAL_BITS)
 
@@ -149,7 +150,7 @@ def crossing_point(rhs: Callable[[object], object], hi_log: float = 750.0) -> fl
     hi_y = lo_y + 1
     while short(hi_y) <= 0:
         hi_y += 50
-        if hi_y > hi_log:
+        if hi_y > CROSSING_LOG_CEILING:
             raise ValueError("no crossing below the search ceiling")
     for _ in range(EVAL_BITS + 64):
         mid = (lo_y + hi_y) / 2

@@ -33,7 +33,6 @@ from .errors import (
     PrecisionExhausted,
     UnknownBound,
 )
-from .factorization import is_square_free
 from .reports import BoundReport
 
 SCHEMA_VERSION = "ellmult/1"
@@ -190,7 +189,7 @@ def _analytic_doc(curve, point, precision_bits: int) -> dict:
     }
     if point is not None:
         try:
-            z = analytic.elliptic_log(curve, point, precision_bits, data.roots)
+            z = analytic.elliptic_log(data, point)
             doc["elliptic_log"] = float(z)
             doc["elliptic_log_str"] = str(z)
         except NotIdentityComponent as exc:
@@ -205,7 +204,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     profile = localdata.global_M(curve, point)
     estimate = heights.canonical_height(curve, point, tol=args.tol)
     reports = [heights.height_window_check(curve, point, estimate)]
-    N = _congruent_parameter(curve)
+    N = _congruent_parameter(curve, profile)
     if N is not None and estimate.torsion_order is None:
         reports.extend(congruent.height_windows(N, point, estimate.value))
         if terms is not None:
@@ -226,14 +225,15 @@ def _is_integral(point) -> bool:
     return point.x.denominator == 1 and point.y.denominator == 1
 
 
-def _congruent_parameter(curve) -> Optional[int]:
+def _congruent_parameter(curve, profile: localdata.ComponentProfile) -> Optional[int]:
     """N when the curve is y^2 = x^3 - N^2 x with N square-free, else None."""
     if curve.B != 0 or curve.A >= 0:
         return None
     root = math.isqrt(-curve.A)
     if root * root != -curve.A:
         return None
-    return root if is_square_free(root) else None
+    # N is square-free iff it is the product of the primes of profile (those of 64 N^6) that divide it
+    return root if math.prod(p for p, _ in profile.entries if root % p == 0) == root else None
 
 
 def cmd_eds(args: argparse.Namespace) -> int:
@@ -311,8 +311,6 @@ def _threshold_N() -> BoundReport:
 
 
 def _double_not_integral(N: int, x: str) -> BoundReport:
-    if Fraction(x).denominator != 1:
-        raise ValueError(f"abscissa {x} is not an integer")
     return congruent.verify_double_not_integral(N, congruent.point_from_abscissa(N, x))
 
 

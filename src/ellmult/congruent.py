@@ -345,8 +345,8 @@ def _last_true(predicate, lo: int, hi: int) -> Optional[int]:
     return lo
 
 
-def resolve_N_threshold(scan_max: int = 5000) -> Tuple[Optional[int], Optional[int]]:
-    """Largest N in [2, scan_max) compatible with each branch of the multiplier cap at n1 = 11.
+def resolve_N_threshold() -> Tuple[Optional[int], Optional[int]]:
+    """Largest N in [2, 5000) compatible with each branch of the multiplier cap at n1 = 11.
 
     Branch one compares the gap floor against log(3.6e27), branch two against
     log(9.196e23 (log N)^{5/2}).  Each branch holds on a prefix of N, so each
@@ -361,9 +361,9 @@ def resolve_N_threshold(scan_max: int = 5000) -> Tuple[Optional[int], Optional[i
     """
     ctx = context(bounds.EVAL_BITS)
     cap_small = ctx.ln(ctx.mpf(N_CAP_SMALL))
-    branch1 = _last_true(lambda N: gap_floor(11, N) <= cap_small, 2, scan_max)
+    branch1 = _last_true(lambda N: gap_floor(11, N) <= cap_small, 2, 5000)
     branch2 = _last_true(
-        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), 2, scan_max
+        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), 2, 5000
     )
     return branch1, branch2
 

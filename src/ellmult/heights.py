@@ -4,11 +4,11 @@ The canonical height is the doubling limit (1/2) lim h(x_{2^k P}) / 4^k.
 Running it literally squares the coordinate size every step, so the engine
 renormalizes, and each step does integer work only.  Integers (u, v) at
 scale 2^W, W = precision_bits + 32, carry the size of numerator and
-denominator, with precision_bits = HEIGHT_BITS = 128 unless a caller asks
-for more: the duplication forms are exact integer products of u^2, v^2
-and uv, and one integer division per coordinate renormalizes them by
-m = max(|U|, V).  Then h(x_{2^k P}) = 4 h(x_{2^(k-1) P}) + ln(m / 2^(4W))
-- ln(g), where g is the common factor the exact doubling divides out.
+denominator, with precision_bits = HEIGHT_BITS = 128 for canonical_height:
+the duplication forms are exact integer products of u^2, v^2 and uv, and
+one integer division per coordinate renormalizes them by m = max(|U|, V).
+Then h(x_{2^k P}) = 4 h(x_{2^(k-1) P}) + ln(m / 2^(4W)) - ln(g), where g
+is the common factor the exact doubling divides out.
 
 The engine runs in two phases.  In the exact phase, integer residues modulo
 a shrinking power of the discriminant recover each g exactly.  The resultant
@@ -51,7 +51,6 @@ HEIGHT_BITS = 128
 LANG_SMALL_HEIGHT_CUTOFF = 2 * (28 * math.log(2) + 24 * math.log(3))
 
 HEIGHT_WINDOW_CITATION = "|hhat(P) - h(x_P)/2| < 2 h(E)"
-LANG_FLOOR_CITATION = "hhat(P) >= h(E) / (10^5 M^6) once h(E) >= 56 log 2 + 48 log 3"
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,15 @@ class HeightEstimate:
         return self.value
 
 
-def torsion_order(c: Curve, P: RatPoint, limit: int = TORSION_SCAN_LIMIT) -> Optional[int]:
-    """Smallest n <= limit with n*P at infinity, or None.
+def torsion_order(c: Curve, P: RatPoint) -> Optional[int]:
+    """Smallest n <= TORSION_SCAN_LIMIT with n*P at infinity, or None.
 
-    Rational torsion has order at most 12, so the default limit is a complete
-    torsion test.  On an integral model torsion points are integral
+    Rational torsion has order at most 12, so the scan is a complete torsion
+    test.  On an integral model torsion points are integral
     (Nagell-Lutz), so the first multiple with a non-integral x proves that P
     has infinite order and ends the scan.
     """
-    for n, Q in enumerate(islice(multiple_triples(c, P), limit), 1):
+    for n, Q in enumerate(islice(multiple_triples(c, P), TORSION_SCAN_LIMIT), 1):
         if Q is None:
             return n
         if Q[2] > 1:
@@ -142,21 +141,15 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
     return context(precision_bits).mpf(s)
 
 
-def canonical_height(
-    c: Curve,
-    P: RatPoint,
-    tol: float = 1e-10,
-    depth_cap: int = DEPTH_CAP,
-    precision_bits: int = HEIGHT_BITS,
-) -> HeightEstimate:
+def canonical_height(c: Curve, P: RatPoint, tol: float = 1e-10) -> HeightEstimate:
     """Doubling-limit canonical height, iterated to a window-certified depth.
 
     |hhat(Q) - h(x_Q)/2| <= 2 h(E) bounds the truncation error at depth k by
     2 h(E) / 4^k, so the depth needed for tol is known up front; an observed
     small successive difference alone is never trusted (large points can show
     one far from the limit).  Torsion (detected by a complete small-multiple
-    scan) returns exactly 0.  Raises PrecisionExhausted when the required
-    depth exceeds the doubling-depth cap.
+    scan) returns exactly 0.  The doubling runs at HEIGHT_BITS and raises
+    PrecisionExhausted when the required depth exceeds DEPTH_CAP.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -165,11 +158,9 @@ def canonical_height(
         return HeightEstimate(0.0, tol, 0, order)
     hE = float(curve_height(c))
     depth = max(1, math.ceil(math.log(2 * hE / tol, 4)))
-    if depth > depth_cap:
-        raise PrecisionExhausted(
-            f"tolerance {tol} needs doubling depth {depth}, beyond the cap {depth_cap}"
-        )
-    s = _renormalized_doubling(c, P, depth, precision_bits)
+    if depth > DEPTH_CAP:
+        raise PrecisionExhausted(f"tolerance {tol} needs doubling depth {depth}, beyond the cap {DEPTH_CAP}")
+    s = _renormalized_doubling(c, P, depth, HEIGHT_BITS)
     return HeightEstimate(float(s / (2 * 4**depth)), tol, depth, None)
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -87,36 +88,38 @@ def test_omega_floor():
 
 
 def test_elliptic_log_half_period_at_two_torsion():
-    z = elliptic_log(E5, rational_point(5, 0))
-    w = period_data(E5, 128).omega
+    data = period_data(E5, 128)
+    z = elliptic_log(data, rational_point(5, 0))
+    w = data.omega
     assert abs(z - w / 2) < CTX.mpf(2) ** -120
 
 
 def test_elliptic_log_rejects_bounded_component():
     for x, y in [(0, 0), (-5, 0), (-4, 6)]:
         with pytest.raises(NotIdentityComponent):
-            elliptic_log(E5, rational_point(x, y))
+            elliptic_log(period_data(E5, 128), rational_point(x, y))
 
 
 def test_elliptic_log_infinity_is_zero():
-    assert elliptic_log(E5, INFINITY) == 0
+    assert elliptic_log(period_data(E5, 128), INFINITY) == 0
 
 
 def test_weierstrass_inversion():
     for (A, B), (x, y) in [((-25, 0), (45, 300)), ((0, 2), (-1, 1)), ((-2, 2), (1, 1))]:
         c = make_curve(A, B)
-        z = elliptic_log(c, rational_point(x, y), 160)
-        assert elliptic_log(c, rational_point(x, y), 160, period_data(c, 160).roots) == z
-        px, py = weierstrass_point(c, z, 160)
+        data = period_data(c, 160)
+        z = elliptic_log(data, rational_point(x, y))
+        px, py = weierstrass_point(data, z)
         assert abs(px - x) < 1e-30
         assert abs(py - y) < 1e-30
 
 
 def test_log_additivity_mod_lattice():
     P = rational_point(45, 300)
-    z1 = elliptic_log(E5, P, 160)
-    z2 = elliptic_log(E5, multiply(E5, 2, P), 160)
-    w = period_data(E5, 160).omega
+    data = period_data(E5, 160)
+    z1 = elliptic_log(data, P)
+    z2 = elliptic_log(data, multiply(E5, 2, P))
+    w = data.omega
     k = (2 * z1 - z2) / w
     assert abs(k - CTX.nint(k)) < 1e-35
 
@@ -166,6 +169,15 @@ def test_torsion_roots_that_do_not_converge_exhaust_precision(monkeypatch):
     assert str(caught.value) == "division polynomial roots at n=3: did not converge in 400 steps"
 
 
+def test_torsion_roots_let_other_errors_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("not a root finder's failure")
+
+    monkeypatch.setattr(MPContext, "polyroots", broken)
+    with pytest.raises(TypeError):
+        torsion_x_coords(E5, 3)
+
+
 def test_congruent_torsion_abscissa_bound():
     # |x| <= n^2 N / 2 for every n-torsion abscissa on y^2 = x^3 - N^2 x
     for N in (5, 15, 29):
@@ -194,7 +206,7 @@ def test_large_x_log_window():
         c = make_curve(A, B)
         two_torsion = max(abs(r) for r in torsion_x_coords(c, 2))
         assert x >= 2 * two_torsion
-        z = elliptic_log(c, rational_point(x, y), 128)
+        z = elliptic_log(period_data(c, 128), rational_point(x, y))
         val = math.log(abs(float(z))) + 0.5 * math.log(x)
         assert -cap <= val <= cap
 
@@ -291,7 +303,7 @@ def test_elliptic_log_is_correctly_rounded_at_its_working_precision(sign):
     x = Fraction(428614045485163378013009218321, 31955667216432795403292069136)
     y = Fraction(260381543724184737325445123907673963189858681, 5712442409314703256068461556718665349719616)
     P = rational_point(x, sign * y)
-    z = elliptic_log(E5, P, 128)
+    z = elliptic_log(period_data(E5, 128), P)
     assert str(z) == ("-" if sign > 0 else "") + "0.27708264336724377855311489811930922126922771166"
     assert z == context(160).mpf(_reference_log(E5, P, 416))
 
@@ -302,12 +314,13 @@ def _check_against_quad(A, B, x, y, n, bits):
     ctx = context(2 * bits)
     tol = ctx.mpf(2) ** -(bits + 24)
     omega = _reference_period(c, 2 * bits)
-    assert abs(period_data(c, bits).omega_carlson - omega) <= omega * tol
+    data = period_data(c, bits)
+    assert abs(data.omega_carlson - omega) <= omega * tol
     P = multiply(c, n, rational_point(x, y))
     if P.is_infinity or P.y == 0:
         return
     try:
-        z = elliptic_log(c, P, bits)
+        z = elliptic_log(data, P)
     except NotIdentityComponent:
         return
     assert abs(z - _reference_log(c, P, 2 * bits)) <= omega * tol
@@ -333,15 +346,37 @@ def test_kernel_matches_quad_at_twice_the_precision_at_512_bits():
 def test_elliptic_log_near_two_torsion(bits):
     # (2, 3) lies 9/A from the real 2-torsion point
     c = make_curve(10**16 + 7, -2 * 10**16 - 13)
-    z = elliptic_log(c, rational_point(2, 3), bits)
+    data = period_data(c, bits)
+    z = elliptic_log(data, rational_point(2, 3))
     assert str(z).startswith("-0.000185407466459")
     ctx = context(2 * bits)
     e1, e2, e3 = _polyroots(c, ctx)
     reference = -ctx.re(ctx.elliprf(2 - e1, 2 - e2, 2 - e3))
     assert abs(z - reference) <= abs(reference) * ctx.mpf(2) ** -(bits + 16)
     # near 2-torsion the inverse map is ill-conditioned: x came back to 5e-41 at 128 bits
-    x, _ = weierstrass_point(c, z, bits)
+    x, _ = weierstrass_point(data, z)
     assert abs(x - 2) <= 2 * 1e-35
+
+
+def _near_root_curve(k):
+    """(10^k + 7, 1 - 2(10^k + 7)), whose one real root lies 9/A from x = 2; (2, 3) is on it."""
+    A = 10**k + 7
+    return make_curve(A, 1 - 2 * A)
+
+
+@lru_cache(maxsize=None)
+def _near_root_reference(k):
+    return elliptic_log(period_data(_near_root_curve(k), 2048), rational_point(2, 3))
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512])
+@pytest.mark.parametrize("k", [44, 50, 60, 100])
+def test_elliptic_log_near_a_root_keeps_its_precision(k, bits):
+    # x - e1 cancels about log2(A) bits here; taken at the working precision
+    # alone, it left the log 2^-123.9 (relative) off at k = 50 and 128 bits
+    z = elliptic_log(period_data(_near_root_curve(k), bits), rational_point(2, 3))
+    reference = _near_root_reference(k)
+    assert abs(z - reference) <= abs(reference) * context(2048).mpf(2) ** -(bits + 16)
 
 
 # --- root isolation -------------------------------------------------------------

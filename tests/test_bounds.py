@@ -159,7 +159,7 @@ def test_crossing_point_degenerate():
     # rhs already below x^2 at the left end
     assert crossing_point(lambda x: 1) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        crossing_point(lambda x: x**3, hi_log=50.0)
+        crossing_point(lambda x: x**3)
 
 
 def test_n_cap_general_small_height_sentinel():

@@ -15,7 +15,7 @@ import pytest
 from mpmath.ctx_mp import MPContext
 
 import ellmult
-from ellmult import analytic, bounds, cli, curves, heights
+from ellmult import analytic, bounds, cli, congruent, curves, factorization, heights
 from ellmult._precision import context
 from test_analytic import _polyroots
 
@@ -303,6 +303,23 @@ def test_analyze_computes_each_quantity_once(capsys, monkeypatch, argv):
     assert code == 0
     # the elliptic log reuses the roots that period_data isolated
     assert calls == {"torsion_order": 1, "canonical_height": 1, "_cubic_roots": 1}
+
+
+def test_analyze_factors_N_once(capsys, monkeypatch):
+    calls = Counter()
+    original = factorization.factor_int
+
+    def counting(n):
+        calls[n] += 1
+        return original(n)
+
+    for module in (congruent, curves, factorization):
+        monkeypatch.setattr(module, "factor_int", counting)
+    code, _ = run(capsys, "analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "30")
+    assert code == 0
+    # the discriminant 64 N^6 once for the reduction profile, which also decides
+    # that N is square-free, and N once where the congruent windows validate it
+    assert calls == {5: 1, 1000000: 1}
 
 
 def test_heights_computes_each_quantity_once(capsys, monkeypatch):
@@ -966,11 +983,19 @@ def test_bounds_double_not_integral(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("x", ["-4.5", "7/2"])
-def test_bounds_double_not_integral_rejects_fraction(capsys, x):
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ("-4.5", "abscissa -4.5 carries no rational point for N = 5"),
+        ("7/2", "abscissa 7/2 carries no real point for N = 5"),
+        ("1681/144", "abscissa 1681/144 is not an integer"),
+    ],
+    ids=["-4.5", "7/2", "1681/144"],
+)
+def test_bounds_double_not_integral_rejects_fraction(capsys, x, message):
     code, doc = run_json(capsys, "bounds", "double-not-integral", "--N", "5", "--x", x)
     assert code == 2
-    assert doc["error"] == {"type": "ValueError", "message": f"abscissa {x} is not an integer", "exit_code": 2}
+    assert doc["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
 
 
 @pytest.mark.parametrize("x", ["-4", "-4.0", "-8/2"])

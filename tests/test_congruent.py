@@ -291,21 +291,28 @@ def test_resolve_N_threshold():
     assert resolve_N_threshold() == (75, 54)
 
 
-def _linear_threshold(scan_max):
+def _branch_predicates():
+    """resolve_N_threshold's two branches at n1 = 11, as predicates on N."""
     ctx = context(128)
-    branch1 = branch2 = None
-    for N in range(2, scan_max):
-        floor = gap_floor(11, N)
-        if floor <= ctx.ln(ctx.mpf(N_CAP_SMALL)):
-            branch1 = N
-        if floor <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")):
-            branch2 = N
-    return branch1, branch2
+    return (
+        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_SMALL)),
+        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")),
+    )
 
 
-@pytest.mark.parametrize("scan_max", [3, 56, 76, 77, 100, 5000])
-def test_resolve_N_threshold_matches_linear_scan(scan_max):
-    assert resolve_N_threshold(scan_max) == _linear_threshold(scan_max)
+@pytest.mark.parametrize("hi", [3, 56, 76, 77, 100, 5000])
+def test_resolve_N_threshold_matches_linear_scan(hi):
+    # bisection over [2, hi) against the last N in [2, hi) where each branch holds
+    scans = []
+    for predicate in _branch_predicates():
+        last = None
+        for N in range(2, hi):
+            if predicate(N):
+                last = N
+        assert congruent._last_true(predicate, 2, hi) == last
+        scans.append(last)
+    if hi == 5000:
+        assert tuple(scans) == resolve_N_threshold() == (75, 54)
 
 
 def test_resolve_N_threshold_bisects(monkeypatch):

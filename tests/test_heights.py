@@ -61,15 +61,14 @@ def test_torsion_scan_matches_full_scan_on_golden_multiples(golden_multiples):
             assert torsion_order(c, Q) == _full_scan(c, Q), (N, x, n)
 
 
-@pytest.mark.parametrize("limit", [1, 2, 5, 12])
-def test_torsion_scan_matches_full_scan_on_torsion_points(limit):
+def test_torsion_scan_matches_full_scan_on_torsion_points():
     c = make_curve(0, 1)
     points = [(E5, rational_point(x, 0)) for x in (0, 5, -5)]
     points += [(c, rational_point(2, 3)), (c, rational_point(0, 1)), (c, rational_point(-1, 0))]
     for curve, T in points:
         for n in range(0, 7):
             Q = multiply(curve, n, T)
-            assert torsion_order(curve, Q, limit) == _full_scan(curve, Q, limit)
+            assert torsion_order(curve, Q) == _full_scan(curve, Q)
     assert torsion_order(c, rational_point(2, 3)) == 6
     assert torsion_order(c, rational_point(0, 1)) == 3
     assert torsion_order(c, rational_point(-1, 0)) == 2
@@ -229,8 +228,8 @@ def test_engine_matches_exact_doubling_on_random_curves(point):
 
 def test_internal_oracle_agreement():
     fast = canonical_height(E5, P5, 1e-10)
-    deep = canonical_height(E5, P5, 1e-13, depth_cap=28, precision_bits=512)
-    assert abs(fast.value - deep.value) < 1e-8
+    deep = _renormalized_doubling(E5, P5, 28, 512) / (2 * 4**28)
+    assert abs(fast.value - deep) < 1e-8
     assert fast.tolerance == 1e-10
     assert fast.iterations >= 1
 
@@ -274,4 +273,5 @@ def test_lang_floor_branches():
 
 def test_precision_exhausted_on_shallow_cap():
     with pytest.raises(PrecisionExhausted):
-        canonical_height(E5, P5, 1e-10, depth_cap=3)
+        # 1e-20 needs doubling depth 36, beyond DEPTH_CAP
+        canonical_height(E5, P5, 1e-20)
