@@ -1,18 +1,20 @@
 """Evaluators for the explicit inequalities behind the multiplier caps.
 
 Every implied constant is surfaced as an explicit argument or module constant;
-nothing here hides a constant inside an algorithm.  Reports carry the
-inequality they certify, spelled out, plus every input that went into it.
+nothing here hides a constant inside an algorithm.  Each inequality evaluator
+returns a BoundReport: the inequality it certifies, spelled out, every input
+that went into it, and for a cap or floor its value as the threshold (None
+where no bound applies).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ._precision import context
 from .errors import InadmissibleParameters
-from .reports import BoundReport
+from .reports import BoundReport, value_report
 
 DAVID_C = 4 * 10**41
 EVAL_BITS = 128
@@ -44,18 +46,21 @@ def linear_form_regime(M: int) -> float:
     return math.sqrt(6 / lang_constant(M))
 
 
-def multiple_height_cap(n: int, M: int, hE: float) -> float:
+def multiple_height_cap(n: int, M: int, hE: float) -> BoundReport:
     """Cap log n + (16 M^2/3 + 2) h(E) on hhat(P), valid when nP is integral."""
     if n < 2 or M < 1:
         raise ValueError("need n >= 2 and M >= 1")
-    return math.log(n) + (16 * M * M / 3 + 2) * hE
+    if hE <= 0:
+        raise ValueError("need hE > 0")
+    cap = math.log(n) + (16 * M * M / 3 + 2) * hE
+    return value_report("multiple-height-cap", {"n": n, "M": M, "hE": hE}, cap, MULTIPLE_HEIGHT_CITATION)
 
 
-def calculus_threshold(a: float, b: float) -> float:
+def calculus_threshold(a: float, b: float) -> BoundReport:
     """Point beyond which x^2 - a log x - b stays nonnegative: max{e, a + b}."""
     if a < 0 or b < 0:
         raise ValueError("coefficients must be nonnegative")
-    return max(math.e, a + b)
+    return value_report("calculus", {"a": a, "b": b}, max(math.e, a + b), CALCULUS_CITATION)
 
 
 def _derivative(coeffs: Sequence[float]) -> List[float]:
@@ -116,7 +121,7 @@ def david_admissible(
     return logB >= max(math.e * hE, log_n, log_m, logV1)
 
 
-def david_floor_log(logB: float, logV1: float, logV2: float, hE: float) -> float:
+def david_floor_log(logB: float, logV1: float, logV2: float, hE: float) -> BoundReport:
     """The floor on log|L| from log-space sizes; raises on ordering violations.
 
     Only the internally checkable ordering (log B >= log V1 >= log V2 >= h(E)
@@ -127,9 +132,13 @@ def david_floor_log(logB: float, logV1: float, logV2: float, hE: float) -> float
         raise InadmissibleParameters(
             f"need log B >= log V1 >= log V2 >= h(E) and log B >= e h(E); got {logB}, {logV1}, {logV2}, hE={hE}"
         )
+    if hE <= 0:
+        raise ValueError("need hE > 0")
     ctx = context(EVAL_BITS)
     lb = ctx.mpf(logB)
-    return float(-DAVID_C * (lb + 1) * (ctx.ln(lb) + hE + 1) ** 3 * logV1 * logV2)
+    floor = -DAVID_C * (lb + 1) * (ctx.ln(lb) + hE + 1) ** 3 * logV1 * logV2
+    inputs = {"logB": logB, "logV1": logV1, "logV2": logV2, "hE": hE, "C": float(DAVID_C)}
+    return value_report("david-floor", inputs, floor, DAVID_CITATION)
 
 
 def crossing_point(rhs: Callable[[object], object]) -> float:
@@ -161,18 +170,19 @@ def crossing_point(rhs: Callable[[object], object]) -> float:
     return float(ctx.exp(lo_y))
 
 
-def n_cap_general(M: int, hE: float) -> Optional[float]:
+def n_cap_general(M: int, hE: float) -> BoundReport:
     """Cap on multipliers n with nP integral, for curves with h(E) >= 2 pi sqrt(3).
 
     Both branches of the proof are solved at instance level: the small-n
     branch fixes log B = log V1 = (11 M^2 + 6) h(E), the large-n branch takes
     log B = log V1 = 2 log n + (11 M^2 + 4) h(E) and locates the crossover of
-    n^2 against the resulting floor.  Heights below 2 pi sqrt(3) return None.
+    n^2 against the resulting floor.  Below h(E) = 2 pi sqrt(3) no cap applies.
     """
     if M < 1:
         raise ValueError("need M >= 1")
+    inputs = {"M": M, "hE": hE, "height_floor": N_CAP_HEIGHT_FLOOR}
     if hE < N_CAP_HEIGHT_FLOOR:
-        return None
+        return value_report("n-cap-general", inputs, None, N_CAP_GENERAL_CITATION)
     ctx = context(EVAL_BITS)
     c1 = linear_form_constant(M)
     ratio = DAVID_C / c1
@@ -186,14 +196,16 @@ def n_cap_general(M: int, hE: float) -> Optional[float]:
         return ratio * (L + 1) * (ctx.ln(L) + hE + 1) ** 3 * L
 
     cap2 = crossing_point(rhs)
-    return float(max(cap1, cap2))
+    return value_report("n-cap-general", inputs, max(cap1, cap2), N_CAP_GENERAL_CITATION)
 
 
-def upper_form_bound(n: int, c1: float, hE: float) -> float:
+def upper_form_bound(n: int, c1: float, hE: float) -> BoundReport:
     """Upper bound -c1 n^2 h(E) on log|L| when nP is integral and n is large."""
     if n < 1 or c1 <= 0:
         raise ValueError("need n >= 1 and c1 > 0")
-    return -c1 * n * n * hE
+    if hE <= 0:
+        raise ValueError("need hE > 0")
+    return value_report("upper-form", {"n": n, "c1": c1, "hE": hE}, -c1 * n * n * hE, UPPER_FORM_CITATION)
 
 
 def gap_relation(n1: int, n2: int, hE: float, c1: float, omega: float) -> BoundReport:
@@ -202,6 +214,8 @@ def gap_relation(n1: int, n2: int, hE: float, c1: float, omega: float) -> BoundR
         raise ValueError("need n1 < n2")
     if omega <= 0:
         raise ValueError("omega must be positive")
+    if n1 < 1 or hE <= 0:
+        raise ValueError("need n1 >= 1 and hE > 0")
     threshold = c1 * n1 * n1 * hE + math.log(omega) - math.log(2)
     return BoundReport(
         name="gap-relation",
@@ -212,10 +226,11 @@ def gap_relation(n1: int, n2: int, hE: float, c1: float, omega: float) -> BoundR
     )
 
 
-def composite_cap(M: int, hE: float, Clam: float) -> float:
+def composite_cap(M: int, hE: float, Clam: float) -> BoundReport:
     """Cap on the smaller factor of a composite multiplier with an integral multiple."""
     if M < 1 or hE <= 0:
         raise ValueError("need M >= 1 and hE > 0")
     if Clam <= 0:
         raise ValueError("Clam must be positive")
-    return max(math.e, (1 / Clam) * (1 / hE + 16 * M * M / 3 + 2))
+    cap = max(math.e, (1 / Clam) * (1 / hE + 16 * M * M / 3 + 2))
+    return value_report("composite-cap", {"M": M, "hE": hE, "Clam": Clam}, cap, COMPOSITE_CAP_CITATION)

@@ -282,32 +282,12 @@ def cmd_periods(args: argparse.Namespace) -> int:
 # --- bounds registry --------------------------------------------------------
 
 
-def _value_report(name: str, inputs: dict, value: Optional[float], citation: str) -> BoundReport:
-    threshold, holds = (None, None) if value is None else (float(value), True)
-    return BoundReport(name=name, inputs=inputs, threshold=threshold, holds=holds, citation=citation)
-
-
 def _poly_growth(W: float, coeffs: Optional[str] = None) -> BoundReport:
-    if coeffs is None:
-        return bounds.poly_growth_check(congruent.growth_poly(), W)
     try:
-        parsed = tuple(FINITE(part) for part in coeffs.split(","))
+        parsed = congruent.growth_poly() if coeffs is None else tuple(FINITE(part) for part in coeffs.split(","))
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"argument --coeffs: {exc}") from None
     return bounds.poly_growth_check(parsed, W)
-
-
-def _n_cap_congruent(N: int) -> BoundReport:
-    value = congruent.n_cap(N)
-    ratio = congruent.growth_ratio_check(N)
-    inputs = {"N": N, "g": ratio.inputs["g"], "g_holds": ratio.holds}
-    return _value_report("n-cap-congruent", inputs, value, congruent.N_CAP_CITATION)
-
-
-def _threshold_N() -> BoundReport:
-    branch1, branch2 = congruent.resolve_N_threshold()
-    inputs = {"branch1": branch1, "branch2": branch2}
-    return _value_report("threshold-N", inputs, float(branch1), congruent.THRESHOLD_CITATION)
 
 
 def _double_not_integral(N: int, x: str) -> BoundReport:
@@ -318,26 +298,21 @@ def _nonidentity_multiplier(N: int, x: str, n: int) -> BoundReport:
     return congruent.nonidentity_multiplier(N, congruent.point_from_abscissa(N, x), n)
 
 
-# name -> (evaluator, citation, constant inputs).  With a citation the evaluator
-# returns a value that _value_report wraps; without one it returns its own report.
-BOUND_REGISTRY: Dict[str, Tuple[Callable, Optional[str], Dict[str, float]]] = {
-    "multiple-height-cap": (bounds.multiple_height_cap, bounds.MULTIPLE_HEIGHT_CITATION, {}),
-    "calculus": (bounds.calculus_threshold, bounds.CALCULUS_CITATION, {}),
-    "poly-growth": (_poly_growth, None, {}),
-    "david-floor": (bounds.david_floor_log, bounds.DAVID_CITATION, {"C": float(bounds.DAVID_C)}),
-    "n-cap-general": (
-        bounds.n_cap_general,
-        bounds.N_CAP_GENERAL_CITATION,
-        {"height_floor": bounds.N_CAP_HEIGHT_FLOOR},
-    ),
-    "upper-form": (bounds.upper_form_bound, bounds.UPPER_FORM_CITATION, {}),
-    "gap-relation": (bounds.gap_relation, None, {}),
-    "composite-cap": (bounds.composite_cap, bounds.COMPOSITE_CAP_CITATION, {}),
-    "n-cap-congruent": (_n_cap_congruent, None, {}),
-    "gap-floor": (congruent.gap_floor, congruent.GAP_FLOOR_CITATION, {}),
-    "threshold-N": (_threshold_N, None, {}),
-    "double-not-integral": (_double_not_integral, None, {}),
-    "nonidentity-multiplier": (_nonidentity_multiplier, None, {}),
+# name -> evaluator; its parameters are the bound's flags
+BOUND_REGISTRY: Dict[str, Callable[..., BoundReport]] = {
+    "multiple-height-cap": bounds.multiple_height_cap,
+    "calculus": bounds.calculus_threshold,
+    "poly-growth": _poly_growth,
+    "david-floor": bounds.david_floor_log,
+    "n-cap-general": bounds.n_cap_general,
+    "upper-form": bounds.upper_form_bound,
+    "gap-relation": bounds.gap_relation,
+    "composite-cap": bounds.composite_cap,
+    "n-cap-congruent": congruent.n_cap,
+    "gap-floor": congruent.gap_floor,
+    "threshold-N": congruent.resolve_N_threshold,
+    "double-not-integral": _double_not_integral,
+    "nonidentity-multiplier": _nonidentity_multiplier,
 }
 
 
@@ -349,7 +324,7 @@ def _signature_table(registry) -> Tuple[Dict[str, List[Tuple[str, bool]]], Dict[
     """
     params: Dict[str, List[Tuple[str, bool]]] = {}
     flag_types: Dict[str, type] = {}
-    for bound, (evaluator, _, _) in registry.items():
+    for bound, evaluator in registry.items():
         hints = typing.get_type_hints(evaluator)
         params[bound] = []
         for name, param in inspect.signature(evaluator).parameters.items():
@@ -366,23 +341,15 @@ BOUND_PARAMS, BOUND_FLAGS = _signature_table(BOUND_REGISTRY)
 def cmd_bounds(args: argparse.Namespace) -> int:
     if args.name not in BOUND_REGISTRY:
         raise UnknownBound(f"unknown bound {args.name!r}; known: {', '.join(sorted(BOUND_REGISTRY))}")
-    evaluator, citation, constants = BOUND_REGISTRY[args.name]
     params = dict(BOUND_PARAMS[args.name])
     for flag in BOUND_FLAGS:
         if flag not in params and getattr(args, flag) is not None:
             raise ValueError(f"bound {args.name} does not take --{flag}")
-    kwargs = {}
     for name, required in params.items():
-        value = getattr(args, name)
-        if value is None and required:
+        if required and getattr(args, name) is None:
             raise ValueError(f"bound requires --{name}")
-        if value is not None:
-            kwargs[name] = value
-    if citation is None:
-        report = evaluator(**kwargs)
-    else:
-        report = _value_report(args.name, {**kwargs, **constants}, evaluator(**kwargs), citation)
-    return _emit(args, {"precision_bits": bounds.EVAL_BITS, "bound": report.to_json()})
+    kwargs = {name: getattr(args, name) for name in params if getattr(args, name) is not None}
+    return _emit(args, {"precision_bits": bounds.EVAL_BITS, "bound": BOUND_REGISTRY[args.name](**kwargs).to_json()})
 
 
 # --- congruent table ---------------------------------------------------------
@@ -505,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             args = PARSER.parse_args(argv)
             _resolve_settings(args)
-        except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
+        except (ValueError, ArithmeticError) as exc:  # Fraction("1/0") raises ZeroDivisionError
             _emit_error(exc, EXIT_INPUT)
             return EXIT_INPUT
         try:
@@ -513,7 +480,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except PrecisionExhausted as exc:
             _emit_error(exc, EXIT_PRECISION)
             return EXIT_PRECISION
-        except (EllmultError, ValueError, TypeError, ZeroDivisionError) as exc:
+        except (EllmultError, ValueError, TypeError, ArithmeticError) as exc:
             _emit_error(exc, EXIT_INPUT)
             return EXIT_INPUT
 

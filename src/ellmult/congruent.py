@@ -28,7 +28,7 @@ from .divpoly import psi_value_binary
 from .errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from .factorization import factor_int, valuation
 from .heights import canonical_height, naive_height
-from .reports import BoundReport
+from .reports import BoundReport, value_report
 
 N_CAP_SMALL = 3.6e27
 N_CAP_COEFF = 9.196e23
@@ -309,11 +309,13 @@ def growth_ratio_check(N: int) -> BoundReport:
     )
 
 
-def n_cap(N: int) -> float:
-    """Cap max{3.6e27, 9.196e23 (log N)^{5/2}} on multipliers with nP integral, N >= 56."""
+def n_cap(N: int) -> BoundReport:
+    """Cap max{3.6e27, 9.196e23 (log N)^{5/2}} on multipliers with nP integral, N >= 56; inputs carry g(log N) <= 3."""
     if N < 56:
         raise ValueError("smaller N is handled by the table search")
-    return float(max(N_CAP_SMALL, N_CAP_COEFF * math.log(N) ** 2.5))
+    ratio = growth_ratio_check(N)
+    inputs = {"N": N, "g": ratio.inputs["g"], "g_holds": ratio.holds}
+    return value_report("n-cap-congruent", inputs, max(N_CAP_SMALL, N_CAP_COEFF * math.log(N) ** 2.5), N_CAP_CITATION)
 
 
 @lru_cache(maxsize=None)
@@ -321,15 +323,19 @@ def _omega_one():
     return analytic.period_data(make_curve(-1, 0), bounds.EVAL_BITS).omega
 
 
-def gap_floor(n1: int, N: int) -> float:
+def _gap_floor_value(n1: int, N: int) -> float:
+    ctx = context(bounds.EVAL_BITS)
+    logn = ctx.ln(N)
+    return float(ctx.mpf(n1) ** 2 / 8 * logn - logn / 2 + ctx.ln(_omega_one() / 2))
+
+
+def gap_floor(n1: int, N: int) -> BoundReport:
     """Floor (n1^2/8) log N - log(N)/2 + log(omega1/2) on log n2 for a second multiple."""
     if n1 < 2:
         raise ValueError("need n1 >= 2")
     if N < 1:
         raise ValueError("need N >= 1")
-    ctx = context(bounds.EVAL_BITS)
-    logn = ctx.ln(N)
-    return float(ctx.mpf(n1) ** 2 / 8 * logn - logn / 2 + ctx.ln(_omega_one() / 2))
+    return value_report("gap-floor", {"n1": n1, "N": N}, _gap_floor_value(n1, N), GAP_FLOOR_CITATION)
 
 
 def _last_true(predicate, lo: int, hi: int) -> Optional[int]:
@@ -345,13 +351,14 @@ def _last_true(predicate, lo: int, hi: int) -> Optional[int]:
     return lo
 
 
-def resolve_N_threshold() -> Tuple[Optional[int], Optional[int]]:
+def resolve_N_threshold() -> BoundReport:
     """Largest N in [2, 5000) compatible with each branch of the multiplier cap at n1 = 11.
 
     Branch one compares the gap floor against log(3.6e27), branch two against
     log(9.196e23 (log N)^{5/2}).  Each branch holds on a prefix of N, so each
-    is bisected and returns the last N where it holds, or None where it
-    fails already at N = 2.  The floor is (121/8 - 1/2) log N + const, which
+    is bisected to the last N where it holds, or None where it fails already
+    at N = 2.  The report's inputs are branch1 and branch2, and its
+    threshold is branch one's N.  The floor is (121/8 - 1/2) log N + const, which
     increases, so branch one's margin decreases.  Branch two's margin
     log(9.196e23) + (5/2) log log N - floor has derivative
     (2.5 / log N - 14.625) / N < 0 for N >= 2, since 2.5 / log 2 < 3.61.
@@ -361,11 +368,11 @@ def resolve_N_threshold() -> Tuple[Optional[int], Optional[int]]:
     """
     ctx = context(bounds.EVAL_BITS)
     cap_small = ctx.ln(ctx.mpf(N_CAP_SMALL))
-    branch1 = _last_true(lambda N: gap_floor(11, N) <= cap_small, 2, 5000)
+    branch1 = _last_true(lambda N: _gap_floor_value(11, N) <= cap_small, 2, 5000)
     branch2 = _last_true(
-        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), 2, 5000
+        lambda N: _gap_floor_value(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), 2, 5000
     )
-    return branch1, branch2
+    return value_report("threshold-N", {"branch1": branch1, "branch2": branch2}, branch1, THRESHOLD_CITATION)
 
 
 def nonidentity_multiplier(N: int, P: RatPoint, n: int) -> BoundReport:
@@ -376,6 +383,8 @@ def nonidentity_multiplier(N: int, P: RatPoint, n: int) -> BoundReport:
     """
     if P.is_infinity or not -N <= P.x <= 0:
         raise NotBoundedComponent(f"x = {P.x} lies off the bounded component -{N} <= x <= 0")
+    if n < 1:
+        raise ValueError("need n >= 1")
     bound = (
         8
         * (math.log(N) / 2 + math.log(N * N + 1) / 4 + math.log(2) / 12)

@@ -43,3 +43,9 @@ class BoundReport:
             "citation": self.citation,
             "applicable": self.applicable,
         }
+
+
+def value_report(name: str, inputs: Dict[str, Number], value: Optional[Number], citation: str) -> BoundReport:
+    """Report of a computed cap or floor: threshold is the value and holds is true, both None for no value."""
+    threshold, holds = (None, None) if value is None else (float(value), True)
+    return BoundReport(name=name, inputs=inputs, threshold=threshold, holds=holds, citation=citation)

@@ -150,8 +150,9 @@ def _growth_poly_closed_form(x):
 
 
 def test_criterion_03_threshold_reproduction(capsys):
-    thresholds_ok = congruent.resolve_N_threshold() == (75, 54)
-    calculus_ok = abs(bounds.calculus_threshold(4.1, 4.217) - 8.317) < 1e-12
+    thresholds = congruent.resolve_N_threshold().inputs
+    thresholds_ok = (thresholds["branch1"], thresholds["branch2"]) == (75, 54)
+    calculus_ok = abs(bounds.calculus_threshold(4.1, 4.217).threshold - 8.317) < 1e-12
 
     # at the stated cutoff the comparison fails, as an independent exact
     # evaluation of P(log W) - W^2 > 0 shows
@@ -172,7 +173,7 @@ def test_criterion_03_threshold_reproduction(capsys):
     ctx = context(bounds.EVAL_BITS)
     crossing = bounds.crossing_point(lambda x: ctx.polyval(list(reversed(coeffs)), ctx.ln(x)))
     certified_threshold = max(
-        N for N in range(2, 200) if congruent.gap_floor(11, N) <= math.log(certified)
+        N for N in range(2, 200) if congruent.gap_floor(11, N).threshold <= math.log(certified)
     )
     certified_ok = (
         bounds.poly_growth_check(coeffs, 7.2e27).holds is False
@@ -333,7 +334,7 @@ def test_criterion_10_scale_disclosure(capsys):
             ok = False
         except InadmissibleParameters:
             pass
-    ok = ok and bounds.david_floor_log(20.0, 10.0, 5.0, 2.5) < 0
+    ok = ok and bounds.david_floor_log(20.0, 10.0, 5.0, 2.5).threshold < 0
 
     def rhs(x):
         return 5e4 * (math.log(x) + 7.0) ** 3

@@ -40,11 +40,11 @@ def test_constants():
 
 def test_multiple_height_cap():
     hE = math.log(4 * 25)
-    assert multiple_height_cap(2, 1, hE) == pytest.approx(math.log(2) + (16 / 3 + 2) * hE)
-    assert multiple_height_cap(3, 2, 1.0) == pytest.approx(math.log(3) + 64 / 3 + 2)
+    assert multiple_height_cap(2, 1, hE).threshold == pytest.approx(math.log(2) + (16 / 3 + 2) * hE)
+    assert multiple_height_cap(3, 2, 1.0).threshold == pytest.approx(math.log(3) + 64 / 3 + 2)
     # increasing in every argument
-    assert multiple_height_cap(2, 1, 1.0) < multiple_height_cap(5, 1, 1.0)
-    assert multiple_height_cap(2, 1, 1.0) < multiple_height_cap(2, 3, 1.0)
+    assert multiple_height_cap(2, 1, 1.0).threshold < multiple_height_cap(5, 1, 1.0).threshold
+    assert multiple_height_cap(2, 1, 1.0).threshold < multiple_height_cap(2, 3, 1.0).threshold
     with pytest.raises(ValueError):
         multiple_height_cap(1, 1, 1.0)
     with pytest.raises(ValueError):
@@ -52,16 +52,16 @@ def test_multiple_height_cap():
 
 
 def test_calculus_threshold_values():
-    assert calculus_threshold(4.1, 4.217) == pytest.approx(8.317)
-    assert calculus_threshold(0.0, 0.0) == pytest.approx(math.e)
-    assert calculus_threshold(1.0, 10.0) == pytest.approx(11.0)
+    assert calculus_threshold(4.1, 4.217).threshold == pytest.approx(8.317)
+    assert calculus_threshold(0.0, 0.0).threshold == pytest.approx(math.e)
+    assert calculus_threshold(1.0, 10.0).threshold == pytest.approx(11.0)
     with pytest.raises(ValueError):
         calculus_threshold(-1.0, 0.0)
 
 
 @pytest.mark.parametrize("a,b", [(4.1, 4.217), (0.0, 0.0), (1.0, 10.0), (30.0, 5.0), (0.5, 200.0)])
 def test_calculus_threshold_certified_by_sampling(a, b):
-    t = calculus_threshold(a, b)
+    t = calculus_threshold(a, b).threshold
     xs = np.geomspace(t, 1000 * t, 10_000)
     assert np.all(xs * xs - a * np.log(xs) - b >= 0)
 
@@ -101,7 +101,7 @@ def test_poly_growth_degree_cap():
 def test_david_floor_literal():
     # log B = 6, log V1 = 4, log V2 = 2, hE = 2
     expected = -DAVID_C * 7 * (math.log(6) + 3) ** 3 * 4 * 2
-    got = david_floor_log(6.0, 4.0, 2.0, 2.0)
+    got = david_floor_log(6.0, 4.0, 2.0, 2.0).threshold
     assert got == pytest.approx(expected, rel=1e-12)
     assert got < 0
 
@@ -110,13 +110,13 @@ def test_david_floor_matches_log_form():
     # the floor as stated on the sizes B, V1, V2, evaluated on their logs
     B, V1, V2, hE = math.e**6, math.e**4, math.e**2.5, 2.0
     expected = -DAVID_C * (math.log(B) + 1) * (math.log(math.log(B)) + hE + 1) ** 3 * math.log(V1) * math.log(V2)
-    got = david_floor_log(math.log(B), math.log(V1), math.log(V2), hE)
+    got = david_floor_log(math.log(B), math.log(V1), math.log(V2), hE).threshold
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_david_floor_scales_linearly_in_log_v2():
-    one = david_floor_log(20.0, 8.0, 2.0, 2.0)
-    two = david_floor_log(20.0, 8.0, 4.0, 2.0)
+    one = david_floor_log(20.0, 8.0, 2.0, 2.0).threshold
+    two = david_floor_log(20.0, 8.0, 4.0, 2.0).threshold
     assert two == pytest.approx(2 * one, rel=1e-12)
 
 
@@ -163,26 +163,27 @@ def test_crossing_point_degenerate():
 
 
 def test_n_cap_general_small_height_sentinel():
-    assert n_cap_general(1, 10.0) is None
-    assert n_cap_general(1, 2 * math.pi * math.sqrt(3) + 0.01) is not None
+    assert n_cap_general(1, 10.0).threshold is None
+    assert n_cap_general(1, 2 * math.pi * math.sqrt(3) + 0.01).threshold is not None
 
 
 def test_n_cap_general_ratio():
     # quadrupling h(E) should scale the cap by roughly 4^2.5 = 32
-    lo = n_cap_general(1, 1000.0)
-    hi = n_cap_general(1, 4000.0)
+    lo = n_cap_general(1, 1000.0).threshold
+    hi = n_cap_general(1, 4000.0).threshold
     assert abs(hi / lo - 32.0) < 3.2
 
 
 def test_n_cap_general_monotone():
-    assert n_cap_general(1, 20.0) < n_cap_general(1, 200.0)
-    assert n_cap_general(1, 50.0) < n_cap_general(2, 50.0)
+    assert n_cap_general(1, 20.0).threshold < n_cap_general(1, 200.0).threshold
+    assert n_cap_general(1, 50.0).threshold < n_cap_general(2, 50.0).threshold
 
 
 def test_upper_form_bound():
-    assert upper_form_bound(10, 1 / 8, math.log(5)) == pytest.approx(-100 / 8 * math.log(5))
-    assert upper_form_bound(20, 1 / 8, math.log(5)) == pytest.approx(4 * upper_form_bound(10, 1 / 8, math.log(5)))
-    assert upper_form_bound(3, 5e-6, 11.0) < 0
+    ten = upper_form_bound(10, 1 / 8, math.log(5)).threshold
+    assert ten == pytest.approx(-100 / 8 * math.log(5))
+    assert upper_form_bound(20, 1 / 8, math.log(5)).threshold == pytest.approx(4 * ten)
+    assert upper_form_bound(3, 5e-6, 11.0).threshold < 0
     with pytest.raises(ValueError):
         upper_form_bound(0, 1 / 8, 1.0)
     with pytest.raises(ValueError):
@@ -202,8 +203,8 @@ def test_gap_relation():
 
 
 def test_composite_cap():
-    assert composite_cap(1, 10.0, 1e-5) == pytest.approx(1e5 * (0.1 + 16 / 3 + 2))
-    assert composite_cap(1, 10.0, 1e6) == pytest.approx(math.e)
+    assert composite_cap(1, 10.0, 1e-5).threshold == pytest.approx(1e5 * (0.1 + 16 / 3 + 2))
+    assert composite_cap(1, 10.0, 1e6).threshold == pytest.approx(math.e)
     with pytest.raises(ValueError):
         composite_cap(1, 10.0, 0.0)
 

@@ -760,12 +760,12 @@ def test_bound_flags_from_signatures():
     def takes_float(n: float, coeffs: Optional[str] = None) -> float:
         return n
 
-    assert cli._signature_table({"f": (takes_float, "c", {})}) == (
+    assert cli._signature_table({"f": takes_float}) == (
         {"f": [("n", True), ("coeffs", False)]},
         {"n": float, "coeffs": str},
     )
     with pytest.raises(TypeError, match="--n is annotated both int and float"):
-        cli._signature_table({"i": (takes_int, "c", {}), "f": (takes_float, "c", {})})
+        cli._signature_table({"i": takes_int, "f": takes_float})
 
 
 def test_readme_lists_every_bound_with_its_flags():
@@ -941,6 +941,19 @@ def test_bounds_float_flags_must_be_finite_exit_2(capsys, flag, value):
         (["n-cap-general", "--M", "0", "--hE", "11"], "need M >= 1"),
         (["composite-cap", "--M", "1", "--hE", "0", "--Clam", "1"], "need M >= 1 and hE > 0"),
         (["poly-growth", "--W", "-5"], "W must be positive"),
+        (["multiple-height-cap", "--n", "2", "--M", "1", "--hE", "-1"], "need hE > 0"),
+        (["upper-form", "--n", "2", "--c1", "1e-5", "--hE", "0"], "need hE > 0"),
+        (["david-floor", "--logB", "20", "--logV1", "10", "--logV2", "5", "--hE", "-2"], "need hE > 0"),
+        (
+            ["gap-relation", "--n1", "2", "--n2", "10", "--hE", "-3", "--c1", "1e-5", "--omega", "1"],
+            "need n1 >= 1 and hE > 0",
+        ),
+        (
+            ["gap-relation", "--n1", "-5", "--n2", "-1", "--hE", "3", "--c1", "1e-5", "--omega", "1"],
+            "need n1 >= 1 and hE > 0",
+        ),
+        (["nonidentity-multiplier", "--N", "5", "--x", "-4", "--n", "0"], "need n >= 1"),
+        (["nonidentity-multiplier", "--N", "5", "--x", "-4", "--n", "-1"], "need n >= 1"),
     ],
 )
 def test_bounds_reject_input_outside_their_statement_exit_2(capsys, argv, message):
@@ -949,21 +962,40 @@ def test_bounds_reject_input_outside_their_statement_exit_2(capsys, argv, messag
     assert doc["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
 
 
+BIG_M = str(10**200)
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, message, error",
     [
-        (["poly-growth", "--W", "2", "--coeffs", "nan,1"], "argument --coeffs: must be finite, got nan"),
-        (["poly-growth", "--W", "2", "--coeffs", "1e400"], "argument --coeffs: must be finite, got 1e400"),
+        (["poly-growth", "--W", "2", "--coeffs", "nan,1"], "argument --coeffs: must be finite, got nan", "ValueError"),
+        (
+            ["poly-growth", "--W", "2", "--coeffs", "1e400"],
+            "argument --coeffs: must be finite, got 1e400",
+            "ValueError",
+        ),
         (
             ["multiple-height-cap", "--n", "2", "--M", "1000", "--hE", "1e308"],
             "bound multiple-height-cap: threshold is inf, not a finite number",
+            "ValueError",
         ),
+        (
+            ["multiple-height-cap", "--n", "2", "--M", BIG_M, "--hE", "3"],
+            "integer division result too large for a float",
+            "OverflowError",
+        ),
+        (
+            ["composite-cap", "--M", BIG_M, "--hE", "3", "--Clam", "1"],
+            "integer division result too large for a float",
+            "OverflowError",
+        ),
+        (["n-cap-general", "--M", BIG_M, "--hE", "11"], "int too large to convert to float", "OverflowError"),
     ],
 )
-def test_bounds_never_emit_nan_or_infinity_exit_2(capsys, argv, message):
+def test_bounds_never_emit_nan_or_infinity_exit_2(capsys, argv, message, error):
     code, out = run(capsys, "bounds", *argv)
     assert code == 2
-    assert json.loads(out)["error"] == {"type": "ValueError", "message": message, "exit_code": 2}
+    assert json.loads(out)["error"] == {"type": error, "message": message, "exit_code": 2}
     assert "NaN" not in out and "Infinity" not in out
 
 

@@ -13,6 +13,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +64,24 @@ def test_document_is_unchanged(monkeypatch, entry):
         if name.startswith("ELLMULT_"):
             monkeypatch.delenv(name)
     assert replay(entry["argv"]) == entry
+
+
+def test_documents_need_no_sympy():
+    # in a fresh interpreter where `import sympy` raises ImportError
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import json, sys; sys.modules['sympy'] = None; "
+        "import test_cli_documents as t; print(json.dumps([t.replay(e['argv']) for e in t.ENTRIES]))"
+    )
+    env = {name: value for name, value in os.environ.items() if not name.startswith("ELLMULT_")}
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**env, "PYTHONPATH": os.pathsep.join((src, str(FIXTURE.parent)))},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(done.stdout) == ENTRIES
 
 
 if __name__ == "__main__":

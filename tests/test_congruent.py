@@ -267,36 +267,41 @@ def test_growth_poly_crossover():
 
 
 def test_n_cap():
-    assert n_cap(56) == pytest.approx(3.6e27)
-    assert n_cap(75) == pytest.approx(3.6e27)
+    assert n_cap(56).threshold == pytest.approx(3.6e27)
+    assert n_cap(75).threshold == pytest.approx(3.6e27)
     # the (log N)^{5/2} branch takes over around N = e^27.4
-    assert n_cap(10**12) > 3.6e27
-    assert n_cap(10**12) == pytest.approx(9.196e23 * math.log(10**12) ** 2.5)
+    assert n_cap(10**12).threshold > 3.6e27
+    assert n_cap(10**12).threshold == pytest.approx(9.196e23 * math.log(10**12) ** 2.5)
     with pytest.raises(ValueError):
         n_cap(55)
 
 
 def test_gap_floor():
     # at N = 1 only the period term survives: log(omega1 / 2) = log(1.311028...)
-    assert gap_floor(2, 1) == pytest.approx(0.2708121, abs=1e-6)
-    assert gap_floor(11, 75) == pytest.approx(63.414, abs=1e-3)
-    assert gap_floor(11, 75) <= math.log(N_CAP_SMALL) < gap_floor(11, 76)
-    assert gap_floor(11, 30) < gap_floor(12, 30)
-    assert gap_floor(11, 30) < gap_floor(11, 31)
+    assert gap_floor(2, 1).threshold == pytest.approx(0.2708121, abs=1e-6)
+    assert gap_floor(11, 75).threshold == pytest.approx(63.414, abs=1e-3)
+    assert gap_floor(11, 75).threshold <= math.log(N_CAP_SMALL) < gap_floor(11, 76).threshold
+    assert gap_floor(11, 30).threshold < gap_floor(12, 30).threshold
+    assert gap_floor(11, 30).threshold < gap_floor(11, 31).threshold
     with pytest.raises(ValueError):
         gap_floor(1, 5)
 
 
+def _resolved_branches():
+    report = resolve_N_threshold()
+    return report.inputs["branch1"], report.inputs["branch2"]
+
+
 def test_resolve_N_threshold():
-    assert resolve_N_threshold() == (75, 54)
+    assert _resolved_branches() == (75, 54)
 
 
 def _branch_predicates():
     """resolve_N_threshold's two branches at n1 = 11, as predicates on N."""
     ctx = context(128)
     return (
-        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_SMALL)),
-        lambda N: gap_floor(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")),
+        lambda N: gap_floor(11, N).threshold <= ctx.ln(ctx.mpf(N_CAP_SMALL)),
+        lambda N: gap_floor(11, N).threshold <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")),
     )
 
 
@@ -312,19 +317,28 @@ def test_resolve_N_threshold_matches_linear_scan(hi):
         assert congruent._last_true(predicate, 2, hi) == last
         scans.append(last)
     if hi == 5000:
-        assert tuple(scans) == resolve_N_threshold() == (75, 54)
+        assert tuple(scans) == _resolved_branches() == (75, 54)
 
 
 def test_resolve_N_threshold_bisects(monkeypatch):
     calls = []
+    reports = []
+    floor, report = congruent._gap_floor_value, congruent.value_report
 
     def counted(n1, N):
         calls.append(N)
-        return gap_floor(n1, N)
+        return floor(n1, N)
 
-    monkeypatch.setattr(congruent, "gap_floor", counted)
-    assert resolve_N_threshold() == (75, 54)
+    def counted_report(*args):
+        reports.append(args[0])
+        return report(*args)
+
+    monkeypatch.setattr(congruent, "_gap_floor_value", counted)
+    monkeypatch.setattr(congruent, "value_report", counted_report)
+    assert _resolved_branches() == (75, 54)
     assert len(calls) <= 40
+    # the bisection compares plain floats and builds one report at the end
+    assert reports == ["threshold-N"]
 
 
 def test_nonidentity_multiplier():
