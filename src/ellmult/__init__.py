@@ -54,7 +54,7 @@ from .heights import (
     naive_height,
     torsion_order,
 )
-from .localdata import ComponentProfile, component_order, global_M
+from .localdata import ComponentProfile, global_M
 from .analytic import (
     LinearForm,
     PeriodData,
@@ -100,7 +100,6 @@ __all__ = [
     "add",
     "bounds",
     "canonical_height",
-    "component_order",
     "congruent",
     "curve_height",
     "elliptic_log",

@@ -420,11 +420,11 @@ def principal_linear_form(n: int, z, omega) -> LinearForm:
     return LinearForm(n=n, m=m, value=value)
 
 
-def torsion_x_coords(c: Curve, n: int, precision_bits: int = 128) -> List[object]:
-    """Complex x-coordinates of the nontrivial n-torsion, from the division polynomial."""
+def torsion_x_coords(c: Curve, n: int) -> List[object]:
+    """Complex x-coordinates of the nontrivial n-torsion, from the division polynomial, at 128 bits."""
     if not 2 <= n <= 12:
         raise ValueError("n must be between 2 and 12")
-    ctx = context(precision_bits + GUARD_BITS)
+    ctx = context(128 + GUARD_BITS)
     pol = psi_polynomial(c, n)
     coeffs = [ctx.mpf(a) for a in reversed(pol.coefficients)]
     try:

@@ -364,7 +364,7 @@ def _parse_table_csv(text: str) -> Dict[int, List[Tuple[int, int, str]]]:
 
 
 def cmd_congruent_table(args: argparse.Namespace) -> int:
-    table = congruent.reproduce_table(N_max=args.N_max, x_max=args.x_max, height_tol=args.tol)
+    table = congruent.reproduce_table(N_max=args.N_max, x_max=args.x_max)
     csv_text = congruent.table_csv(table)
     computed = _parse_table_csv(csv_text)
     golden_text = resources.files("ellmult").joinpath(GOLDEN_RESOURCE).read_text()
@@ -441,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--N-max", dest="N_max", default=GOLDEN_N_MAX,
         type=_checked(int, lambda v: 1 <= v <= GOLDEN_N_MAX, f"between 1 and {GOLDEN_N_MAX}"),
     )
-    _add_settings(table, cmd_congruent_table, ("x_max", "tol"))
+    _add_settings(table, cmd_congruent_table, ("x_max",))
 
     return parser
 

@@ -32,7 +32,6 @@ from .reports import BoundReport, value_report
 
 N_CAP_SMALL = 3.6e27
 N_CAP_COEFF = 9.196e23
-TABLE_N_VALUES = (5, 6, 7, 14, 15, 21, 22, 29, 30, 34, 39, 41, 46, 65, 69, 70)
 HEIGHT_RATIO_LIMIT = 121
 
 DOUBLE_CITATION = "x(2P) = (x^2 + N^2)^2 / (4 (x^3 - N^2 x)) has ord_2 < 0 for integral non-torsion P"
@@ -553,12 +552,14 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     return [rational_point(x, y) for x, y in sorted(hits)]
 
 
-def reproduce_table(N_max: int = 75, x_max: int = 10**6, height_tol: float = 1e-10) -> IntegralPointTable:
+def reproduce_table(N_max: int = 75, x_max: int = 10**6) -> IntegralPointTable:
     """Rebuild the integral-point table for square-free N <= N_max.
 
     Rows appear only for N with non-torsion integral points; each row carries
-    canonical heights and the pairwise check that no height reaches 121 times
-    another (which would allow one point to be a multiple of another).
+    canonical heights at canonical_height's default tolerance (doubling depth
+    19 for every N <= 75, the depth of the golden file) and the pairwise
+    check that no height reaches 121 times another (which would allow one
+    point to be a multiple of another).
     The square-free N come from a sieve, so the search's validation is the
     only factorization of each N.
     """
@@ -573,7 +574,7 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6, height_tol: float = 1e-
         if not points:
             continue
         c = make_curve(-N * N, 0)
-        heights = tuple(float(canonical_height(c, P, tol=height_tol)) for P in points)
+        heights = tuple(float(canonical_height(c, P)) for P in points)
         ratio_ok = all(hp < HEIGHT_RATIO_LIMIT * hq for hp in heights for hq in heights)
         rows.append(TableRow(N, tuple(points), heights, ratio_ok))
     return IntegralPointTable(tuple(rows), N_max, x_max)

@@ -1,7 +1,9 @@
 """Reduction data at finite primes.
 
 Membership in the identity component is decided on the short Weierstrass
-model by the nonsingular-reduction criterion.  At p in {2, 3} the short
+model by the nonsingular-reduction criterion.  global_M reads the
+component order at every bad prime off one walk of P, 2P, 3P, ..., testing
+each prime not yet resolved on each multiple.  At p in {2, 3} the short
 model can misclassify, so every answer there carries a warning and the
 aggregate profile reports the lcm both with and without those primes.
 """
@@ -48,14 +50,6 @@ def bad_primes(c: Curve) -> list:
     return prime_divisors(c.discriminant)
 
 
-def _warn_if_small(p: int) -> None:
-    if p in SMALL_PRIMES:
-        warnings.warn(
-            UnreliableAtSmallPrime(f"component membership at p={p} uses the short-model criterion"),
-            stacklevel=3,
-        )
-
-
 def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
     """Whether the point with triple T reduces to a nonsingular point mod p.
 
@@ -69,37 +63,38 @@ def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
     return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
 
 
-def component_order(c: Curve, p: int, P: RatPoint) -> int:
-    """Least r >= 1 with r*P in the identity component at p; r = 1 means P itself is in it.
-
-    The curve must already be quasi-minimal (it cannot be rescaled at p).  The
-    search is capped at ord_p(discriminant) + 4 steps; exceeding the cap
-    means the model or the caller's preconditions are broken, not that the
-    order is large.
-    """
-    _warn_if_small(p)
-    cap = valuation(c.discriminant, p) + 4
-    for r, T in enumerate(islice(multiple_triples(c, P), cap), 1):
-        if _nonsingular_mod(c, p, T):
-            return r
-    raise CapExceeded(f"no multiple of the point entered the identity component at p={p} within {cap} steps")
-
-
 def global_M(c: Curve, P: RatPoint) -> ComponentProfile:
-    """Component orders at every bad prime and their lcm.
+    """Component orders r_p at every bad prime and their lcm, from one walk of P, 2P, 3P, ...
 
-    Good primes contribute 1 and are omitted from the entries.  When j is an
-    integer the lcm is checked against the unconditional bound of 12.
+    r_p is the least r >= 1 with r*P in the identity component at p, so
+    r_p = 1 means P itself is in it.  Good primes contribute 1 and are
+    omitted from the entries.  The curve must already be quasi-minimal (it
+    cannot be rescaled at p).  The walk tests each unresolved prime on each
+    multiple, capped at ord_p(discriminant) + 4 steps; exceeding a cap means
+    the model or the caller's preconditions are broken, not that the order
+    is large.  When j is an integer the lcm is checked against the
+    unconditional bound of 12.
     """
-    entries = []
-    flagged = []
-    for p in bad_primes(c):
-        r = component_order(c, p, P)
-        entries.append((p, r))
-        if p in SMALL_PRIMES:
-            flagged.append(p)
-    M = math.lcm(*(r for _, r in entries))
+    caps = {p: valuation(c.discriminant, p) + 4 for p in bad_primes(c)}
+    flagged = tuple(p for p in caps if p in SMALL_PRIMES)
+    for p in flagged:
+        warnings.warn(
+            UnreliableAtSmallPrime(f"component membership at p={p} uses the short-model criterion"),
+            stacklevel=2,
+        )
+    orders: Dict[int, int] = {}
+    for r, T in enumerate(islice(multiple_triples(c, P), max(caps.values())), 1):
+        for p in caps.keys() - orders.keys():
+            if r <= caps[p] and _nonsingular_mod(c, p, T):
+                orders[p] = r
+        if len(orders) == len(caps):
+            break
+    else:
+        p = min(caps.keys() - orders.keys())
+        raise CapExceeded(f"no multiple of the point entered the identity component at p={p} within {caps[p]} steps")
+    entries = tuple((p, orders[p]) for p in caps)
+    M = math.lcm(*orders.values())
     M_odd = math.lcm(*(r for p, r in entries if p not in SMALL_PRIMES))
     if c.j.denominator == 1 and M > 12:
         raise InternalInvariantError(f"integral j-invariant forces M <= 12, got {M}")
-    return ComponentProfile(tuple(entries), M, M_odd, tuple(flagged))
+    return ComponentProfile(entries, M, M_odd, flagged)

@@ -275,13 +275,13 @@ def test_criterion_07_torsion_root_bounds(capsys):
     for N in (5, 15, 29):
         E = congruent.congruent_curve(N)
         for n in range(2, 8):
-            for root in torsion_x_coords(E, n, 128):
+            for root in torsion_x_coords(E, n):
                 ok = ok and abs(root) <= n * n * N / 2 + 1e-6
     for A, B in ((-2, 1), (0, 1), (1, 1), (-7, 10), (3, 2)):
         c = make_curve(A, B)
         cap_scale = 120 * math.exp(curve_height(c).value)
         for n in range(2, 8):
-            for root in torsion_x_coords(c, n, 128):
+            for root in torsion_x_coords(c, n):
                 ok = ok and abs(root) <= n * n * cap_scale + 1e-6
     with capsys.disabled():
         _verdict(7, "division-polynomial roots inside both stated radii", ok)

@@ -80,6 +80,15 @@ def test_analyze_rational_point_skips_ward(capsys):
     assert doc["point"]["integral"] is False
 
 
+def test_analyze_off_the_congruent_family_reports_only_the_height_window(capsys):
+    # -A = 2 is not a square, so the curve is no y^2 = x^3 - N^2 x and no congruent-number report applies
+    code, doc = run_json(capsys, "analyze", "--A", "-2", "--B", "0", "--x", "2", "--y", "2", "--n-max", "3")
+    assert code == 0
+    assert [r["name"] for r in doc["reports"]] == ["height-window"]
+    assert doc["reports"][0]["holds"] is True
+    assert doc["reduction"]["r"] == {"2": 2}
+
+
 def test_negative_fraction_as_separate_argument(capsys):
     base = ["heights", "--A", "0", "--B", "17", "--x", "1/4"]
     code, doc = run_json(capsys, *base, "--y", "-33/8")
@@ -97,6 +106,7 @@ def test_negative_fraction_as_separate_argument(capsys):
         (["no-such-command"], "invalid choice"),
         (["heights", "--A", "0", "--B", "17", "--x", "1/0", "--y", "3"], "Fraction(1, 0)"),
         (["bounds", "double-not-integral", "--N", "5", "--x", "1/0"], "Fraction(1, 0)"),
+        (["congruent-table", "--N-max", "7", "--tol", "1e-12"], "unrecognized arguments: --tol 1e-12"),
     ],
 )
 def test_usage_error_is_json_exit_2(capsys, argv, message):
@@ -422,10 +432,13 @@ def test_invalid_env_value_exit_2(capsys, monkeypatch):
     code, doc = run_json(capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
     assert code == 2
     assert doc["error"]["message"].startswith("cannot parse ELLMULT_TOL='not-a-number'")
-    # periods does not take --tol, so it never reads the variable
+    # periods and congruent-table do not take --tol, so they never read the variable
     code, doc = run_json(capsys, "periods", "--A", "-25", "--B", "0")
     assert code == 0
     assert doc["command"] == "periods"
+    code, doc = run_json(capsys, "congruent-table", "--N-max", "1")
+    assert code == 0
+    assert doc["command"] == "congruent-table"
 
 
 # the settings each subcommand takes besides --format
@@ -435,7 +448,7 @@ TAKEN = {
     "heights": {"tol"},
     "periods": {"precision_bits"},
     "bounds": set(),
-    "congruent-table": {"x_max", "tol"},
+    "congruent-table": {"x_max"},
 }
 SUBCOMMAND_ARGV = {
     "analyze": ["analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6"],
@@ -474,7 +487,7 @@ def test_subcommand_takes_only_its_settings(capsys, command, setting):
 def test_settable_pairs():
     taken = parser_settings()
     assert taken == TAKEN
-    assert sum(len(settings) + 1 for settings in taken.values()) == 14
+    assert sum(len(settings) + 1 for settings in taken.values()) == 13
 
 
 def test_readme_lists_every_subcommand_with_its_settings():
@@ -508,12 +521,11 @@ TORSION_ARGV = ["--A", "-25", "--B", "0", "--x", "5", "--y", "0"]
     [
         (["heights", *TORSION_ARGV, "--tol", "1e-30"], [(), ("heights", "canonical")]),
         (["analyze", *TORSION_ARGV, "--n-max", "3", "--tol", "1e-30"], [("heights", "canonical")]),
-        (["congruent-table", "--N-max", "4", "--tol", "1e-30"], [()]),
     ],
-    ids=["heights", "analyze", "congruent-table"],
+    ids=["heights", "analyze"],
 )
 def test_tight_tolerance_reports_the_height_precision_it_ran_at(capsys, argv, height_keys):
-    # no doubling runs here (a torsion point, a table without rows), so nothing ran above 128 bits
+    # no doubling runs at a torsion point, so nothing ran above 128 bits
     code, doc = run_json(capsys, *argv)
     assert code == 0
     for keys in height_keys:

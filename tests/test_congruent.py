@@ -10,6 +10,7 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
     N_CAP_COEFF,
     N_CAP_SMALL,
-    TABLE_N_VALUES,
     binary_form_checks,
     congruent_curve,
     double_x,
@@ -42,11 +42,15 @@ from ellmult.congruent import (
     table_csv,
     verify_double_not_integral,
 )
-from ellmult.curves import INFINITY, rational_point
+from ellmult.curves import INFINITY, curve_height, rational_point
 from ellmult.divpoly import psi_value_binary, ward_terms
 from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from ellmult.factorization import factor_int, is_square_free, prime_divisors, valuation
-from ellmult.heights import canonical_height, height_window_check
+from ellmult.heights import _renormalized_doubling, canonical_height, height_window_check
+
+GOLDEN_CSV = resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
+GOLDEN_ROWS = [line.split(",") for line in GOLDEN_CSV.strip().split("\n")[1:]]
+GOLDEN_N = tuple(dict.fromkeys(int(N) for N, *_ in GOLDEN_ROWS))
 
 EXPECTED_TABLE = {
     5: ((-4, 6), (45, 300)),
@@ -406,7 +410,7 @@ def test_search_finds_points_outside_the_table():
 
 def test_search_to_1e8_adds_no_table_points():
     start = time.perf_counter()
-    for N in TABLE_N_VALUES:
+    for N in GOLDEN_N:
         assert search_integral_points(N, 10**8) == search_integral_points(N, 10**6)
     assert time.perf_counter() - start < 30
 
@@ -496,12 +500,12 @@ def test_search_memory_does_not_grow_with_the_window():
 
 
 def test_search_to_1e10_adds_no_table_points():
-    for N in TABLE_N_VALUES:
+    for N in GOLDEN_N:
         assert search_integral_points(N, 10**10) == search_integral_points(N, 10**6), N
 
 
 def test_table_matches_expected(table):
-    assert tuple(row.N for row in table.rows) == TABLE_N_VALUES
+    assert tuple(row.N for row in table.rows) == GOLDEN_N
     for row in table.rows:
         assert tuple((int(P.x), int(P.y)) for P in row.points) == EXPECTED_TABLE[row.N]
 
@@ -517,7 +521,7 @@ def test_table_factors_each_N_once(monkeypatch):
     for module in (congruent, curves, factorization):
         monkeypatch.setattr(module, "factor_int", counting)
     table = reproduce_table(75)
-    assert tuple(row.N for row in table.rows) == TABLE_N_VALUES
+    assert tuple(row.N for row in table.rows) == GOLDEN_N
     # one factorization per square-free N, the search's validation; none for the others
     assert calls == square_free
 
@@ -530,6 +534,18 @@ def test_table_heights(table):
         for hp in row.heights:
             for hq in row.heights:
                 assert hp < 121 * hq
+
+
+def test_golden_heights_are_depth_19_values():
+    # the default tolerance 1e-10 runs every golden point at doubling depth 19, and each golden hhat lies
+    # within that depth's window bound 2 h(E) / 4^19 of the depth-40 value; 9 rows (N = 5, 21, 30) round one
+    # unit lower in the 12th significant digit than the converged value
+    for N, x, y, hhat in GOLDEN_ROWS:
+        c = congruent_curve(int(N))
+        P = rational_point(int(x), int(y))
+        assert canonical_height(c, P).iterations == 19
+        converged = _renormalized_doubling(c, P, 40, 512) / (2 * 4**40)
+        assert abs(float(hhat) - converged) < 2 * curve_height(c).value / 4**19, (N, x)
 
 
 def test_table_points_have_nonintegral_small_multiples(table):

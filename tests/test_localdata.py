@@ -2,13 +2,10 @@ import warnings
 
 import pytest
 
+from ellmult import cli, curves, divpoly, heights, localdata
 from ellmult.curves import INFINITY, make_curve, multiply, rational_point
-from ellmult.errors import UnreliableAtSmallPrime
-from ellmult.localdata import (
-    bad_primes,
-    component_order,
-    global_M,
-)
+from ellmult.errors import CapExceeded, UnreliableAtSmallPrime
+from ellmult.localdata import bad_primes, global_M
 
 E5 = make_curve(-25, 0)
 E15 = make_curve(-225, 0)
@@ -38,35 +35,94 @@ def test_bad_primes_values():
         assert bad_primes(make_curve(-N * N, 0)) == _trial_primes(2 * N)
 
 
+def _orders(c, P):
+    return dict(global_M(c, P).entries)
+
+
 def test_identity_component_at_five():
-    # a point lies in the identity component exactly when its component order is 1
+    # a point lies in the identity component at p exactly when its component order there is 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert component_order(E5, 5, P5) == 1
-        assert component_order(E5, 5, rational_point(0, 0)) != 1
-        assert component_order(E5, 7, rational_point(0, 0)) == 1
-        assert component_order(E5, 5, INFINITY) == 1
+        warnings.simplefilter("ignore", UnreliableAtSmallPrime)
+        assert _orders(E5, P5)[5] == 1
+        assert _orders(E5, rational_point(0, 0))[5] != 1
+        # 7 is a good prime of E5, so it has no entry: its order is 1
+        assert 7 not in _orders(E5, rational_point(0, 0))
+        assert _orders(E5, INFINITY)[5] == 1
         # non-5-integral points reduce to the smooth point at infinity
-        assert component_order(E15, 5, multiply(E15, 2, rational_point(-9, 36))) == 1
+        assert _orders(E15, multiply(E15, 2, rational_point(-9, 36)))[5] == 1
 
 
 def test_small_prime_warning():
-    with pytest.warns(UnreliableAtSmallPrime):
-        component_order(E5, 2, P5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        global_M(E5, P5)
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (UnreliableAtSmallPrime, "component membership at p=2 uses the short-model criterion")
+    ]
+    # the warning points at global_M's caller
+    assert caught[0].filename == __file__
 
 
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_component_order_values():
-    assert component_order(E5, 5, P5) == 1
-    assert component_order(E5, 5, rational_point(0, 0)) == 2
-    assert component_order(E5, 7, P5) == 1
+    assert _orders(E5, P5) == {2: 1, 5: 1}
+    assert _orders(E5, rational_point(0, 0))[5] == 2
+    assert 7 not in _orders(E5, P5)
+    assert _orders(E5, INFINITY) == {2: 1, 5: 1}
 
 
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_multiples_stay_in_component():
     P = rational_point(-9, 36)
-    r = component_order(E15, 5, P)
+    r = _orders(E15, P)[5]
     base = multiply(E15, r, P)
     for k in range(1, 5):
-        assert component_order(E15, 5, multiply(E15, k, base)) == 1
+        assert _orders(E15, multiply(E15, k, base))[5] == 1
+
+
+def _counting_walks(monkeypatch):
+    """Count starts of curves.multiple_triples in every module that imports it."""
+    starts = []
+    original = curves.multiple_triples
+
+    def walk(c, P):
+        starts.append(P)
+        return original(c, P)
+
+    for module in (heights, localdata, divpoly):
+        monkeypatch.setattr(module, "multiple_triples", walk)
+    return starts
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@pytest.mark.parametrize("c, P", [(E5, P5), (E15, rational_point(-9, 36))], ids=["N=5", "N=15"])
+def test_global_M_walks_once(monkeypatch, c, P):
+    starts = _counting_walks(monkeypatch)
+    global_M(c, P)
+    assert len(starts) == 1
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@pytest.mark.parametrize(
+    "command, walks", [(["analyze", "--n-max", "5"], 3), (["heights"], 2)], ids=["analyze", "heights"]
+)
+@pytest.mark.parametrize("A, x, y", [(-25, -4, 6), (-225, -9, 36)], ids=["N=5", "N=15"])
+def test_commands_walk_a_fixed_number_of_times(monkeypatch, capsys, command, walks, A, x, y):
+    # ward_terms (analyze only), the torsion scan and global_M each walk once, whatever the bad primes
+    starts = _counting_walks(monkeypatch)
+    assert cli.main([*command, "--A", str(A), "--B", "0", "--x", str(x), "--y", str(y)]) == 0
+    capsys.readouterr()
+    assert len(starts) == walks
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+def test_cap_exceeded_names_the_smallest_prime(monkeypatch):
+    monkeypatch.setattr(localdata, "_nonsingular_mod", lambda c, p, T: False)
+    with pytest.raises(CapExceeded) as caught:
+        global_M(E5, P5)
+    # ord_2(10^6) + 4 = 10 steps; p = 5 overruns its cap as well
+    assert str(caught.value) == "no multiple of the point entered the identity component at p=2 within 10 steps"
 
 
 def _oracle_m(c, P):
