@@ -3,19 +3,18 @@
 Exit codes are stable: 0 success, 2 input error, 3 verification mismatch,
 4 precision exhausted.  Errors are emitted as machine-readable JSON whatever
 the requested output format.  Each subcommand takes --format and only the
-settings it reads, each checked where it is parsed.  A setting's ELLMULT_*
-environment variable is read only by subcommands that take the setting;
-explicit flags win.
+settings it reads, each checked where it is parsed.  Argv is the only input:
+a setting not given as a flag takes its default.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import inspect
 import json
 import math
-import os
 import re
 import sys
 import typing
@@ -46,10 +45,9 @@ EXIT_PRECISION = 4
 
 
 class Setting(NamedTuple):
-    """A run setting: its flag, its environment variable, the parser that converts and checks it, its default."""
+    """A run setting: its flag, the parser that converts and checks it, its default."""
 
     flag: str
-    env: str
     parse: Callable[[str], object]
     default: object
 
@@ -72,30 +70,14 @@ def _checked(convert: Callable[[str], object], holds: Callable[[object], bool], 
 FINITE = _checked(float, math.isfinite, "finite")
 
 SETTINGS: Dict[str, Setting] = {
-    "precision_bits": Setting(
-        "--precision-bits", "ELLMULT_PRECISION_BITS", _checked(int, lambda v: v >= 64, "at least 64"), 128
-    ),
-    "x_max": Setting("--x-max", "ELLMULT_X_MAX", _checked(int, lambda v: v >= 1, "at least 1"), 10**6),
-    "n_max": Setting("--n-max", "ELLMULT_N_MAX", _checked(int, lambda v: v >= 1, "at least 1"), 200),
-    "tol": Setting("--tol", "ELLMULT_TOL", _checked(float, lambda v: 0 < v < math.inf, "positive and finite"), 1e-10),
+    "precision_bits": Setting("--precision-bits", _checked(int, lambda v: v >= 64, "at least 64"), 128),
+    "x_max": Setting("--x-max", _checked(int, lambda v: v >= 1, "at least 1"), 10**6),
+    "n_max": Setting("--n-max", _checked(int, lambda v: v >= 1, "at least 1"), 200),
+    "tol": Setting("--tol", _checked(float, lambda v: 0 < v < math.inf, "positive and finite"), 1e-10),
     "output_format": Setting(
-        "--format", "ELLMULT_FORMAT", _checked(str, lambda v: v in ("json", "csv", "text"), "json, csv or text"), "json"
+        "--format", _checked(str, lambda v: v in ("json", "csv", "text"), "json, csv or text"), "json"
     ),
 }
-
-
-def _resolve_settings(args: argparse.Namespace) -> None:
-    """Fill each setting the subcommand takes from its flag, else its ELLMULT_* variable, else its default."""
-    for name in args.settings:
-        if getattr(args, name) is not None:
-            continue
-        setting = SETTINGS[name]
-        raw = os.environ.get(setting.env)
-        try:
-            value = setting.default if raw is None else setting.parse(raw)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"cannot parse {setting.env}={raw!r}: {exc}") from None
-        setattr(args, name, value)
 
 
 # --- emission -------------------------------------------------------------
@@ -121,10 +103,12 @@ def _emit(args: argparse.Namespace, body: dict) -> int:
     rows: List[Tuple[str, object]] = []
     _flatten("", doc, rows)
     if args.output_format == "csv":
-        print("key,value")
-    separator = "," if args.output_format == "csv" else " = "
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("key", "value"))
+        writer.writerows((key, f"{value}") for key, value in rows)
+        return EXIT_OK
     for key, value in rows:
-        print(f"{key}{separator}{value}")
+        print(f"{key} = {value}")
     return EXIT_OK
 
 
@@ -403,10 +387,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_settings(sp: argparse.ArgumentParser, handler: Callable, names: Tuple[str, ...]) -> None:
     """Give a subcommand --format and the named settings, which it alone reads."""
-    names = ("output_format",) + names
-    for name in names:
-        sp.add_argument(SETTINGS[name].flag, dest=name, type=SETTINGS[name].parse)
-    sp.set_defaults(handler=handler, settings=names)
+    for name in ("output_format",) + names:
+        sp.add_argument(SETTINGS[name].flag, dest=name, type=SETTINGS[name].parse, default=SETTINGS[name].default)
+    sp.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,12 +453,8 @@ def _integers_of_any_length() -> Iterator[None]:
 def main(argv: Optional[List[str]] = None) -> int:
     with _integers_of_any_length():
         try:
+            # parsing raises ValueError (usage) or ZeroDivisionError (Fraction("1/0")): exit 2 below
             args = PARSER.parse_args(argv)
-            _resolve_settings(args)
-        except (ValueError, ArithmeticError) as exc:  # Fraction("1/0") raises ZeroDivisionError
-            _emit_error(exc, EXIT_INPUT)
-            return EXIT_INPUT
-        try:
             return args.handler(args)
         except PrecisionExhausted as exc:
             _emit_error(exc, EXIT_PRECISION)

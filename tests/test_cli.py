@@ -1,6 +1,8 @@
 """Exit codes, settings, and output shapes of the command line."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import re
@@ -393,30 +395,7 @@ def test_no_command_reaches_elliprf(capsys, monkeypatch, argv):
     _run_without(capsys, monkeypatch, "elliprf", argv)
 
 
-# --- config precedence ----------------------------------------------------------
-
-
-def test_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("ELLMULT_FORMAT", "text")
-    code, out = run(capsys, "bounds", "calculus", "--a", "0", "--b", "0")
-    assert code == 0
-    assert out.startswith("schema = ellmult/1")
-
-
-def test_flag_beats_env(capsys, monkeypatch):
-    monkeypatch.setenv("ELLMULT_FORMAT", "text")
-    code, doc = run_json(
-        capsys, "bounds", "calculus", "--a", "0", "--b", "0", "--format", "json"
-    )
-    assert code == 0
-    assert doc["bound"]["threshold"] == pytest.approx(2.718281828459045)
-
-
-def test_env_n_max(capsys, monkeypatch):
-    monkeypatch.setenv("ELLMULT_N_MAX", "3")
-    code, doc = run_json(capsys, "eds", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
-    assert code == 0
-    assert len(doc["rows"]) == 4
+# --- settings: flags, defaults and rules ------------------------------------------
 
 
 def test_invalid_precision_exit_2(capsys):
@@ -425,20 +404,6 @@ def test_invalid_precision_exit_2(capsys):
     )
     assert code == 2
     assert doc["error"]["type"] == "ValueError"
-
-
-def test_invalid_env_value_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("ELLMULT_TOL", "not-a-number")
-    code, doc = run_json(capsys, "heights", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6")
-    assert code == 2
-    assert doc["error"]["message"].startswith("cannot parse ELLMULT_TOL='not-a-number'")
-    # periods and congruent-table do not take --tol, so they never read the variable
-    code, doc = run_json(capsys, "periods", "--A", "-25", "--B", "0")
-    assert code == 0
-    assert doc["command"] == "periods"
-    code, doc = run_json(capsys, "congruent-table", "--N-max", "1")
-    assert code == 0
-    assert doc["command"] == "congruent-table"
 
 
 # the settings each subcommand takes besides --format
@@ -476,8 +441,10 @@ def test_subcommand_takes_only_its_settings(capsys, command, setting):
     argv = SUBCOMMAND_ARGV[command] + [cli.SETTINGS[setting].flag, SETTING_VALUES[setting]]
     if setting == "output_format" or setting in TAKEN[command]:
         args = cli.build_parser().parse_args(argv)
-        assert set(args.settings) == TAKEN[command] | {"output_format"}
+        assert {name for name in cli.SETTINGS if hasattr(args, name)} == TAKEN[command] | {"output_format"}
         assert getattr(args, setting) == cli.SETTINGS[setting].parse(SETTING_VALUES[setting])
+        args = cli.build_parser().parse_args(SUBCOMMAND_ARGV[command])
+        assert getattr(args, setting) == cli.SETTINGS[setting].default
     else:
         code, doc = run_json(capsys, *argv)
         assert code == 2
@@ -497,6 +464,21 @@ def test_readme_lists_every_subcommand_with_its_settings():
     flags = {setting.flag: name for name, setting in cli.SETTINGS.items()}
     listed = {name: {flags[f] for f in re.findall(r"`(--[\w-]+)`", cell)} for name, cell in rows}
     assert listed == parser_settings()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for command, argv in SUBCOMMAND_ARGV.items() if command != "congruent-table"]
+    + [["bounds", "n-cap-congruent", "--N", "56"]],
+    ids=" ".join,
+)
+def test_csv_document_has_two_fields_a_row(capsys, argv):
+    # values such as the boundary note and a bound's citation hold commas, and are quoted
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["key", "value"]
+    assert [len(row) for row in rows] == [2] * len(rows)
 
 
 @pytest.mark.parametrize("tol", ["1e-10", "1e-3", "0.5"])
@@ -545,12 +527,11 @@ def test_tight_tolerance_reports_the_height_precision_it_ran_at(capsys, argv, he
         ["gap-floor", "--n1", "11", "--N", "75"],
     ],
 )
-def test_bounds_report_the_precision_they_ran_at(capsys, monkeypatch, argv):
-    # every bound runs at bounds.EVAL_BITS; neither a flag nor a variable sets another precision
+def test_bounds_report_the_precision_they_ran_at(capsys, argv):
+    # every bound runs at bounds.EVAL_BITS; no flag sets another precision
     code, doc = run_json(capsys, "bounds", *argv, "--precision-bits", "256")
     assert code == 2
     assert doc["error"]["message"] == "unrecognized arguments: --precision-bits 256"
-    monkeypatch.setenv("ELLMULT_PRECISION_BITS", "256")
     code, doc = run_json(capsys, "bounds", *argv)
     assert code == 0
     assert doc["precision_bits"] == bounds.EVAL_BITS == 128

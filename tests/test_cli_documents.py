@@ -1,7 +1,7 @@
 """Every CLI document of a fixed argv list, pinned byte for byte with its exit code.
 
 The fixture `cli_documents.json` holds, for each argv below, the stdout and
-exit code of `ellmult.cli.main` with no ELLMULT_* variable set.  A change
+exit code of `ellmult.cli.main`, which reads argv and nothing else.  A change
 that means to alter a document rewrites the fixture with
 
     PYTHONPATH=src python tests/test_cli_documents.py
@@ -59,11 +59,21 @@ def test_fixture_covers_the_argv_list():
 
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"]))
-def test_document_is_unchanged(monkeypatch, entry):
-    for name in os.environ:
-        if name.startswith("ELLMULT_"):
-            monkeypatch.delenv(name)
+def test_document_is_unchanged(entry):
     assert replay(entry["argv"]) == entry
+
+
+def test_documents_ignore_the_environment(monkeypatch):
+    # variables named like the settings, one of them malformed, change no document
+    for name, value in (
+        ("ELLMULT_FORMAT", "text"),
+        ("ELLMULT_N_MAX", "3"),
+        ("ELLMULT_TOL", "not-a-number"),
+        ("ELLMULT_PRECISION_BITS", "256"),
+        ("ELLMULT_X_MAX", "1"),
+    ):
+        monkeypatch.setenv(name, value)
+    assert [replay(entry["argv"]) for entry in ENTRIES] == ENTRIES
 
 
 def test_documents_need_no_sympy():
@@ -73,10 +83,9 @@ def test_documents_need_no_sympy():
         "import json, sys; sys.modules['sympy'] = None; "
         "import test_cli_documents as t; print(json.dumps([t.replay(e['argv']) for e in t.ENTRIES]))"
     )
-    env = {name: value for name, value in os.environ.items() if not name.startswith("ELLMULT_")}
     done = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**env, "PYTHONPATH": os.pathsep.join((src, str(FIXTURE.parent)))},
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((src, str(FIXTURE.parent)))},
         capture_output=True,
         text=True,
         check=True,
@@ -85,8 +94,6 @@ def test_documents_need_no_sympy():
 
 
 if __name__ == "__main__":
-    for name in [name for name in os.environ if name.startswith("ELLMULT_")]:
-        del os.environ[name]
     entries = [replay(argv) for argv in ARGV]
     FIXTURE.write_text(json.dumps(entries, indent=1) + "\n")
     print(f"wrote {len(entries)} documents to {FIXTURE}")

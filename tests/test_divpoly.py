@@ -36,7 +36,7 @@ def test_phi_terms_values():
     assert k[2] == 1681
 
 
-def test_denominator_sequence_values():
+def test_ward_terms_D_values():
     D = ward_terms(E5, P5, 3).D
     assert D[1] == 1
     assert D[2] == 12
@@ -45,7 +45,7 @@ def test_denominator_sequence_values():
     assert Dt[1] == 1 and Dt[2] is None and Dt[3] == 1 and Dt[4] is None
 
 
-def test_denominator_sequence_matches_reference_on_golden_points(golden_multiples):
+def test_ward_terms_D_matches_reference_on_golden_points(golden_multiples):
     for N, x, y, multiples in golden_multiples:
         expected = [None]
         for Q in multiples[1:]:
@@ -57,13 +57,13 @@ def test_denominator_sequence_matches_reference_on_golden_points(golden_multiple
         assert ward_terms(make_curve(-N * N, 0), rational_point(x, y), n_max).D == expected, (N, x)
 
 
-def test_denominator_sequence_matches_reference_with_nonzero_B(other_multiples):
+def test_ward_terms_D_matches_reference_with_nonzero_B(other_multiples):
     for A, B, x, y, multiples in other_multiples:
         expected = [None] + [math.isqrt(Q[0].denominator) for Q in multiples[1:]]
         assert ward_terms(make_curve(A, B), rational_point(x, y), len(multiples) - 1).D == expected
 
 
-def test_denominator_sequence_at_torsion_points():
+def test_ward_terms_D_at_torsion_points():
     for x in (0, 5, -5):
         assert ward_terms(E5, rational_point(x, 0), 8).D == [None, 1, None, 1, None, 1, None, 1, None]
     c = make_curve(0, 1)
@@ -72,7 +72,7 @@ def test_denominator_sequence_at_torsion_points():
         assert ward_terms(c, rational_point(x, y), 12).D == expected
 
 
-def test_denominator_sequence_checks_the_point_once(monkeypatch):
+def test_ward_terms_D_checks_the_point_once(monkeypatch):
     calls = []
     original = curves.on_curve
     monkeypatch.setattr(curves, "on_curve", lambda c, P: calls.append(P) or original(c, P))
