@@ -12,6 +12,7 @@ from .curves import (
     Curve,
     CurveHeight,
     INFINITY,
+    Multiples,
     RatPoint,
     add,
     curve_height,
@@ -84,6 +85,7 @@ __all__ = [
     "InadmissibleParameters",
     "InternalInvariantError",
     "LinearForm",
+    "Multiples",
     "NonIntegralBasePoint",
     "NotBoundedComponent",
     "NotIdentityComponent",

@@ -23,12 +23,11 @@ from importlib import resources
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import analytic, bounds, congruent, heights, localdata
-from .curves import curve_height, make_curve, on_curve, rational_point
+from .curves import Multiples, curve_height, make_curve, quasi_minimalize, rational_point, scale_point
 from .divpoly import ward_terms
 from .errors import (
     EllmultError,
     NotIdentityComponent,
-    OffCurve,
     PrecisionExhausted,
     UnknownBound,
 )
@@ -124,12 +123,10 @@ def _mp_pair(z) -> List[float]:
 # --- subcommands ------------------------------------------------------------
 
 
-def _parse_point(args: argparse.Namespace):
-    curve = make_curve(args.A, args.B)
-    point = rational_point(args.x, args.y)
-    if not on_curve(curve, point):
-        raise OffCurve(f"({args.x}, {args.y}) is not on y^2 = x^3 + {args.A} x + {args.B}")
-    return curve, point
+def _quasi_minimal_walk(args: argparse.Namespace) -> Tuple[Multiples, dict]:
+    """The walk of the argv point mapped to the quasi-minimal model, and the input_model block."""
+    curve, u = quasi_minimalize(make_curve(args.A, args.B))
+    return Multiples(curve, scale_point(rational_point(args.x, args.y), u)), {"A": args.A, "B": args.B, "u": u}
 
 
 def _curve_doc(curve) -> dict:
@@ -182,11 +179,12 @@ def _analytic_doc(curve, point, precision_bits: int) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    curve, point = _parse_point(args)
-    integral = _is_integral(point)
-    terms = ward_terms(curve, point, args.n_max) if integral else None
-    profile = localdata.global_M(curve, point)
-    estimate = heights.canonical_height(curve, point, tol=args.tol)
+    walk, input_model = _quasi_minimal_walk(args)
+    curve, point = walk.curve, walk.point
+    integral = walk[1][2] == 1  # D = 1: x, and so y, is an integer
+    terms = ward_terms(walk, args.n_max) if integral else None
+    profile = localdata.global_M(walk)
+    estimate = heights.canonical_height(walk, tol=args.tol)
     reports = [heights.height_window_check(curve, point, estimate)]
     N = _congruent_parameter(curve, profile)
     if N is not None and estimate.torsion_order is None:
@@ -195,6 +193,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             reports.append(congruent.verify_double_not_integral(N, point))
     return _emit(args, {
         "precision_bits": args.precision_bits,
+        "input_model": input_model,
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y), "integral": integral},
         "reduction": profile.to_json(),
@@ -203,10 +202,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "ward": {"n_max": args.n_max, "rows": terms.json_rows()} if terms is not None else None,
         "reports": [r.to_json() for r in reports],
     })
-
-
-def _is_integral(point) -> bool:
-    return point.x.denominator == 1 and point.y.denominator == 1
 
 
 def _congruent_parameter(curve, profile: localdata.ComponentProfile) -> Optional[int]:
@@ -221,22 +216,24 @@ def _congruent_parameter(curve, profile: localdata.ComponentProfile) -> Optional
 
 
 def cmd_eds(args: argparse.Namespace) -> int:
-    curve, point = _parse_point(args)
-    terms = ward_terms(curve, point, args.n_max)
+    # h_n and D_n depend on the model, so eds stays on the argv one
+    terms = ward_terms(Multiples(make_curve(args.A, args.B), rational_point(args.x, args.y)), args.n_max)
     return _emit(args, {
-        "curve": {"A": curve.A, "B": curve.B},
-        "point": {"x": str(point.x), "y": str(point.y)},
+        "curve": {"A": args.A, "B": args.B},
+        "point": {"x": str(args.x), "y": str(args.y)},
         "n_max": args.n_max,
         "rows": terms.json_rows(),
     })
 
 
 def cmd_heights(args: argparse.Namespace) -> int:
-    curve, point = _parse_point(args)
-    profile = localdata.global_M(curve, point)
-    estimate = heights.canonical_height(curve, point, tol=args.tol)
+    walk, input_model = _quasi_minimal_walk(args)
+    curve, point = walk.curve, walk.point
+    profile = localdata.global_M(walk)
+    estimate = heights.canonical_height(walk, tol=args.tol)
     return _emit(args, {
         "precision_bits": heights.HEIGHT_BITS,
+        "input_model": input_model,
         "curve": _curve_doc(curve),
         "point": {"x": str(point.x), "y": str(point.y)},
         "heights": _height_doc(point, estimate),

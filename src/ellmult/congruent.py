@@ -23,7 +23,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from . import analytic, bounds
 from ._precision import context
-from .curves import Curve, RatPoint, make_curve, rational_point
+from .curves import Curve, Multiples, RatPoint, make_curve, rational_point
 from .divpoly import psi_value_binary
 from .errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from .factorization import factor_int, valuation
@@ -574,7 +574,7 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6) -> IntegralPointTable:
         if not points:
             continue
         c = make_curve(-N * N, 0)
-        heights = tuple(float(canonical_height(c, P)) for P in points)
+        heights = tuple(float(canonical_height(Multiples(c, P))) for P in points)
         ratio_ok = all(hp < HEIGHT_RATIO_LIMIT * hq for hp in heights for hq in heights)
         rows.append(TableRow(N, tuple(points), heights, ratio_ok))
     return IntegralPointTable(tuple(rows), N_max, x_max)

@@ -9,10 +9,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .errors import InternalInvariantError, OffCurve, SingularCurve
-from .factorization import factor_int
+from .factorization import factor_int, valuation
 
 Rational = Union[int, Fraction]
 
@@ -102,11 +102,6 @@ def on_curve(c: Curve, P: RatPoint) -> bool:
     return P.y * P.y == P.x**3 + c.A * P.x + c.B
 
 
-def _require_on_curve(c: Curve, P: RatPoint) -> None:
-    if not on_curve(c, P):
-        raise OffCurve(f"{P} does not lie on {c}")
-
-
 # --- integer group law ------------------------------------------------------
 #
 # The group law runs on triples (X, Y, D) with x = X/D^2, y = Y/D^3, D >= 1 and
@@ -119,7 +114,8 @@ Triple = Optional[Tuple[int, int, int]]
 
 def to_triple(c: Curve, P: RatPoint) -> Triple:
     """Check that P lies on c and return its triple; the one on-curve check a point gets."""
-    _require_on_curve(c, P)
+    if not on_curve(c, P):
+        raise OffCurve(f"({P.x}, {P.y}) is not on y^2 = x^3 + {c.A} x + {c.B}")
     if P.is_infinity:
         return None
     q = P.x.denominator
@@ -192,18 +188,29 @@ def add_triples(c: Curve, T1: Triple, T2: Triple, t: Optional[int] = None) -> Tr
     return X, Y, D
 
 
-def multiple_triples(c: Curve, P: RatPoint) -> Iterator[Triple]:
-    """The triples of P, 2P, 3P, ... without end: one on-curve check, then one addition per step.
+class Multiples:
+    """The triples of P, 2P, 3P, ... on c, each computed once, on first use.
 
+    The constructor is the one on-curve check.  walk[n] is the triple of nP
+    for n >= 1; reading it extends the walk by one addition per missing step.
     The step to (n + 1)P passes D_{n-1} as the trial factor.  It divided u
     at every step on the golden points; what is left of u comes from the bad
     primes (Ayad 1992).
     """
-    base = to_triple(c, P)
-    prev, acc = None, base
-    while True:
-        yield acc
-        prev, acc = acc, add_triples(c, acc, base, None if prev is None else prev[2])
+
+    def __init__(self, c: Curve, P: RatPoint) -> None:
+        self.curve = c
+        self.point = P
+        self._triples = [to_triple(c, P)]
+
+    def __getitem__(self, n: int) -> Triple:
+        if n < 1:
+            raise IndexError(f"the walk starts at 1P, not at {n}P")
+        triples, c = self._triples, self.curve
+        while len(triples) < n:
+            prev = triples[-2] if len(triples) > 1 else None
+            triples.append(add_triples(c, triples[-1], triples[0], None if prev is None else prev[2]))
+        return triples[n - 1]
 
 
 def add(c: Curve, P: RatPoint, Q: RatPoint) -> RatPoint:
@@ -231,31 +238,16 @@ def quasi_minimalize(c: Curve) -> Tuple[Curve, int]:
     """Strip every prime p with p^4 | A and p^6 | B (a zero coefficient puts no constraint).
 
     Returns the reduced curve and the total scaling factor u, so that the input
-    is the image of the output under (A, B) -> (u^4*A, u^6*B).
+    is the image of the output under (A, B) -> (u^4*A, u^6*B).  Every such p
+    divides gcd(A, B), which is factored once: u = prod p^min(v_p(A) // 4,
+    v_p(B) // 6) over the nonzero coefficients.
     """
-    A, B, u = c.A, c.B, 1
-    while True:
-        if A == 0 and B == 0:
-            raise SingularCurve("zero curve")
-        if A == 0:
-            candidates = [p for p, e in factor_int(B).items() if e >= 6]
-        elif B == 0:
-            candidates = [p for p, e in factor_int(A).items() if e >= 4]
-        else:
-            g = math.gcd(abs(A), abs(B))
-            candidates = [p for p in factor_int(g)] if g > 1 else []
-        progressed = False
-        for p in candidates:
-            while (A == 0 or A % p**4 == 0) and (B == 0 or B % p**6 == 0):
-                A //= p**4
-                B //= p**6
-                u *= p
-                progressed = True
-        if not progressed:
-            break
+    u = 1
+    for p in factor_int(math.gcd(c.A, c.B)):
+        u *= p ** min(valuation(a, p) // e for a, e in ((c.A, 4), (c.B, 6)) if a)
     if u == 1:
         return c, 1
-    return make_curve(A, B), u
+    return make_curve(c.A // u**4, c.B // u**6), u
 
 
 def scale_point(P: RatPoint, u: int) -> RatPoint:

@@ -18,7 +18,7 @@ h_n = psi_n(P), that is f_n(a) for odd n and 2b f_n(a) for even n, and the
 companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.
 
 The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms
-(curves.multiple_triples), and ward_terms(...).D is that route's sequence.
+(curves.Multiples), and ward_terms(...).D is that route's sequence.
 ward_terms walks the group law once and compares the two routes at every n:
 it divides g_n = h_n^2 / D_n^2 and requires the division to be exact and
 k_n = g_n X_n.  As gcd(X_n, D_n) = 1, that proves g_n = gcd(k_n, h_n^2)
@@ -35,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import List, Optional, Sequence, Tuple
 
-from .curves import Curve, RatPoint, multiple_triples
+from .curves import Curve, Multiples, RatPoint
 from .errors import InternalInvariantError, NonIntegralBasePoint
 
 OptInt = Optional[int]
@@ -128,15 +127,17 @@ def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int], List[
     return h[: n_max + 1], h2, k
 
 
-def ward_terms(c: Curve, P: RatPoint, n_max: int) -> WardSequence:
-    """Full sequence bundle to index n_max: h, k by recurrence, D by group law, g from both.
+def ward_terms(walk: Multiples, n_max: int) -> WardSequence:
+    """Full sequence bundle to index n_max: h, k by recurrence, D off the walk, g from both.
 
-    Raises InternalInvariantError where the two routes disagree on nP.
+    The walk's point is the base point.  Raises InternalInvariantError where
+    the two routes disagree on nP.
     """
-    h, h2, k = _h_k(c, P, n_max)
+    h, h2, k = _h_k(walk.curve, walk.point, n_max)
     D: List[OptInt] = [None]
     g: List[OptInt] = [None]
-    for n, T in enumerate(islice(multiple_triples(c, P), n_max), 1):
+    for n in range(1, n_max + 1):
+        T = walk[n]
         if T is None:
             if h[n]:
                 raise InternalInvariantError(f"the group law puts {n}P at infinity, but h_{n} is not 0")

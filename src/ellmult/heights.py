@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Optional, Tuple
 
 from ._precision import context
-from .curves import Curve, RatPoint, curve_height, multiple_triples, naive_height
+from .curves import Curve, Multiples, RatPoint, curve_height, naive_height
 from .errors import PrecisionExhausted
 from .reports import BoundReport
 
@@ -66,15 +65,16 @@ class HeightEstimate:
         return self.value
 
 
-def torsion_order(c: Curve, P: RatPoint) -> Optional[int]:
-    """Smallest n <= TORSION_SCAN_LIMIT with n*P at infinity, or None.
+def torsion_order(walk: Multiples) -> Optional[int]:
+    """Smallest n <= TORSION_SCAN_LIMIT with n*P at infinity, or None, read off the walk of P.
 
     Rational torsion has order at most 12, so the scan is a complete torsion
     test.  On an integral model torsion points are integral
     (Nagell-Lutz), so the first multiple with a non-integral x proves that P
     has infinite order and ends the scan.
     """
-    for n, Q in enumerate(islice(multiple_triples(c, P), TORSION_SCAN_LIMIT), 1):
+    for n in range(1, TORSION_SCAN_LIMIT + 1):
+        Q = walk[n]
         if Q is None:
             return n
         if Q[2] > 1:
@@ -141,7 +141,7 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
     return context(precision_bits).mpf(s)
 
 
-def canonical_height(c: Curve, P: RatPoint, tol: float = 1e-10) -> HeightEstimate:
+def canonical_height(walk: Multiples, tol: float = 1e-10) -> HeightEstimate:
     """Doubling-limit canonical height, iterated to a window-certified depth.
 
     |hhat(Q) - h(x_Q)/2| <= 2 h(E) bounds the truncation error at depth k by
@@ -149,13 +149,15 @@ def canonical_height(c: Curve, P: RatPoint, tol: float = 1e-10) -> HeightEstimat
     small successive difference alone is never trusted (large points can show
     one far from the limit).  Torsion (detected by a complete small-multiple
     scan) returns exactly 0.  The doubling runs at HEIGHT_BITS and raises
-    PrecisionExhausted when the required depth exceeds DEPTH_CAP.
+    PrecisionExhausted when the required depth exceeds DEPTH_CAP.  The point
+    and curve are the walk's.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    order = torsion_order(c, P)
+    order = torsion_order(walk)
     if order is not None:
         return HeightEstimate(0.0, tol, 0, order)
+    c, P = walk.curve, walk.point
     hE = float(curve_height(c))
     depth = max(1, math.ceil(math.log(2 * hE / tol, 4)))
     if depth > DEPTH_CAP:

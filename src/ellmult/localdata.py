@@ -13,10 +13,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, Tuple
 
-from .curves import Curve, RatPoint, Triple, multiple_triples
+from .curves import Curve, Multiples, Triple
 from .errors import CapExceeded, InternalInvariantError, UnreliableAtSmallPrime
 from .factorization import prime_divisors, valuation
 
@@ -63,18 +62,20 @@ def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
     return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
 
 
-def global_M(c: Curve, P: RatPoint) -> ComponentProfile:
-    """Component orders r_p at every bad prime and their lcm, from one walk of P, 2P, 3P, ...
+def global_M(walk: Multiples) -> ComponentProfile:
+    """Component orders r_p at every bad prime and their lcm, read off the walk of P, 2P, 3P, ...
 
     r_p is the least r >= 1 with r*P in the identity component at p, so
     r_p = 1 means P itself is in it.  Good primes contribute 1 and are
-    omitted from the entries.  The curve must already be quasi-minimal (it
-    cannot be rescaled at p).  The walk tests each unresolved prime on each
-    multiple, capped at ord_p(discriminant) + 4 steps; exceeding a cap means
-    the model or the caller's preconditions are broken, not that the order
-    is large.  When j is an integer the lcm is checked against the
+    omitted from the entries.  The walk's curve must be quasi-minimal (it
+    cannot be rescaled at p): analyze and heights build the walk on
+    quasi_minimalize's model, and a library caller must do the same.  Each
+    unresolved prime is tested on each multiple, capped at
+    ord_p(discriminant) + 4 steps; exceeding a cap means the model or the
+    caller's preconditions are broken, not that the order is large.  When j is an integer the lcm is checked against the
     unconditional bound of 12.
     """
+    c = walk.curve
     caps = {p: valuation(c.discriminant, p) + 4 for p in bad_primes(c)}
     flagged = tuple(p for p in caps if p in SMALL_PRIMES)
     for p in flagged:
@@ -83,7 +84,8 @@ def global_M(c: Curve, P: RatPoint) -> ComponentProfile:
             stacklevel=2,
         )
     orders: Dict[int, int] = {}
-    for r, T in enumerate(islice(multiple_triples(c, P), max(caps.values())), 1):
+    for r in range(1, max(caps.values()) + 1):
+        T = walk[r]
         for p in caps.keys() - orders.keys():
             if r <= caps[p] and _nonsingular_mod(c, p, T):
                 orders[p] = r

@@ -25,6 +25,7 @@ import pytest
 import sympy
 
 from ellmult import (
+    Multiples,
     canonical_height,
     curve_height,
     height_window_check,
@@ -89,7 +90,7 @@ def _sampled_pairs(count: int, seed: int, depth: int = 50):
         except SingularCurve:
             continue
         P = rational_point(a, b)
-        terms = ward_terms(c, P, depth)
+        terms = ward_terms(Multiples(c, P), depth)
         if any(t is None or t == 0 for t in terms.h[1 : depth + 1]):
             continue
         pairs.append((c, P, terms))
@@ -239,8 +240,8 @@ def test_criterion_05_sequence_sandwich(capsys, table):
         E = congruent.congruent_curve(row.N)
         log_disc = math.log(abs(E.discriminant))
         for P in row.points:
-            M = global_M(E, P).M
-            terms = ward_terms(E, P, 50)
+            M = global_M(Multiples(E, P)).M
+            terms = ward_terms(Multiples(E, P), 50)
             D, h = terms.D, terms.h
             for n in range(1, 51):
                 abs_h = abs(h[n])
@@ -294,7 +295,7 @@ def test_criterion_08_height_machinery(capsys, table):
         E = congruent.congruent_curve(row.N)
         for P, hhat in zip(row.points, row.heights):
             for n in range(2, 9):
-                hn = float(canonical_height(E, multiply(E, n, P)))
+                hn = float(canonical_height(Multiples(E, multiply(E, n, P))))
                 gap = abs(hn - n * n * hhat)
                 worst_quad = max(worst_quad, gap)
                 ok = ok and gap < 1e-6
@@ -303,7 +304,7 @@ def test_criterion_08_height_machinery(capsys, table):
             ok = ok and (cap.holds if cap.applicable else cap.holds is None)
             ok = ok and cap.applicable == (P.x >= row.N)
     for c, P, _ in _sampled_pairs(20, seed=8, depth=12):
-        ok = ok and height_window_check(c, P, canonical_height(c, P)).holds
+        ok = ok and height_window_check(c, P, canonical_height(Multiples(c, P))).holds
     with capsys.disabled():
         _verdict(8, "height quadraticity, three table windows, sampled coarse window", ok, f"worst |hhat(nP)-n^2 hhat(P)| {worst_quad:.2e}")
 
@@ -314,7 +315,7 @@ def test_criterion_09_ord2_profile(capsys, table):
     for row in table.rows:
         E = congruent.congruent_curve(row.N)
         for P in row.points:
-            h = ward_terms(E, P, 13).h
+            h = ward_terms(Multiples(E, P), 13).h
             for n in (3, 5, 7, 9, 11, 13):
                 predicted = congruent.ord2_profile(int(P.x), row.N, n)
                 ok = ok and predicted.exact

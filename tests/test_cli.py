@@ -329,9 +329,10 @@ def test_analyze_factors_N_once(capsys, monkeypatch):
         monkeypatch.setattr(module, "factor_int", counting)
     code, _ = run(capsys, "analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "30")
     assert code == 0
+    # gcd(A, B) = N^2 once where quasi_minimalize looks for primes to strip,
     # the discriminant 64 N^6 once for the reduction profile, which also decides
     # that N is square-free, and N once where the congruent windows validate it
-    assert calls == {5: 1, 1000000: 1}
+    assert calls == {25: 1, 5: 1, 1000000: 1}
 
 
 def test_heights_computes_each_quantity_once(capsys, monkeypatch):
@@ -343,11 +344,51 @@ def test_heights_computes_each_quantity_once(capsys, monkeypatch):
 
 @pytest.mark.parametrize("n_max", ["5", "50"])
 def test_eds_checks_the_point_once_on_entry(capsys, monkeypatch, n_max):
-    calls = _count_calls(monkeypatch, (cli, "on_curve"), (curves, "on_curve"))
+    calls = _count_calls(monkeypatch, (curves, "on_curve"))
     code, _ = run(capsys, "eds", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", n_max)
     assert code == 0
-    # once where the CLI reads the point, once where the group law takes it
-    assert calls == {"on_curve": 2}
+    # where the walk that ward_terms reads is built
+    assert calls == {"on_curve": 1}
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@pytest.mark.parametrize("command", [["analyze", "--n-max", "5"], ["heights"]], ids=["analyze", "heights"])
+@pytest.mark.parametrize("u", [1, 2])
+def test_point_commands_check_the_point_once(capsys, monkeypatch, command, u):
+    calls = _count_calls(monkeypatch, (curves, "on_curve"))
+    argv = [*command, f"--A={-25 * u**4}", "--B=0", f"--x={-4 * u**2}", f"--y={6 * u**3}"]
+    code, _ = run(capsys, *argv)
+    assert code == 0
+    # once, on the quasi-minimal model, where the one walk is built
+    assert calls == {"on_curve": 1}
+
+
+def _model_free_part(command, doc):
+    """What must not depend on the model: M, r, h(E), hhat, lang_floor and each report's verdict."""
+    profile = doc["reduction"] if command == "analyze" else {"M": doc["M"]}
+    return {
+        "M": profile["M"],
+        "r": profile.get("r"),
+        "hE": doc["curve"]["height"]["value"],
+        "hhat": doc["heights"]["canonical"]["value"],
+        "lang_floor": doc.get("lang_floor"),
+        "reports": [(r["name"], r["holds"], r["threshold"]) for r in doc["reports"]],
+    }
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@pytest.mark.parametrize("command", [["analyze", "--n-max", "5"], ["heights"]], ids=["analyze", "heights"])
+@pytest.mark.parametrize("N, x, y", [(5, -4, 6), (15, -9, 36)], ids=["N=5", "N=15"])
+def test_scaled_models_give_the_same_answers(capsys, command, N, x, y):
+    answers = []
+    for u in (1, 2, 3, 6):
+        argv = [*command, f"--A={-N * N * u**4}", "--B=0", f"--x={x * u**2}", f"--y={y * u**3}"]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        assert doc["input_model"] == {"A": -N * N * u**4, "B": 0, "u": u}
+        assert doc["curve"]["A"] == -N * N and (doc["point"]["x"], doc["point"]["y"]) == (str(x), str(y))
+        answers.append(_model_free_part(command[0], doc))
+    assert answers[1:] == answers[:1] * 3
 
 
 def test_periods_isolates_roots_once(capsys, monkeypatch):

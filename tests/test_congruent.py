@@ -42,7 +42,7 @@ from ellmult.congruent import (
     table_csv,
     verify_double_not_integral,
 )
-from ellmult.curves import INFINITY, curve_height, rational_point
+from ellmult.curves import INFINITY, Multiples, curve_height, rational_point
 from ellmult.divpoly import psi_value_binary, ward_terms
 from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
 from ellmult.factorization import factor_int, is_square_free, prime_divisors, valuation
@@ -129,7 +129,7 @@ def test_verify_double_not_integral_rejects_a_rational_abscissa():
 
 def _actual_ord2(a: int, N: int, n: int) -> int:
     b = math.isqrt(a**3 - N * N * a)
-    terms = ward_terms(congruent_curve(N), rational_point(a, b), n + 1)
+    terms = ward_terms(Multiples(congruent_curve(N), rational_point(a, b)), n + 1)
     return valuation(terms.h[n], 2)
 
 
@@ -543,7 +543,7 @@ def test_golden_heights_are_depth_19_values():
     for N, x, y, hhat in GOLDEN_ROWS:
         c = congruent_curve(int(N))
         P = rational_point(int(x), int(y))
-        assert canonical_height(c, P).iterations == 19
+        assert canonical_height(Multiples(c, P)).iterations == 19
         converged = _renormalized_doubling(c, P, 40, 512) / (2 * 4**40)
         assert abs(float(hhat) - converged) < 2 * curve_height(c).value / 4**19, (N, x)
 
@@ -553,7 +553,7 @@ def test_table_points_have_nonintegral_small_multiples(table):
     for row in table.rows:
         c = congruent_curve(row.N)
         for P in row.points:
-            dens = ward_terms(c, P, 7).D
+            dens = ward_terms(Multiples(c, P), 7).D
             for n in range(2, 8):
                 assert dens[n] is not None and dens[n] > 1
 
@@ -562,13 +562,13 @@ def test_table_height_windows(table):
     for row in table.rows:
         c = congruent_curve(row.N)
         for P in row.points:
-            assert height_window_check(c, P, canonical_height(c, P)).holds
+            assert height_window_check(c, P, canonical_height(Multiples(c, P))).holds
 
 
 def test_height_windows_literals():
     # N = 5, P = (-4, 6): hhat = 0.94974..., h(x)/2 = log(4)/2
     P = rational_point(-4, 6)
-    hdiff, floor, cap = height_windows(5, P, canonical_height(congruent_curve(5), P).value)
+    hdiff, floor, cap = height_windows(5, P, canonical_height(Multiples(congruent_curve(5), P)).value)
     assert hdiff.holds
     assert hdiff.inputs["lower"] == pytest.approx(-math.log(5) / 2 - math.log(2) / 4)
     assert hdiff.inputs["upper"] == pytest.approx(math.log(26) / 4 + math.log(2) / 12)
@@ -583,7 +583,7 @@ def test_height_windows_literals():
 
 def test_height_windows_unbounded_point():
     P = rational_point(45, 300)
-    hdiff, floor, cap = height_windows(5, P, canonical_height(congruent_curve(5), P).value)
+    hdiff, floor, cap = height_windows(5, P, canonical_height(Multiples(congruent_curve(5), P)).value)
     assert hdiff.holds and floor.holds
     assert cap.applicable is True and cap.holds is True
     assert cap.threshold == pytest.approx(math.log(45) / 2 + math.log(2) / 3)

@@ -1,19 +1,19 @@
 import math
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ellmult import curves
 from ellmult.curves import (
     INFINITY,
+    Multiples,
     add,
     add_triples,
     curve_height,
     from_triple,
     make_curve,
-    multiple_triples,
     multiply,
     on_curve,
     quasi_minimalize,
@@ -21,6 +21,7 @@ from ellmult.curves import (
     scale_point,
 )
 from ellmult.errors import OffCurve, SingularCurve
+from ellmult.factorization import factor_int
 
 E5 = make_curve(-25, 0)
 
@@ -179,7 +180,8 @@ def test_group_law_commutes_and_associates():
 
 def _assert_trial_factors_exact(c, P, n_max=40):
     """The walk equals double-and-add, and no trial factor changes a step of it."""
-    walk = list(islice(multiple_triples(c, P), n_max))
+    multiples = Multiples(c, P)
+    walk = [multiples[n] for n in range(1, n_max + 1)]
     assert [from_triple(T) for T in walk] == [multiply(c, n, P) for n in range(1, n_max + 1)]
     base = walk[0]
     for prev, T in zip(walk, walk[1:]):
@@ -189,6 +191,19 @@ def _assert_trial_factors_exact(c, P, n_max=40):
         # D_{n-1} as the walk passes it, the trivial factor, and a multiple that does not divide
         for t in (prev[2], 1, 1000003 * prev[2]):
             assert add_triples(c, T, base, t) == expected, (c, P, t)
+
+
+def test_multiples_computes_each_triple_once(monkeypatch):
+    calls = []
+    original = curves.add_triples
+    monkeypatch.setattr(curves, "add_triples", lambda *args: calls.append(args) or original(*args))
+    P = rational_point(-4, 6)
+    walk = Multiples(E5, P)
+    triples = [walk[5], walk[3], walk[5]]
+    assert len(calls) == 4  # 2P to 5P, one addition each
+    assert [from_triple(T) for T in triples] == [multiply(E5, n, P) for n in (5, 3, 5)]
+    with pytest.raises(IndexError):
+        walk[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,6 +238,16 @@ def test_quasi_minimalize():
     assert (c.A, c.B, u) == (-1, 0, 4)
     c, u = quasi_minimalize(make_curve(0, 2**6 * 3**6 * 5))
     assert (c.A, c.B, u) == (0, 5, 6)
+
+
+@pytest.mark.parametrize("u", [2, 6])
+def test_quasi_minimalize_factors_once(monkeypatch, u):
+    calls = []
+    monkeypatch.setattr(curves, "factor_int", lambda n: calls.append(n) or factor_int(n))
+    c, v = quasi_minimalize(make_curve(-25 * u**4, 0))
+    assert (c, v) == (E5, u)
+    # gcd(A, B) = |A| as B = 0; no second pass looks for a prime the first one missed
+    assert calls == [25 * u**4]
 
 
 def _no_reducible_prime(A, B):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellmult._precision import context
-from ellmult.curves import INFINITY, Curve, add, make_curve, multiply, rational_point
+from ellmult.curves import INFINITY, Curve, Multiples, add, make_curve, multiply, rational_point
 from ellmult.divpoly import psi_polynomial
 from ellmult.errors import PrecisionExhausted
 from ellmult.heights import (
@@ -31,10 +31,10 @@ def test_naive_height_values():
 
 
 def test_torsion_scan():
-    assert torsion_order(E5, rational_point(0, 0)) == 2
-    assert torsion_order(E5, rational_point(5, 0)) == 2
-    assert torsion_order(E5, P5) is None
-    assert torsion_order(E5, INFINITY) == 1
+    assert torsion_order(Multiples(E5, rational_point(0, 0))) == 2
+    assert torsion_order(Multiples(E5, rational_point(5, 0))) == 2
+    assert torsion_order(Multiples(E5, P5)) is None
+    assert torsion_order(Multiples(E5, INFINITY)) == 1
 
 
 def _full_scan(c, Q, limit=12):
@@ -58,7 +58,7 @@ def test_torsion_scan_matches_full_scan_on_golden_multiples(golden_multiples):
         c = make_curve(-N * N, 0)
         for n in range(1, 9):
             Q = multiply(c, n, rational_point(x, y))
-            assert torsion_order(c, Q) == _full_scan(c, Q), (N, x, n)
+            assert torsion_order(Multiples(c, Q)) == _full_scan(c, Q), (N, x, n)
 
 
 def test_torsion_scan_matches_full_scan_on_torsion_points():
@@ -68,14 +68,14 @@ def test_torsion_scan_matches_full_scan_on_torsion_points():
     for curve, T in points:
         for n in range(0, 7):
             Q = multiply(curve, n, T)
-            assert torsion_order(curve, Q) == _full_scan(curve, Q)
-    assert torsion_order(c, rational_point(2, 3)) == 6
-    assert torsion_order(c, rational_point(0, 1)) == 3
-    assert torsion_order(c, rational_point(-1, 0)) == 2
+            assert torsion_order(Multiples(curve, Q)) == _full_scan(curve, Q)
+    assert torsion_order(Multiples(c, rational_point(2, 3))) == 6
+    assert torsion_order(Multiples(c, rational_point(0, 1))) == 3
+    assert torsion_order(Multiples(c, rational_point(-1, 0))) == 2
 
 
 def test_torsion_height_is_zero():
-    est = canonical_height(E5, rational_point(0, 0))
+    est = canonical_height(Multiples(E5, rational_point(0, 0)))
     assert est.value == 0.0 and est.iterations == 0
 
 
@@ -148,7 +148,7 @@ def _oracle_points(golden_multiples, other_multiples):
 
 def test_oracle_points_cover_the_b_terms_and_are_not_torsion(golden_multiples, other_multiples):
     points = _oracle_points(golden_multiples, other_multiples)
-    assert all(torsion_order(c, P) is None for c, P in points)
+    assert all(torsion_order(Multiples(c, P)) is None for c, P in points)
     assert any(c.B != 0 and c.A == 0 for c, _ in points)
     assert any(c.B != 0 and c.A != 0 for c, _ in points)
     assert any(P.x < 0 for _, P in points)
@@ -214,7 +214,7 @@ def _random_points(draw):
     B = y * y - f0
     assume(abs(B) <= 500 and 4 * A**3 + 27 * B**2 != 0)
     c, P = make_curve(A, B), rational_point(x, y)
-    assume(torsion_order(c, P) is None)
+    assume(torsion_order(Multiples(c, P)) is None)
     return c, P
 
 
@@ -227,7 +227,7 @@ def test_engine_matches_exact_doubling_on_random_curves(point):
 
 
 def test_internal_oracle_agreement():
-    fast = canonical_height(E5, P5, 1e-10)
+    fast = canonical_height(Multiples(E5, P5), 1e-10)
     deep = _renormalized_doubling(E5, P5, 28, 512) / (2 * 4**28)
     assert abs(fast.value - deep) < 1e-8
     assert fast.tolerance == 1e-10
@@ -235,28 +235,28 @@ def test_internal_oracle_agreement():
 
 
 def test_quadraticity():
-    h1 = canonical_height(E5, P5).value
+    h1 = canonical_height(Multiples(E5, P5)).value
     for n in range(2, 9):
-        hn = canonical_height(E5, multiply(E5, n, P5)).value
+        hn = canonical_height(Multiples(E5, multiply(E5, n, P5))).value
         assert abs(hn - n * n * h1) < 1e-6
 
 
 def test_parallelogram_law():
-    hP = canonical_height(E5, P5).value
-    hQ = canonical_height(E5, Q5).value
-    hSum = canonical_height(E5, add(E5, P5, Q5)).value
-    hDiff = canonical_height(E5, add(E5, P5, multiply(E5, -1, Q5))).value
+    hP = canonical_height(Multiples(E5, P5)).value
+    hQ = canonical_height(Multiples(E5, Q5)).value
+    hSum = canonical_height(Multiples(E5, add(E5, P5, Q5))).value
+    hDiff = canonical_height(Multiples(E5, add(E5, P5, multiply(E5, -1, Q5)))).value
     assert abs(hSum + hDiff - 2 * hP - 2 * hQ) < 1e-6
 
 
 def test_height_window_reports():
     for pt in (P5, Q5):
-        rep = height_window_check(E5, pt, canonical_height(E5, pt))
+        rep = height_window_check(E5, pt, canonical_height(Multiples(E5, pt)))
         assert rep.holds is True
         assert rep.name == "height-window"
         assert rep.inputs["difference"] < rep.threshold
     T = rational_point(0, 0)
-    torsion = height_window_check(E5, T, canonical_height(E5, T))
+    torsion = height_window_check(E5, T, canonical_height(Multiples(E5, T)))
     assert torsion.applicable is False
     assert torsion.holds is None
 
@@ -274,4 +274,4 @@ def test_lang_floor_branches():
 def test_precision_exhausted_on_shallow_cap():
     with pytest.raises(PrecisionExhausted):
         # 1e-20 needs doubling depth 36, beyond DEPTH_CAP
-        canonical_height(E5, P5, 1e-20)
+        canonical_height(Multiples(E5, P5), 1e-20)

@@ -2,8 +2,8 @@ import warnings
 
 import pytest
 
-from ellmult import cli, curves, divpoly, heights, localdata
-from ellmult.curves import INFINITY, make_curve, multiply, rational_point
+from ellmult import cli, curves, localdata
+from ellmult.curves import INFINITY, Multiples, make_curve, multiply, rational_point
 from ellmult.errors import CapExceeded, UnreliableAtSmallPrime
 from ellmult.localdata import bad_primes, global_M
 
@@ -36,7 +36,7 @@ def test_bad_primes_values():
 
 
 def _orders(c, P):
-    return dict(global_M(c, P).entries)
+    return dict(global_M(Multiples(c, P)).entries)
 
 
 def test_identity_component_at_five():
@@ -56,7 +56,7 @@ def test_identity_component_at_five():
 def test_small_prime_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        global_M(E5, P5)
+        global_M(Multiples(E5, P5))
     assert [(w.category, str(w.message)) for w in caught] == [
         (UnreliableAtSmallPrime, "component membership at p=2 uses the short-model criterion")
     ]
@@ -82,16 +82,15 @@ def test_multiples_stay_in_component():
 
 
 def _counting_walks(monkeypatch):
-    """Count starts of curves.multiple_triples in every module that imports it."""
+    """Count the walks started, that is the points given to curves.Multiples, under every alias."""
     starts = []
-    original = curves.multiple_triples
+    original = curves.Multiples.__init__
 
-    def walk(c, P):
+    def start(walk, c, P):
         starts.append(P)
-        return original(c, P)
+        original(walk, c, P)
 
-    for module in (heights, localdata, divpoly):
-        monkeypatch.setattr(module, "multiple_triples", walk)
+    monkeypatch.setattr(curves.Multiples, "__init__", start)
     return starts
 
 
@@ -99,28 +98,28 @@ def _counting_walks(monkeypatch):
 @pytest.mark.parametrize("c, P", [(E5, P5), (E15, rational_point(-9, 36))], ids=["N=5", "N=15"])
 def test_global_M_walks_once(monkeypatch, c, P):
     starts = _counting_walks(monkeypatch)
-    global_M(c, P)
+    global_M(Multiples(c, P))
     assert len(starts) == 1
 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 @pytest.mark.parametrize(
-    "command, walks", [(["analyze", "--n-max", "5"], 3), (["heights"], 2)], ids=["analyze", "heights"]
+    "command", [["analyze", "--n-max", "5"], ["heights"], ["eds", "--n-max", "5"]], ids=["analyze", "heights", "eds"]
 )
 @pytest.mark.parametrize("A, x, y", [(-25, -4, 6), (-225, -9, 36)], ids=["N=5", "N=15"])
-def test_commands_walk_a_fixed_number_of_times(monkeypatch, capsys, command, walks, A, x, y):
-    # ward_terms (analyze only), the torsion scan and global_M each walk once, whatever the bad primes
+def test_commands_walk_a_fixed_number_of_times(monkeypatch, capsys, command, A, x, y):
+    # ward_terms, the torsion scan and global_M read one walk, whatever the bad primes
     starts = _counting_walks(monkeypatch)
     assert cli.main([*command, "--A", str(A), "--B", "0", "--x", str(x), "--y", str(y)]) == 0
     capsys.readouterr()
-    assert len(starts) == walks
+    assert len(starts) == 1
 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_cap_exceeded_names_the_smallest_prime(monkeypatch):
     monkeypatch.setattr(localdata, "_nonsingular_mod", lambda c, p, T: False)
     with pytest.raises(CapExceeded) as caught:
-        global_M(E5, P5)
+        global_M(Multiples(E5, P5))
     # ord_2(10^6) + 4 = 10 steps; p = 5 overruns its cap as well
     assert str(caught.value) == "no multiple of the point entered the identity component at p=2 within 10 steps"
 
@@ -152,12 +151,12 @@ def test_global_profile_matches_oracle_on_golden_multiples(golden_multiples):
         c = make_curve(-N * N, 0)
         for x, y in multiples[1:4]:
             Q = rational_point(x, y)
-            assert global_M(c, Q).M == _oracle_m(c, Q), (N, x)
+            assert global_M(Multiples(c, Q)).M == _oracle_m(c, Q), (N, x)
 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_global_profile_e5():
-    prof = global_M(E5, P5)
+    prof = global_M(Multiples(E5, P5))
     assert prof.M == 1
     assert prof.M_odd == 1
     assert dict(prof.entries) == {2: 1, 5: 1}
@@ -169,7 +168,7 @@ def test_global_profile_e5():
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_global_profile_nontrivial():
     P = rational_point(-9, 36)
-    prof = global_M(E15, P)
+    prof = global_M(Multiples(E15, P))
     assert dict(prof.entries)[2] == 2
     assert dict(prof.entries)[3] == 2
     assert dict(prof.entries)[5] == 1
@@ -182,14 +181,14 @@ def test_global_profile_nontrivial():
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_multiple_divides_base_profile():
     P = rational_point(-9, 36)
-    m1 = global_M(E15, P).M
+    m1 = global_M(Multiples(E15, P)).M
     for k in (2, 3, 4):
-        mk = global_M(E15, multiply(E15, k, P)).M
+        mk = global_M(Multiples(E15, multiply(E15, k, P))).M
         assert m1 % mk == 0
 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_torsion_point_profile():
-    prof = global_M(E5, rational_point(0, 0))
+    prof = global_M(Multiples(E5, rational_point(0, 0)))
     assert dict(prof.entries)[5] == 2
     assert prof.M == 2
