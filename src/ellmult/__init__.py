@@ -23,9 +23,7 @@ from .curves import (
     rational_point,
 )
 from .divpoly import (
-    DivisionPolynomial,
     WardSequence,
-    psi_polynomial,
     psi_value_binary,
     ward_terms,
     x_multiple_exact,
@@ -77,7 +75,6 @@ __all__ = [
     "ComponentProfile",
     "Curve",
     "CurveHeight",
-    "DivisionPolynomial",
     "EllmultError",
     "FactorizationTooLarge",
     "HeightEstimate",
@@ -115,7 +112,6 @@ __all__ = [
     "on_curve",
     "period_data",
     "principal_linear_form",
-    "psi_polynomial",
     "psi_value_binary",
     "quasi_minimalize",
     "rational_point",

@@ -29,6 +29,10 @@ DLMF 19.36(i)), then a fifth-order series, and one rounding of one integer to
 the working precision.  With one real root its last two arguments are complex
 conjugates and R_F is real.
 
+The n-torsion abscissas are the values of the Weierstrass function at the
+n-division points of the lattice spanned by omega and omega2 (Silverman, AEC
+VI): torsion_x_coords reads them off weierstrass_point.
+
 All precision is explicit: period_data's precision_bits plus guard bits,
 handed on in its PeriodData; nothing reads ambient mpmath state.
 """
@@ -42,7 +46,6 @@ from typing import Iterator, List, Optional, Tuple
 
 from ._precision import context
 from .curves import Curve, RatPoint
-from .divpoly import psi_polynomial
 from .errors import InternalInvariantError, NotIdentityComponent, PrecisionExhausted
 
 GUARD_BITS = 32
@@ -420,15 +423,14 @@ def principal_linear_form(n: int, z, omega) -> LinearForm:
     return LinearForm(n=n, m=m, value=value)
 
 
-def torsion_x_coords(c: Curve, n: int) -> List[object]:
-    """Complex x-coordinates of the nontrivial n-torsion, from the division polynomial, at 128 bits."""
+def torsion_x_coords(data: PeriodData, n: int) -> List[object]:
+    """x-coordinates of the nontrivial n-torsion of data.curve, one for each pair +-T, at data.precision_bits.
+
+    x(T) = wp((a omega + b omega2) / n) for one representative (a, b) of each
+    pair +-(a, b) in (Z/n)^2 minus 0: (n^2 - 1)/2 values for odd n, and for
+    even n (n^2 - 4)/2 plus the three roots of the cubic.
+    """
     if not 2 <= n <= 12:
         raise ValueError("n must be between 2 and 12")
-    ctx = context(128 + GUARD_BITS)
-    pol = psi_polynomial(c, n)
-    coeffs = [ctx.mpf(a) for a in reversed(pol.coefficients)]
-    try:
-        roots = ctx.polyroots(coeffs, maxsteps=400, extraprec=ctx.prec)
-    except ctx.NoConvergence as exc:
-        raise PrecisionExhausted(f"division polynomial roots at n={n}: {exc}") from exc
-    return list(roots)
+    pairs = {min((a, b), (-a % n, -b % n)) for a in range(n) for b in range(n)} - {(0, 0)}
+    return [weierstrass_point(data, (a * data.omega + b * data.omega2) / n)[0] for a, b in sorted(pairs)]

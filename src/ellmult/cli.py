@@ -28,6 +28,7 @@ from .divpoly import ward_terms
 from .errors import (
     EllmultError,
     NotIdentityComponent,
+    OffCurve,
     PrecisionExhausted,
     UnknownBound,
 )
@@ -126,7 +127,12 @@ def _mp_pair(z) -> List[float]:
 def _quasi_minimal_walk(args: argparse.Namespace) -> Tuple[Multiples, dict]:
     """The walk of the argv point mapped to the quasi-minimal model, and the input_model block."""
     curve, u = quasi_minimalize(make_curve(args.A, args.B))
-    return Multiples(curve, scale_point(rational_point(args.x, args.y), u)), {"A": args.A, "B": args.B, "u": u}
+    P = rational_point(args.x, args.y)
+    try:
+        walk = Multiples(curve, scale_point(P, u))
+    except OffCurve:  # scaling by u keeps a point off the curve; name the point and model argv gave
+        raise OffCurve(f"({P.x}, {P.y}) is not on y^2 = x^3 + {args.A} x + {args.B}") from None
+    return walk, {"A": args.A, "B": args.B, "u": u}
 
 
 def _curve_doc(curve) -> dict:

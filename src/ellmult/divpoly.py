@@ -12,10 +12,11 @@ never divides (Ward 1948; Silverman, AEC, Exercise 3.7):
     f_{2m+1} = f_{m+2} f_m^3 - 16F^2 f_{m-1} f_{m+1}^3       (m odd),
     f_{2m}   = f_m (f_{m+2} f_{m-1}^2 - f_{m-2} f_{m+1}^2).
 
-The same recurrence runs on integers at an integral point P = (a, b), where
-16F^2 = 16b^4, and on integer polynomials for psi_polynomial.  At P it gives
-h_n = psi_n(P), that is f_n(a) for odd n and 2b f_n(a) for even n, and the
-companion k_n = a h_n^2 - h_{n+1} h_{n-1} with x(nP) = k_n / h_n^2.
+The recurrence needs only ring arithmetic in x, so it runs on integers,
+Fractions and mpmath numbers alike.  At an integral point P = (a, b), where
+16F^2 = 16b^4, it gives h_n = psi_n(P), that is f_n(a) for odd n and
+2b f_n(a) for even n, and the companion k_n = a h_n^2 - h_{n+1} h_{n-1} with
+x(nP) = k_n / h_n^2.
 
 The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms
 (curves.Multiples), and ward_terms(...).D is that route's sequence.
@@ -34,36 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .curves import Curve, Multiples, RatPoint
 from .errors import InternalInvariantError, NonIntegralBasePoint
 
 OptInt = Optional[int]
-
-
-def _horner(coefficients: Sequence[int], x):
-    """Value at x of the polynomial with these coefficients, lowest degree first."""
-    acc = 0
-    for c in reversed(coefficients):
-        acc = acc * x + c
-    return acc
-
-
-@dataclass(frozen=True)
-class DivisionPolynomial:
-    """x-polynomial attached to index n; coefficients are exact, lowest degree first."""
-
-    n: int
-    coefficients: Tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return _horner(self.coefficients, x)
 
 
 @dataclass
@@ -82,20 +59,13 @@ class WardSequence:
         ]
 
 
-def _cubic_and_seeds(A: int, B: int) -> Tuple[Tuple[int, ...], ...]:
-    """Coefficients of F, f_3 and f_4, lowest degree first."""
-    return (
-        (B, A, 0, 1),
-        (-A * A, 12 * B, 6 * A, 0, 3),
-        (-2 * A**3 - 16 * B * B, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2),
-    )
-
-
 def _x_parts(A: int, B: int, x, top: int) -> list:
-    """f_0..f_top at x, which is an integer or the polynomial x itself."""
-    F, f3, f4 = (_horner(coefficients, x) for coefficients in _cubic_and_seeds(A, B))
-    one = x**0
-    f = [0 * one, one, one, f3, f4]
+    """f_0..f_top at x, an integer, a Fraction or an mpmath number."""
+    xx = x * x
+    F = x * (xx + A) + B
+    f3 = 3 * xx * xx + 6 * A * xx + 12 * B * x - A * A
+    f4 = 2 * (xx**3 + 5 * A * xx * xx + 20 * B * xx * x - 5 * A * A * xx - 4 * A * B * x - 8 * B * B - A**3)
+    f = [0, 1, 1, f3, f4]
     s = 16 * F * F
     for n in range(5, top + 1):
         m = n // 2
@@ -152,25 +122,6 @@ def ward_terms(walk: Multiples, n_max: int) -> WardSequence:
         D.append(Dn)
         g.append(gn)
     return WardSequence(h, k, D, g)
-
-
-@lru_cache(maxsize=None)
-def psi_polynomial(c: Curve, n: int) -> DivisionPolynomial:
-    """Polynomial in x whose roots are the x-coordinates of nontrivial n-torsion.
-
-    Odd n: the division polynomial itself, degree (n^2 - 1)/2.  Even n: the
-    factor 2y is dropped and the 2-torsion cubic x^3 + Ax + B is multiplied
-    back in, so the root set is again the full torsion x-locus.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    from sympy import Poly, symbols  # loading sympy takes half a second, and no CLI path comes here
-
-    x = Poly(symbols("x"))
-    f = _x_parts(c.A, c.B, x, n)[n]
-    if n % 2 == 0:
-        f *= _horner(_cubic_and_seeds(c.A, c.B)[0], x)
-    return DivisionPolynomial(n, tuple(int(v) for v in reversed(f.all_coeffs())))
 
 
 def psi_value_binary(n: int, x: int, N: int) -> int:

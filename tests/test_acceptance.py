@@ -274,15 +274,16 @@ def test_criterion_06_recurrence_consistency(capsys):
 def test_criterion_07_torsion_root_bounds(capsys):
     ok = True
     for N in (5, 15, 29):
-        E = congruent.congruent_curve(N)
+        data = analytic.period_data(congruent.congruent_curve(N), 128)
         for n in range(2, 8):
-            for root in torsion_x_coords(E, n):
+            for root in torsion_x_coords(data, n):
                 ok = ok and abs(root) <= n * n * N / 2 + 1e-6
     for A, B in ((-2, 1), (0, 1), (1, 1), (-7, 10), (3, 2)):
         c = make_curve(A, B)
         cap_scale = 120 * math.exp(curve_height(c).value)
+        data = analytic.period_data(c, 128)
         for n in range(2, 8):
-            for root in torsion_x_coords(c, n):
+            for root in torsion_x_coords(data, n):
                 ok = ok and abs(root) <= n * n * cap_scale + 1e-6
     with capsys.disabled():
         _verdict(7, "division-polynomial roots inside both stated radii", ok)

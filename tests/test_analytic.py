@@ -1,12 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from mpmath.ctx_mp import MPContext
-from mpmath.libmp import NoConvergence
 
 from ellmult import analytic
 from ellmult._precision import context
@@ -20,6 +22,7 @@ from ellmult.analytic import (
     weierstrass_point,
 )
 from ellmult.curves import INFINITY, curve_height, make_curve, multiply, rational_point
+from ellmult.divpoly import _x_parts
 from ellmult.errors import NotIdentityComponent, PrecisionExhausted
 
 CTX = context(192)
@@ -147,43 +150,82 @@ def test_principal_form_window(n, t):
 
 
 def test_two_torsion_roots():
-    roots = sorted(float(r.real) for r in torsion_x_coords(E5, 2))
+    roots = sorted(float(r.real) for r in torsion_x_coords(period_data(E5, 128), 2))
     assert roots == pytest.approx([-5.0, 0.0, 5.0], abs=1e-25)
 
 
 def test_torsion_counts():
+    data = period_data(E5, 128)
     for n in (3, 5, 7):
-        assert len(torsion_x_coords(E5, n)) == (n * n - 1) // 2
-    assert len(torsion_x_coords(E5, 2)) == 3
-    assert len(torsion_x_coords(E5, 4)) == 9
+        assert len(torsion_x_coords(data, n)) == (n * n - 1) // 2
+    assert len(torsion_x_coords(data, 2)) == 3
+    assert len(torsion_x_coords(data, 4)) == 9
 
 
-def test_torsion_roots_that_do_not_converge_exhaust_precision(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise NoConvergence("did not converge in 400 steps")
+def _abscissas_are_roots(c, n, roots):
+    """For each r in roots, whether p(r) vanishes within the bound below, p = f_n (times the cubic for even n).
 
-    monkeypatch.setattr(MPContext, "polyroots", no_convergence)
-    with pytest.raises(PrecisionExhausted) as caught:
-        torsion_x_coords(E5, 3)
-    assert type(caught.value) is PrecisionExhausted
-    assert str(caught.value) == "division polynomial roots at n=3: did not converge in 400 steps"
+    p's roots are exactly the n-torsion abscissas, each simple, and its
+    leading coefficient is n for odd n and n/2 for even n, so with the whole
+    root set in hand p'(r_i) = lead * prod_{j != i} (r_i - r_j).  An abscissa
+    within delta = 2^-100 max(1, |r_i|) of its root (28 bits short of the 128
+    asked for) has |p(r_i)| <= |p'(r_i)| delta + |p''| delta^2 / 2, and the
+    second term stays below the first while delta is far below the distance
+    to the next root; so the bound is 2 |p'(r_i)| delta.  p is evaluated at
+    640 bits, where its own rounding is far below that.  A duplicated root
+    makes p' vanish and fails.
+    """
+    assert len(roots) == ((n * n - 1) // 2 if n % 2 else (n * n + 2) // 2)
+    wide = context(640)
+    lead = n if n % 2 else n // 2
+    points = [wide.mpc(r) for r in roots]
+    verdicts = []
+    for i, x in enumerate(points):
+        p = _x_parts(c.A, c.B, x, n)[n]
+        if n % 2 == 0:
+            p *= x * (x * x + c.A) + c.B
+        slope = lead * wide.fprod(x - other for j, other in enumerate(points) if j != i)
+        verdicts.append(abs(p) <= 2 * abs(slope) * wide.ldexp(max(1, abs(x)), -100))
+    return verdicts
 
 
-def test_torsion_roots_let_other_errors_through(monkeypatch):
-    def broken(*args, **kwargs):
-        raise TypeError("not a root finder's failure")
+@pytest.mark.parametrize("A, B", [(-25, 0), (1, 1), (-7, 10)])
+def test_torsion_abscissas_are_division_polynomial_roots(A, B):
+    c = make_curve(A, B)
+    data = period_data(c, 128)
+    for n in range(2, 13):
+        roots = torsion_x_coords(data, n)
+        assert all(_abscissas_are_roots(c, n, roots)), n
+        # mutation: the largest abscissa moved by 2^-60 of itself fails the bound
+        k = max(range(len(roots)), key=lambda i: abs(roots[i]))
+        moved = roots[:k] + [roots[k] * (1 + CTX.ldexp(1, -60))] + roots[k + 1 :]
+        assert not _abscissas_are_roots(c, n, moved)[k], n
 
-    monkeypatch.setattr(MPContext, "polyroots", broken)
-    with pytest.raises(TypeError):
-        torsion_x_coords(E5, 3)
+
+def test_torsion_abscissas_need_no_sympy():
+    # in a fresh interpreter where `import sympy` raises ImportError
+    src = str(Path(analytic.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.modules['sympy'] = None; "
+        "from ellmult import make_curve, period_data, torsion_x_coords; "
+        "print(len(torsion_x_coords(period_data(make_curve(-25, 0), 128), 7)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "24\n"
 
 
 def test_congruent_torsion_abscissa_bound():
     # |x| <= n^2 N / 2 for every n-torsion abscissa on y^2 = x^3 - N^2 x
     for N in (5, 15, 29):
-        c = make_curve(-N * N, 0)
+        data = period_data(make_curve(-N * N, 0), 128)
         for n in range(2, 8):
-            for r in torsion_x_coords(c, n):
+            for r in torsion_x_coords(data, n):
                 assert abs(r) <= n * n * N / 2 + 1e-6
 
 
@@ -192,8 +234,9 @@ def test_general_torsion_abscissa_bound():
     for A, B in [(-2, 3), (1, 1), (-7, 10), (3, 2), (-11, 14)]:
         c = make_curve(A, B)
         cap_base = 120 * math.exp(float(curve_height(c)))
+        data = period_data(c, 128)
         for n in range(2, 6):
-            for r in torsion_x_coords(c, n):
+            for r in torsion_x_coords(data, n):
                 assert abs(r) <= n * n * cap_base + 1e-6
 
 
@@ -203,10 +246,9 @@ def test_large_x_log_window():
     cap = 1.5 * math.log(2)
     cases = [(-25, 0, 45, 300), (-225, 0, 60, 450), (-1156, 0, 578, 13872)]
     for A, B, x, y in cases:
-        c = make_curve(A, B)
-        two_torsion = max(abs(r) for r in torsion_x_coords(c, 2))
-        assert x >= 2 * two_torsion
-        z = elliptic_log(period_data(c, 128), rational_point(x, y))
+        data = period_data(make_curve(A, B), 128)
+        assert x >= 2 * data.roots[0]
+        z = elliptic_log(data, rational_point(x, y))
         val = math.log(abs(float(z))) + 0.5 * math.log(x)
         assert -cap <= val <= cap
 

@@ -363,6 +363,20 @@ def test_point_commands_check_the_point_once(capsys, monkeypatch, command, u):
     assert calls == {"on_curve": 1}
 
 
+@pytest.mark.parametrize("command", ["analyze", "heights"])
+def test_off_curve_point_on_a_scaled_model_is_reported_as_given(capsys, monkeypatch, command):
+    calls = _count_calls(monkeypatch, (curves, "on_curve"))
+    # u = 2: the check runs on (-25, 0) at (3/4, 3/8), the message names argv's point and model
+    code, doc = run_json(capsys, command, "--A", "-400", "--B", "0", "--x", "3", "--y", "3")
+    assert code == 2
+    assert doc["error"] == {
+        "exit_code": 2,
+        "message": "(3, 3) is not on y^2 = x^3 + -400 x + 0",
+        "type": "OffCurve",
+    }
+    assert calls == {"on_curve": 1}
+
+
 def _model_free_part(command, doc):
     """What must not depend on the model: M, r, h(E), hhat, lang_floor and each report's verdict."""
     profile = doc["reduction"] if command == "analyze" else {"M": doc["M"]}

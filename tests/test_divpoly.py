@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellmult import cli, curves
 from ellmult.curves import Multiples, make_curve, multiply, rational_point
 from ellmult.divpoly import (
-    psi_polynomial,
     psi_value_binary,
     ward_terms,
     x_multiple_exact,
@@ -176,29 +175,6 @@ def test_denominator_consistency_with_cancellation():
     seq = ward_terms(Multiples(E5, P5), 12)
     for n in range(1, 13):
         assert seq.h[n] ** 2 == seq.D[n] ** 2 * seq.g[n]
-
-
-def test_psi_polynomial_shapes():
-    assert psi_polynomial(E5, 1).coefficients == (1,)
-    two = psi_polynomial(E5, 2)
-    assert two.coefficients == (0, -25, 0, 1)  # x^3 - 25x
-    three = psi_polynomial(E5, 3)
-    assert three.coefficients == (-625, 0, -150, 0, 3)
-    for n in range(3, 10, 2):
-        assert psi_polynomial(E5, n).degree == (n * n - 1) // 2
-
-
-def test_psi_polynomial_evaluates_to_terms():
-    seq = ward_terms(Multiples(E5, P5), 9)
-    a, b = -4, 6
-    for n in range(1, 10):
-        pol = psi_polynomial(E5, n)
-        if n % 2:
-            assert pol(a) == seq.h[n]
-        else:
-            # even index: pol = cubic * f_n and h_n = 2b * f_n(a)
-            cubic = a**3 - 25 * a
-            assert pol(a) * 2 * b == seq.h[n] * cubic
 
 
 def test_psi_value_binary_examples():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ellmult._precision import context
 from ellmult.curves import INFINITY, Curve, Multiples, add, make_curve, multiply, rational_point
-from ellmult.divpoly import psi_polynomial
+from ellmult.divpoly import _x_parts
 from ellmult.errors import PrecisionExhausted
 from ellmult.heights import (
     _renormalized_doubling,
@@ -38,17 +38,18 @@ def test_torsion_scan():
 
 
 def _full_scan(c, Q, limit=12):
-    """Smallest k <= limit with kQ at infinity, testing every k: kQ = O iff psi_k(x(Q)) = 0.
+    """Smallest k <= limit with kQ at infinity, testing every k: kQ = O iff psi_k(Q) = 0.
 
-    The division polynomials decide each step without the group law, so the
-    scan costs little even where the multiples of Q are large.
+    psi_k(Q) is f_k(x(Q)) for odd k and 2y(Q) f_k(x(Q)) for even k, with f_k
+    from the division-polynomial recurrence evaluated exactly at the Fraction
+    x(Q).  It decides each step without the group law, so the scan costs
+    little even where the multiples of Q are large.
     """
     if Q.is_infinity:
         return 1
-    X, q = Q.x.numerator, Q.x.denominator
+    f = _x_parts(c.A, c.B, Q.x, limit)
     for k in range(2, limit + 1):
-        psi = psi_polynomial(c, k)
-        if sum(a * X**i * q ** (psi.degree - i) for i, a in enumerate(psi.coefficients)) == 0:
+        if f[k] == 0 or (k % 2 == 0 and Q.y == 0):
             return k
     return None
 
