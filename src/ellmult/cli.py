@@ -187,7 +187,7 @@ def _analytic_doc(curve, point, precision_bits: int) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     walk, input_model = _quasi_minimal_walk(args)
     curve, point = walk.curve, walk.point
-    integral = walk[1][2] == 1  # D = 1: x, and so y, is an integer
+    integral = walk[1][1] == 1  # D = 1: x, and so y, is an integer
     terms = ward_terms(walk, args.n_max) if integral else None
     profile = localdata.global_M(walk)
     estimate = heights.canonical_height(walk, tol=args.tol)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 from .errors import InternalInvariantError, OffCurve, SingularCurve
 from .factorization import factor_int, valuation
@@ -107,9 +107,11 @@ def on_curve(c: Curve, P: RatPoint) -> bool:
 # The group law runs on triples (X, Y, D) with x = X/D^2, y = Y/D^3, D >= 1 and
 # gcd(X, D) = 1; None is the point at infinity.  On an integral model every
 # affine rational point has exactly one such triple, so triples compare as
-# points do, and D is the square root of the denominator of x.
+# points do, and D is the square root of the denominator of x.  The walk keeps
+# only pairs (X, D), which fix x and so the point up to sign.
 
 Triple = Optional[Tuple[int, int, int]]
+Pair = Optional[Tuple[int, int]]
 
 
 def to_triple(c: Curve, P: RatPoint) -> Triple:
@@ -133,15 +135,21 @@ def from_triple(T: Triple) -> RatPoint:
     return RatPoint(Fraction(X, D * D), Fraction(Y, D**3))
 
 
-def add_triples(c: Curve, T1: Triple, T2: Triple, t: Optional[int] = None) -> Triple:
+def _square_gcd(X: int, D: int, what: str) -> int:
+    """v with gcd(X, D^2) = v^2; on an integral model the reduced denominator of x = X/D^2 is a square."""
+    g = math.gcd(X, D * D)
+    v = math.isqrt(g)
+    if v * v != g:
+        raise InternalInvariantError(f"reduced denominator {D * D // g} of {what} is not a perfect square")
+    return v
+
+
+def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
     """T1 + T2 on c without an on-curve check: both must come from to_triple or from here.
 
     The chord or tangent gives x as num / W^2 with slope L / (K W), and
-    gcd(num, W^2) = u^2 reduces x.  A trial factor t >= 1 of u shrinks that
-    gcd: when t | W and t^2 | num, gcd(num, W^2) = t^2 gcd(num / t^2, (W / t)^2),
-    so the gcd runs on the quotients, which are usually coprime.  Otherwise
-    it runs on num and W^2.  y follows from the summand with the smaller
-    denominator.
+    gcd(num, W^2) = v^2 reduces x.  y follows from the summand with the
+    smaller denominator, by one exact division.
     """
     if T1 is None:
         return T2
@@ -164,53 +172,81 @@ def add_triples(c: Curve, T1: Triple, T2: Triple, t: Optional[int] = None) -> Tr
         # x3 = slope^2 - 2 x1 with slope (3 x1^2 + A) / (2 y1)
         K, L, W = 1, 3 * X1 * X1 + c.A * E1 * E1, 2 * Y1 * D1
         num = L * L - 8 * X1 * Y1 * Y1
-    X, D, u = num, abs(W), 1
-    if t is not None:
-        Dt, r = divmod(D, t)
-        if not r:
-            Xt, r = divmod(X, t * t)
-            if not r:
-                X, D, u = Xt, Dt, t
-    # on an integral model the reduced denominator of x is a square, so gcd(X, D^2) = v^2;
-    # after a trial factor it is mostly 1, which the smaller gcd(X, D) shows
-    if u == 1 or math.gcd(X, D) != 1:
-        g = math.gcd(X, D * D)
-        v = math.isqrt(g)
-        if v * v != g:
-            raise InternalInvariantError(f"reduced denominator {D * D // g} of x(P + Q) is not a perfect square")
-        X, D, u = X // g, D // v, u * v
+    v = _square_gcd(num, W, "x(P + Q)")
+    X, D = num // (v * v), abs(W) // v
     if W < 0:
         L = -L
-    # y3 = slope (x2 - x3) - y2, exact over u K D2^3
-    Y, r = divmod(L * (X2 * D * D - X * E2) * D2 - Y2 * u * K * D**3, u * K * D2**3)
+    # y3 = slope (x2 - x3) - y2, exact over v K D2^3
+    Y, r = divmod(L * (X2 * D * D - X * E2) * D2 - Y2 * v * K * D**3, v * K * D2**3)
     if r:
         raise InternalInvariantError("denominator of y(P + Q) is not the cube of the square root of that of x")
     return X, Y, D
 
 
 class Multiples:
-    """The triples of P, 2P, 3P, ... on c, each computed once, on first use.
+    """The pairs of P, 2P, 3P, ... on c, each computed once, on first use.
 
-    The constructor is the one on-curve check.  walk[n] is the triple of nP
-    for n >= 1; reading it extends the walk by one addition per missing step.
-    The step to (n + 1)P passes D_{n-1} as the trial factor.  It divided u
-    at every step on the golden points; what is left of u comes from the bad
-    primes (Ayad 1992).
+    The constructor is the one on-curve check.  walk[n] is the pair (X, D) of
+    nP for n >= 1, with x(nP) = X/D^2, or None at infinity; reading it extends
+    the walk by one step per missing multiple.  2P comes from add_triples.
+    Every later step uses x alone: applied to Q and -Q, the addition law
+    (Silverman, AEC III.2.3; Brier and Joye, PKC 2002) gives
+
+        x(nP + P) + x(nP - P) = 2 [(x1 + x2)(x1 x2 + A) + 2B] / (x1 - x2)^2,
+
+    so with (a, d) the pair of P, e = d^2 and E = D_n^2, x((n+1)P) = S / H^2 -
+    X_{n-1} / D_{n-1}^2, where H = a E - X_n e and S = 2[(X_n e + a E)(a X_n
+    + A e E) + 2B e^2 E^2].  The step divides D_{n-1} out of H, giving Q, and
+    D_{n-1}^2 out of S - X_{n-1} Q^2, giving X over Q^2; where either
+    division leaves a remainder it reduces S D_{n-1}^2 - X_{n-1} H^2 over
+    (H D_{n-1})^2 instead.  The trial divisions were exact at every step on
+    the golden points; what the gcd still removes comes from the bad primes
+    (Ayad 1992).  H = 0 means nP = -P, so (n+1)P is at infinity.  From the
+    first None, at the order m of P, walk[n] is walk[n mod m].
     """
 
     def __init__(self, c: Curve, P: RatPoint) -> None:
         self.curve = c
         self.point = P
-        self._triples = [to_triple(c, P)]
+        self._triple = to_triple(c, P)
+        # (X, Y, D)[::2] is the pair (X, D)
+        self._pairs: List[Pair] = [None if self._triple is None else self._triple[::2]]
 
-    def __getitem__(self, n: int) -> Triple:
+    def __getitem__(self, n: int) -> Pair:
         if n < 1:
             raise IndexError(f"the walk starts at 1P, not at {n}P")
-        triples, c = self._triples, self.curve
-        while len(triples) < n:
-            prev = triples[-2] if len(triples) > 1 else None
-            triples.append(add_triples(c, triples[-1], triples[0], None if prev is None else prev[2]))
-        return triples[n - 1]
+        pairs = self._pairs
+        while len(pairs) < n and pairs[-1] is not None:
+            pairs.append(self._step())
+        if pairs[-1] is None:  # the walk stopped at infinity, at the order of P
+            n %= len(pairs)
+            return pairs[n - 1] if n else None
+        return pairs[n - 1]
+
+    def _step(self) -> Pair:
+        """The pair of (n+1)P, where the walk holds P, ..., nP, none of them at infinity."""
+        pairs, c = self._pairs, self.curve
+        if len(pairs) == 1:
+            T = add_triples(c, self._triple, self._triple)
+            return None if T is None else T[::2]
+        (a, d), (Xp, Dp), (Xn, Dn) = pairs[0], pairs[-2], pairs[-1]
+        e, E = d * d, Dn * Dn
+        Xe, aE = Xn * e, a * E
+        H = aE - Xe  # (x(P) - x(nP)) (d D_n)^2
+        if not H:
+            return None
+        eE = e * E
+        S = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE)
+        Q, r = divmod(H, Dp)
+        if not r:
+            X, r = divmod(S - Xp * Q * Q, Dp * Dp)
+        if r:
+            X, Q = S * Dp * Dp - Xp * H * H, H * Dp
+        D = abs(Q)
+        if r or math.gcd(X, D) != 1:
+            v = _square_gcd(X, D, f"x({len(pairs) + 1}P)")
+            X, D = X // (v * v), D // v
+        return X, D
 
 
 def add(c: Curve, P: RatPoint, Q: RatPoint) -> RatPoint:

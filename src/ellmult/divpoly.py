@@ -18,8 +18,15 @@ Fractions and mpmath numbers alike.  At an integral point P = (a, b), where
 2b f_n(a) for even n, and the companion k_n = a h_n^2 - h_{n+1} h_{n-1} with
 x(nP) = k_n / h_n^2.
 
-The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms
-(curves.Multiples), and ward_terms(...).D is that route's sequence.
+The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms, and
+ward_terms(...).D is that route's sequence.  curves.Multiples walks it on x
+alone: past 2P, the addition law for x on nP + P and nP - P (Silverman, AEC
+III.2.3; Brier and Joye 2002) gives x((n+1)P) = S / H^2 - x((n-1)P), with
+H = (x(P) - x(nP)) (d D_n)^2 for P = (a/d^2, .).  The step divides D_{n-1}
+out of H and D_{n-1}^2 out of the numerator, reduces by one gcd, and falls
+back to one gcd on the undivided fraction where a division is inexact; no
+step recovers y.  H = 0 puts (n+1)P at infinity, and from there the walk
+repeats with the order of P.
 ward_terms walks the group law once and compares the two routes at every n:
 it divides g_n = h_n^2 / D_n^2 and requires the division to be exact and
 k_n = g_n X_n.  As gcd(X_n, D_n) = 1, that proves g_n = gcd(k_n, h_n^2)
@@ -114,7 +121,7 @@ def ward_terms(walk: Multiples, n_max: int) -> WardSequence:
             D.append(None)
             g.append(None)
             continue
-        X, _, Dn = T
+        X, Dn = T
         # h_n^2 = g_n D_n^2 and k_n = g_n X_n with gcd(X_n, D_n) = 1 make g_n = gcd(k_n, h_n^2)
         gn, r = divmod(h2[n], Dn * Dn)
         if not gn or r or k[n] != gn * X:

@@ -77,7 +77,7 @@ def torsion_order(walk: Multiples) -> Optional[int]:
         Q = walk[n]
         if Q is None:
             return n
-        if Q[2] > 1:
+        if Q[1] > 1:
             return None
     return None
 

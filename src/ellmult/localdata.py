@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .curves import Curve, Multiples, Triple
+from .curves import Curve, Multiples, Pair
 from .errors import CapExceeded, InternalInvariantError, UnreliableAtSmallPrime
 from .factorization import prime_divisors, valuation
 
@@ -49,17 +49,24 @@ def bad_primes(c: Curve) -> list:
     return prime_divisors(c.discriminant)
 
 
-def _nonsingular_mod(c: Curve, p: int, T: Triple) -> bool:
-    """Whether the point with triple T reduces to a nonsingular point mod p.
+def _nonsingular_mod(c: Curve, p: int, T: Pair) -> bool:
+    """Whether the point with pair T = (X, D) reduces to a nonsingular point mod p.
 
     With x = X/D^2 and y = Y/D^3, a point with p | D reduces to the point at
     infinity; otherwise some partial derivative of y^2 - x^3 - A*x - B must
-    survive: 2Y or 3X^2 + A*D^4 is nonzero mod p.
+    survive: 2Y or 3X^2 + A*D^4 is nonzero mod p.  2Y vanishes mod 2, and
+    at an odd p it vanishes exactly when Y^2 = X^3 + A*X*D^4 + B*D^6 does,
+    so the test needs no Y.
     """
     if T is None or c.discriminant % p != 0:
         return True
-    X, Y, D = T
-    return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
+    X, D = T[0] % p, T[1] % p
+    if not D:
+        return True
+    D4 = D**4
+    if (3 * X * X + c.A * D4) % p:
+        return True
+    return p != 2 and (X**3 + c.A * X * D4 + c.B * D4 * D * D) % p != 0
 
 
 def global_M(walk: Multiples) -> ComponentProfile:

@@ -1,15 +1,31 @@
-"""Shared fixtures: reference points with their multiples by an independent group law, and the default int-to-str cap."""
+"""Shared fixtures: reference points with their multiples by an independent group law, random integral points, and the default int-to-str cap."""
 
+import math
 import sys
 from fractions import Fraction
 from importlib import resources
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 REFERENCE_N_MAX = 40
 
 # (A, B, x, y) with B != 0, beside the golden points, whose curves all have B = 0
 OTHER_POINTS = ((0, 17, -2, 3), (0, 17, 8, -23), (0, -2, 3, 5), (-16, 16, 0, 4))
+
+
+@st.composite
+def integral_points(draw):
+    """(A, B, x, y): an integral point (x, y) on a smooth y^2 = x^3 + A x + B with |A|, |B| <= 500 and |x| <= 6."""
+    A, x = draw(st.integers(-500, 500)), draw(st.integers(-6, 6))
+    v = x**3 + A * x
+    assume(v + 500 >= 0)
+    low = math.isqrt(max(v - 500, 0))
+    y = draw(st.integers(low + (low * low < v - 500), math.isqrt(v + 500)))
+    B = y * y - v
+    assume(4 * A**3 + 27 * B**2 != 0)
+    return A, B, x, y
 
 
 def _chord_tangent(A, P, Q):

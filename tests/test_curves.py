@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from conftest import integral_points
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellmult import curves
@@ -10,9 +11,7 @@ from ellmult.curves import (
     INFINITY,
     Multiples,
     add,
-    add_triples,
     curve_height,
-    from_triple,
     make_curve,
     multiply,
     on_curve,
@@ -178,54 +177,80 @@ def test_group_law_commutes_and_associates():
     assert on_curve(E5, add(E5, p, q))
 
 
-def _assert_trial_factors_exact(c, P, n_max=40):
-    """The walk equals double-and-add, and no trial factor changes a step of it."""
-    multiples = Multiples(c, P)
-    walk = [multiples[n] for n in range(1, n_max + 1)]
-    assert [from_triple(T) for T in walk] == [multiply(c, n, P) for n in range(1, n_max + 1)]
-    base = walk[0]
-    for prev, T in zip(walk, walk[1:]):
-        if prev is None or T is None:
-            continue
-        expected = add_triples(c, T, base)
-        # D_{n-1} as the walk passes it, the trivial factor, and a multiple that does not divide
-        for t in (prev[2], 1, 1000003 * prev[2]):
-            assert add_triples(c, T, base, t) == expected, (c, P, t)
+def _x_pair(Q):
+    """The pair (X, D) with x(Q) = X/D^2 in lowest terms, read off Q's Fraction x; None at infinity."""
+    if Q.is_infinity:
+        return None
+    return Q.x.numerator, math.isqrt(Q.x.denominator)
+
+
+def _assert_walk_matches_multiply(c, P, n_max=40):
+    """The walk's pair of nP is x(nP) from double-and-add, in lowest terms, for every n <= n_max."""
+    walk = Multiples(c, P)
+    assert [walk[n] for n in range(1, n_max + 1)] == [_x_pair(multiply(c, n, P)) for n in range(1, n_max + 1)]
 
 
 def test_multiples_computes_each_triple_once(monkeypatch):
-    calls = []
-    original = curves.add_triples
-    monkeypatch.setattr(curves, "add_triples", lambda *args: calls.append(args) or original(*args))
+    steps, additions = [], []
+    step, add_triples = curves.Multiples._step, curves.add_triples
+    monkeypatch.setattr(curves.Multiples, "_step", lambda walk: steps.append(walk) or step(walk))
+    monkeypatch.setattr(curves, "add_triples", lambda *args: additions.append(args) or add_triples(*args))
     P = rational_point(-4, 6)
     walk = Multiples(E5, P)
-    triples = [walk[5], walk[3], walk[5]]
-    assert len(calls) == 4  # 2P to 5P, one addition each
-    assert [from_triple(T) for T in triples] == [multiply(E5, n, P) for n in (5, 3, 5)]
+    pairs = [walk[5], walk[3], walk[5]]
+    assert len(steps) == 4  # 2P to 5P, one step each
+    assert len(additions) == 1  # 2P; every later step uses x alone
+    assert pairs == [_x_pair(multiply(E5, n, P)) for n in (5, 3, 5)]
     with pytest.raises(IndexError):
         walk[0]
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(-500, 500), st.integers(-6, 6), st.data())
-def test_trial_factor_is_exact_on_random_curves(A, x, data):
-    # an integral point (x, y) on y^2 = x^3 + A x + B with |B| <= 500
-    v = x**3 + A * x
-    assume(v + 500 >= 0)
-    low = math.isqrt(max(v - 500, 0))
-    y = data.draw(st.integers(low + (low * low < v - 500), math.isqrt(v + 500)))
-    B = y * y - v
-    assume(4 * A**3 + 27 * B**2 != 0)
-    _assert_trial_factors_exact(make_curve(A, B), rational_point(x, y))
+@given(integral_points())
+def test_trial_factor_is_exact_on_random_curves(point):
+    A, B, x, y = point
+    _assert_walk_matches_multiply(make_curve(A, B), rational_point(x, y))
 
 
 @pytest.mark.parametrize("N, x, y", [(5, -4, 6), (5, 45, 300), (6, 12, 36), (29, 284229, 151531380)])
 def test_trial_factor_is_exact_on_golden_points(N, x, y):
     c = make_curve(-N * N, 0)
     P = rational_point(x, y)
-    _assert_trial_factors_exact(c, P)
+    _assert_walk_matches_multiply(c, P)
     # a non-integral base point: 2P, whose D_{n-1} need not divide
-    _assert_trial_factors_exact(c, multiply(c, 2, P), 20)
+    _assert_walk_matches_multiply(c, multiply(c, 2, P), 20)
+
+
+E1 = make_curve(0, 1)
+# (curve, base point, order or None): the torsion points the suite holds, the point at infinity,
+# and non-integral base points
+WALK_EDGES = (
+    [(E5, rational_point(x, 0), 2) for x in (0, 5, -5)]
+    + [(E1, rational_point(x, y), order) for x, y, order in ((2, 3, 6), (0, 1, 3), (-1, 0, 2), (0, -1, 3), (2, -3, 6))]
+    + [(E5, INFINITY, 1)]
+    + [
+        (E5, multiply(E5, 2, rational_point(-4, 6)), None),
+        (make_curve(-225, 0), multiply(make_curve(-225, 0), 2, rational_point(-9, 36)), None),
+        (make_curve(0, 17), multiply(make_curve(0, 17), 2, rational_point(-2, 3)), None),
+        (make_curve(-16, 16), multiply(make_curve(-16, 16), 3, rational_point(0, 4)), None),
+    ]
+)
+
+
+@pytest.mark.parametrize("c, P, order", WALK_EDGES)
+def test_walk_edges_and_general_reduction_match_multiply(monkeypatch, c, P, order):
+    # to three times the order, so the walk's periodic tail past the first None is read too
+    n_max = 3 * order if order else 20
+    expected = [_x_pair(multiply(c, n, P)) for n in range(1, n_max + 1)]
+    _assert_walk_matches_multiply(c, P, n_max)
+    # every trial division reports a remainder, so every step past 2P that is not at infinity
+    # reduces S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2; 2P is read first, as add_triples divides too
+    walk = Multiples(c, P)
+    walk[2]
+    divisions = []
+    monkeypatch.setattr(curves, "divmod", lambda a, b: divisions.append(b) or (a // b, 1), raising=False)
+    assert [walk[n] for n in range(1, n_max + 1)] == expected
+    assert len(divisions) == (n_max - 2 if order is None else max(order - 3, 0))
 
 
 def test_quasi_minimalize():

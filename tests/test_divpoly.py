@@ -81,7 +81,7 @@ def test_ward_terms_checks_the_point_once(monkeypatch):
 
 
 def _corrupt_walk(monkeypatch, n_bad, change):
-    """Make every walk read change(T) in place of the triple T of n_bad P; the walk itself goes on from T."""
+    """Make every walk read change(T) in place of the pair T of n_bad P; the walk itself goes on from T."""
     original = curves.Multiples.__getitem__
 
     def read(walk, n):
@@ -91,16 +91,16 @@ def _corrupt_walk(monkeypatch, n_bad, change):
     monkeypatch.setattr(curves.Multiples, "__getitem__", read)
 
 
-# (base point, n, change): one wrong triple each, which the recurrence must refuse
-WRONG_TRIPLES = {
-    "D times 3": ((-4, 6), 7, lambda T: (T[0], T[1], 3 * T[2])),
-    "X off by one": ((-4, 6), 7, lambda T: (T[0] + 1, T[1], T[2])),
+# (base point, n, change): one wrong pair (X, D) each, which the recurrence must refuse
+WRONG_PAIRS = {
+    "D times 3": ((-4, 6), 7, lambda T: (T[0], 3 * T[1])),
+    "X off by one": ((-4, 6), 7, lambda T: (T[0] + 1, T[1])),
     "infinity at a finite n": ((-4, 6), 7, lambda T: None),
-    "finite at infinity": ((0, 0), 4, lambda T: (0, 0, 1)),
+    "finite at infinity": ((0, 0), 4, lambda T: (0, 1)),
 }
 
 
-@pytest.mark.parametrize("point, n, change", WRONG_TRIPLES.values(), ids=WRONG_TRIPLES.keys())
+@pytest.mark.parametrize("point, n, change", WRONG_PAIRS.values(), ids=WRONG_PAIRS.keys())
 def test_ward_terms_refuses_a_wrong_group_law_triple(monkeypatch, capsys, point, n, change):
     _corrupt_walk(monkeypatch, n, change)
     with pytest.raises(InternalInvariantError, match=f"{n}P"):

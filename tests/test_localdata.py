@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from conftest import integral_points
+from hypothesis import example, given, settings
 
 from ellmult import cli, curves, localdata
 from ellmult.curves import INFINITY, Multiples, make_curve, multiply, rational_point
@@ -122,6 +124,45 @@ def test_cap_exceeded_names_the_smallest_prime(monkeypatch):
         global_M(Multiples(E5, P5))
     # ord_2(10^6) + 4 = 10 steps; p = 5 overruns its cap as well
     assert str(caught.value) == "no multiple of the point entered the identity component at p=2 within 10 steps"
+
+
+def _nonsingular_by_triple(c, p, T):
+    """The criterion on the whole triple (X, Y, D): p | D, or 2Y or 3X^2 + A D^4 is nonzero mod p."""
+    if T is None or c.discriminant % p:
+        return True
+    X, Y, D = T
+    return D % p == 0 or (2 * Y) % p != 0 or (3 * X * X + c.A * D**4) % p != 0
+
+
+def _pair_criterion_verdicts(c, P, n_max=12):
+    """(p, verdict) on nP for n <= n_max at p = 2, 3 and every odd bad prime; the pair's verdict must be the triple's."""
+    verdicts = []
+    for n in range(1, n_max + 1):
+        T = curves.to_triple(c, multiply(c, n, P))
+        pair = None if T is None else (T[0], T[2])
+        for p in sorted({2, 3, *bad_primes(c)}):
+            verdict = localdata._nonsingular_mod(c, p, pair)
+            assert verdict == _nonsingular_by_triple(c, p, T), (c, P, n, p)
+            verdicts.append((p, verdict))
+    return verdicts
+
+
+def test_pair_criterion_matches_triple_criterion_on_golden_points(golden_multiples):
+    seen = set()
+    for N, x, y, _ in golden_multiples:
+        seen.update((p == 2, v) for p, v in _pair_criterion_verdicts(make_curve(-N * N, 0), rational_point(x, y)))
+    # both verdicts occur at p = 2 and at odd primes, so no case of the comparison is vacuous
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(integral_points())
+# multiples that are singular at p = 7 and at p = 17 with B D^6 != B D^4 mod p, so the B term counts
+@example((-40, -23, -2, 7))
+@example((-39, 4, 0, 2))
+def test_pair_criterion_matches_triple_criterion_on_random_curves(point):
+    A, B, x, y = point
+    _pair_criterion_verdicts(make_curve(A, B), rational_point(x, y))
 
 
 def _oracle_m(c, P):
