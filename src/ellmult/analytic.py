@@ -23,11 +23,13 @@ nonsingular curve the isolation always ends.
 Both routes read the root differences, and the elliptic logarithm x - e1,
 x - e2, x - e3 (_differences): the roots are isolated again at a wider
 precision while one of them has lost too many bits at the working one.  R_F is
-_carlson_rf: Carlson's duplication on Python integers in fixed point, stopped
-on Carlson's explicit truncation bound (Carlson, Numer. Algorithms 10, 1995;
-DLMF 19.36(i)), then a fifth-order series, and one rounding of one integer to
-the working precision.  With one real root its last two arguments are complex
-conjugates and R_F is real.
+_carlson_rf, on Python integers in fixed point: Carlson's duplication until
+every X_a = (A_0 - a) / (4^m A_m) is at most r = 2^-10 (6 or 7 steps on most
+complete integrals), then the whole series of R_F in E2 and E3 by its
+three-term recurrence, to the degree N where its tail bound 2 r^(N+1) falls
+below 2^-(prec + 31) (DLMF 19.19, 19.36(i); Carlson, Numer. Algorithms 10,
+1995), and one rounding of one integer to the working precision.  With one
+real root its last two arguments are complex conjugates and R_F is real.
 
 The n-torsion abscissas are the values of the Weierstrass function at the
 n-division points of the lattice spanned by omega and omega2 (Silverman, AEC
@@ -235,7 +237,7 @@ def _agm_lattice(c: Curve, ctx, d12, d13, d23) -> Tuple[object, object]:
 
 
 def _carlson_rf(ctx, x, y, z):
-    """Carlson's R_F(x, y, z) rounded once to ctx.prec: the duplication on integers in fixed point.
+    """Carlson's R_F(x, y, z) rounded once to ctx.prec: a few duplication steps, then the whole series, on integers in fixed point.
 
     The arguments are three reals >= 0, at most one of them 0, or a real
     x >= 0 and a conjugate pair y, z = u +- iv, v != 0, where R_F is real.
@@ -248,22 +250,30 @@ def _carlson_rf(ctx, x, y, z):
     the same way.  For a conjugate pair sqrt(y)sqrt(z) = |y| and lam =
     2 sqrt(x) Re sqrt(y) + |y|; when u < 0, Re sqrt(y) = |v| / (2 Im sqrt(y)),
     so |y| + u is never formed, and the product is taken whole, since Re sqrt(y)
-    alone can fall far below 2^-F.  Either way a step takes three isqrt.  The
-    iteration stops on Carlson's bound as mpmath's RF_calc states it: at the
-    first m with 4^-m Q < |A_m|, Q = (3r)^(-1/6) max|A_0 - a|,
-    r = 2^-(ctx.prec + 20), compared exactly in integers as
-    D^6 2^(ctx.prec + 20) < 3 (4^m A_m)^6 with D = max|A_0 - a|.  Then every
-    X_a = (A_0 - a) / (4^m A_m) is below (3r)^(1/6), and the fifth-order series
-    in E2, E3 leaves out terms of order r (Carlson, Numer. Algorithms 10, 1995;
-    DLMF 19.36(i)).
+    alone can fall far below 2^-F.  Either way a step takes three isqrt.
+
+    The duplication stops at the first m with r = max|X_a| <= 2^-10, where
+    X_a = (A_0 - a) / (4^m A_m), compared exactly in integers as
+    (3D)^2 2^20 <= 9 (4^m A_m)^2 with D = max|A_0 - a|: 6 or 7 steps on most
+    complete integrals, at any precision.  With E2 = X_x X_y + X_x X_z +
+    X_y X_z and E3 = X_x X_y X_z, R_F = A_m^(-1/2) sum T_N / (2N + 1)
+    (DLMF 19.19, 19.36(i); Carlson, Numer. Algorithms 10, 1995), where
+    sum T_N t^N = (1 + E2 t^2 - E3 t^3)^(-1/2) = prod (1 - X_a t)^(-1/2):
+    T_0 = 1, T_1 = 0 and (2N + 2) T_{N+1} = -2N E2 T_{N-1} + (2N - 1) E3 T_{N-2}.
+    Each factor's coefficients are at most those of (1 - rt)^(-1/2), real or
+    conjugate X_a alike, so |T_N| <= (3/2)_N / N! r^N, the coefficient of
+    (1 - rt)^(-3/2); as (3/2)_N / (N! (2N + 1)) <= 1, the terms past N leave
+    out at most 2 r^(N+1).  The sum runs to N = ceil((ctx.prec + 22) / 10),
+    where that is below 2^-(ctx.prec + 31).
 
     Rounding budget: the floors of a step move each iterate by a few units of
     2^-F, against iterates no smaller than a quarter of the smallest part, and
-    no step doubles an earlier error; m is about (ctx.prec + 20) / 12 plus a
-    few steps for spread-out arguments, 97 at most at ctx.prec = 1056 in tests.
-    So the integer of about F bits that is rounded, once, to ctx.prec lies
-    within 2^-(ctx.prec + 16) of R_F; in tests from 128 to 1024 bits it lay
-    within 2^-(ctx.prec + 22).
+    no step doubles an earlier error.  Each T_N is floored once and so is its
+    quotient by 2N + 1; since |E2| <= 3r^2 and |E3| <= r^3, the recurrence
+    shrinks an earlier error, so the 109 terms at ctx.prec = 1056 add at
+    most 2^8 units, against the 28 guard bits of F.  So the integer of about
+    F bits that is rounded, once, to ctx.prec lies within 2^-(ctx.prec + 16) of
+    R_F; in tests from 128 to 1024 bits it lay within 2^-(ctx.prec + 22).
     """
     F = ctx.prec + 28
     pair = ctx.im(y) != 0
@@ -279,11 +289,8 @@ def _carlson_rf(ctx, x, y, z):
         dx, dy = Y + Z - 2 * X, X + Z - 2 * Y
         A = (X + Y + Z) // 3
         spread = max(dx * dx, dy * dy, (dx + dy) ** 2)
-    limit = spread**3 << ctx.prec + 20  # (3D)^6 2^(prec+20), against 3^7 (4^m A_m)^6
-    top = limit.bit_length()
     m = 0
-    # 3^7 < 2^12: while the bit lengths leave room, the powers need not be formed
-    while 6 * A.bit_length() + 12 * m + 12 < top or 2187 * A**6 << 12 * m <= limit:
+    while spread << 20 > 9 * A * A << 4 * m:  # r > 2^-10
         sx = math.isqrt(X << F)
         if pair:
             modulus = math.isqrt(Y * Y + Z * Z)
@@ -306,10 +313,15 @@ def _carlson_rf(ctx, x, y, z):
     else:
         p, q = (dx << F) // den, (dy << F) // den
         e2, e3 = -(p * p + p * q + q * q) >> F, -p * q * (p + q) >> 2 * F
-    series = (9240 << F) - 924 * e2 + 660 * e3 + ((385 * e2 - 630 * e3) * e2 >> F)
-    # R_F(x, y, z)^2 = 2^shift series^2 / (9240^2 A 2^F), taken to 2F bits
+    # (T_{N-2}, T_{N-1}, T_N) from N = 0, and the sum of T_N / (2N + 1) to N
+    older, old, term = 0, 0, 1 << F
+    series = term
+    for N in range(-(-(ctx.prec + 22) // 10)):
+        older, old, term = old, term, (-2 * N * e2 * old + (2 * N - 1) * e3 * older >> F) // (2 * N + 2)
+        series += term // (2 * N + 3)
+    # R_F(x, y, z)^2 = 2^shift series^2 / (A 2^F), taken to 2F bits
     extra = A.bit_length() + (A.bit_length() + F & 1)
-    root = math.isqrt((series * series << extra) // (85377600 * A))
+    root = math.isqrt((series * series << extra) // A)
     return ctx.ldexp(ctx.mpf(root), shift - extra - F >> 1)
 
 

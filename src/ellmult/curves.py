@@ -136,8 +136,13 @@ def from_triple(T: Triple) -> RatPoint:
 
 
 def _square_gcd(X: int, D: int, what: str) -> int:
-    """v with gcd(X, D^2) = v^2; on an integral model the reduced denominator of x = X/D^2 is a square."""
-    g = math.gcd(X, D * D)
+    """v with gcd(X, D^2) = v^2; on an integral model the reduced denominator of x = X/D^2 is a square.
+
+    gcd(X, D^2) divides g^2, g = gcd(X, D), and g^2 divides D^2, so it is
+    gcd(X mod g^2, g^2): one gcd on the full-size X, none on D^2.
+    """
+    square = math.gcd(X, D) ** 2
+    g = math.gcd(X % square, square)
     v = math.isqrt(g)
     if v * v != g:
         raise InternalInvariantError(f"reduced denominator {D * D // g} of {what} is not a perfect square")
@@ -243,8 +248,8 @@ class Multiples:
         if r:
             X, Q = S * Dp * Dp - Xp * H * H, H * Dp
         D = abs(Q)
-        if r or math.gcd(X, D) != 1:
-            v = _square_gcd(X, D, f"x({len(pairs) + 1}P)")
+        v = _square_gcd(X, D, f"x({len(pairs) + 1}P)")
+        if v != 1:
             X, D = X // (v * v), D // v
         return X, D
 

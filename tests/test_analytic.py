@@ -284,6 +284,71 @@ def test_carlson_rf_matches_elliprf_at_twice_the_precision(arguments):
     assert abs(analytic._carlson_rf(ctx, x, y, z) - want) <= want * ref.mpf(2) ** -(ctx.prec - 1)
 
 
+def _counting_isqrt(monkeypatch):
+    calls = []
+    isqrt = math.isqrt
+    monkeypatch.setattr(analytic.math, "isqrt", lambda n: calls.append(n) or isqrt(n))
+    return calls
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512, 1024])
+def test_carlson_rf_closed_forms(monkeypatch, bits):
+    ctx = context(bits + analytic.GUARD_BITS)
+    ref = context(2 * ctx.prec)
+    x, y = ctx.mpf(7) / 3, ctx.mpf(5) / 7
+    cases = [
+        ((x, x, x), 1 / ref.sqrt(x)),
+        ((0, y, y), ref.pi / (2 * ref.sqrt(y))),
+        ((0, 1, 2), ref.gamma(ref.mpf(1) / 4) ** 2 / (4 * ref.sqrt(2 * ref.pi))),
+    ]
+    for args, want in cases:
+        assert abs(analytic._carlson_rf(ctx, *args) - want) <= want * ref.mpf(2) ** -(ctx.prec - 1)
+    # equal arguments leave nothing to duplicate: the one isqrt is the final square root
+    calls = _counting_isqrt(monkeypatch)
+    analytic._carlson_rf(ctx, x, x, x)
+    assert len(calls) == 1
+
+
+class _Unrounded:
+    """ctx as _carlson_rf reads it, but with a final mpf and ldexp that keep every bit of its integer."""
+
+    def __init__(self, ctx):
+        self.prec, self._ctx, self._wide = ctx.prec, ctx, context(4 * ctx.prec)
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def mpf(self, value):
+        return self._wide.mpf(value)
+
+    def ldexp(self, value, n):
+        return self._wide.ldexp(value, n)
+
+
+@pytest.mark.parametrize("bits", [128, 256, 512, 1024])
+def test_carlson_rf_before_its_rounding_at_the_switch_point(bits):
+    # X_a = (2^-10, -2^-11, -2^-11): the duplication stops at once with r = 2^-10, where the
+    # series needs every term to its degree.  Before the one rounding the sum lies 2^-(prec + 22.6)
+    # or closer to R_F (the rounding budget proves 2^-(prec + 16)); summed to three terms fewer, it
+    # lies 2^-(prec + 11.7) to 2^-(prec + 18.6) away
+    ctx = context(bits + analytic.GUARD_BITS)
+    ref = context(2 * ctx.prec)
+    x, y = 1 - ctx.ldexp(1, -10), 1 + ctx.ldexp(1, -11)
+    want = ref.elliprf(x, y, y)
+    assert abs(analytic._carlson_rf(_Unrounded(ctx), x, y, y) - want) <= want * ref.mpf(2) ** -(ctx.prec + 20)
+
+
+@pytest.mark.parametrize("A, B", [(-25, 0), (1, 1), (-7, 10)])
+def test_carlson_rf_duplicates_a_few_steps_at_1056_bits(monkeypatch, A, B):
+    # three isqrt a step and one at the end: the series, not the duplication, carries the precision
+    c = make_curve(A, B)
+    ctx = context(1024 + analytic.GUARD_BITS)
+    d12, d13, _ = analytic._root_differences(c, ctx, analytic._cubic_roots(c, ctx))
+    calls = _counting_isqrt(monkeypatch)
+    analytic._carlson_rf(ctx, 0, d12, d13)
+    assert len(calls) <= 25
+
+
 # --- Carlson's R_F against ctx.quad at twice the precision ---------------------
 
 

@@ -19,7 +19,7 @@ from ellmult.curves import (
     rational_point,
     scale_point,
 )
-from ellmult.errors import OffCurve, SingularCurve
+from ellmult.errors import InternalInvariantError, OffCurve, SingularCurve
 from ellmult.factorization import factor_int
 
 E5 = make_curve(-25, 0)
@@ -251,6 +251,19 @@ def test_walk_edges_and_general_reduction_match_multiply(monkeypatch, c, P, orde
     monkeypatch.setattr(curves, "divmod", lambda a, b: divisions.append(b) or (a // b, 1), raising=False)
     assert [walk[n] for n in range(1, n_max + 1)] == expected
     assert len(divisions) == (n_max - 2 if order is None else max(order - 3, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-(2**300), 2**300), st.integers(1, 2**150), st.integers(1, 2**40), st.integers(0, 4))
+def test_square_gcd_is_the_gcd_with_the_square_of_the_denominator(X, D, f, e):
+    # a common factor f, to the power e in X, makes gcd(X, D) != 1 in most examples
+    X, D = X * f**e, D * f
+    want = math.gcd(X, D * D)
+    if math.isqrt(want) ** 2 == want:
+        assert curves._square_gcd(X, D, "x") ** 2 == want
+    else:
+        with pytest.raises(InternalInvariantError, match="not a perfect square"):
+            curves._square_gcd(X, D, "x")
 
 
 def test_quasi_minimalize():
