@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellmult import congruent, curves, factorization
+from ellmult import analytic, congruent, curves, factorization
 from ellmult._precision import context
 from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
@@ -309,19 +309,35 @@ def _branch_predicates():
     )
 
 
+def _linear_scan(values, lo, hi):
+    """Last N in [lo, hi) with values[N], or None."""
+    return max((N for N in range(lo, hi) if values[N]), default=None)
+
+
 @pytest.mark.parametrize("hi", [3, 56, 76, 77, 100, 5000])
 def test_resolve_N_threshold_matches_linear_scan(hi):
-    # bisection over [2, hi) against the last N in [2, hi) where each branch holds
+    # the gallop from every start in [-5, hi + 10) against the last N in [2, hi) where each branch holds
     scans = []
     for predicate in _branch_predicates():
-        last = None
-        for N in range(2, hi):
-            if predicate(N):
-                last = N
-        assert congruent._last_true(predicate, 2, hi) == last
+        values = {N: predicate(N) for N in range(2, hi)}
+        last = _linear_scan(values, 2, hi)
+        for start in range(-5, hi + 10):
+            assert congruent._last_true(values.__getitem__, 2, hi, start) == last, start
         scans.append(last)
     if hi == 5000:
         assert tuple(scans) == _resolved_branches() == (75, 54)
+
+
+@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 40), (-3, 17), (0, 64), (5, 6)])
+def test_last_true_on_synthetic_predicates(lo, hi):
+    for start in range(lo - 5, hi + 5):
+        assert congruent._last_true(lambda N: True, lo, hi, start) == hi - 1
+        assert congruent._last_true(lambda N: False, lo, hi, start) is None
+        assert congruent._last_true(lambda N: True, hi, hi, start) is None
+        assert congruent._last_true(lambda N: True, hi, lo, start) is None
+        # a prefix that ends at every point of the range
+        for last in range(lo, hi):
+            assert congruent._last_true(lambda N: N <= last, lo, hi, start) == last
 
 
 def test_resolve_N_threshold_bisects(monkeypatch):
@@ -340,9 +356,20 @@ def test_resolve_N_threshold_bisects(monkeypatch):
     monkeypatch.setattr(congruent, "_gap_floor_value", counted)
     monkeypatch.setattr(congruent, "value_report", counted_report)
     assert _resolved_branches() == (75, 54)
-    assert len(calls) <= 40
-    # the bisection compares plain floats and builds one report at the end
+    # each search starts at its branch's float solution, so it evaluates the floor only next to the boundary
+    assert len(calls) <= 6
+    # the search compares plain floats and builds one report at the end
     assert reports == ["threshold-N"]
+
+
+def test_gap_floor_matches_uncached_formula():
+    # the cached log(omega1/2) is the mpf the formula computes afresh, so every floor is bit-identical
+    ctx = context(128)
+    omega = analytic.period_data(curves.make_curve(-1, 0), 128).omega
+    for n1 in range(2, 13):
+        for N in range(1, 301):
+            logn = ctx.ln(N)
+            assert gap_floor(n1, N).threshold == float(ctx.mpf(n1) ** 2 / 8 * logn - logn / 2 + ctx.ln(omega / 2))
 
 
 def test_nonidentity_multiplier():
