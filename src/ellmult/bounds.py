@@ -145,29 +145,38 @@ def crossing_point(rhs: Callable[[object], object]) -> float:
     """Largest x >= 2 with x^2 <= rhs(x), for rhs growing slower than x^2.
 
     Bisection runs on y = log x <= CROSSING_LOG_CEILING, so astronomically
-    large crossings cost the same as small ones.
+    large crossings cost the same as small ones.  It stops once both ends of
+    the bracket round to the same float, at most EVAL_BITS + 64 steps: every
+    later lower end lies inside the bracket, and exp and the rounding to
+    float are monotone, so further steps return that same float.
     """
     ctx = context(EVAL_BITS)
 
-    def short(y):
-        # positive once x^2 has overtaken rhs(x)
-        return 2 * y - ctx.ln(rhs(ctx.exp(y)))
+    def short(y, x):
+        # positive once x^2 has overtaken rhs(x), x = exp(y)
+        return 2 * y - ctx.ln(rhs(x))
 
     lo_y = ctx.ln(2)
-    if short(lo_y) > 0:
+    lo_x = ctx.exp(lo_y)
+    if short(lo_y, lo_x) > 0:
         return 2.0
     hi_y = lo_y + 1
-    while short(hi_y) <= 0:
+    hi_x = ctx.exp(hi_y)
+    while short(hi_y, hi_x) <= 0:
         hi_y += 50
         if hi_y > CROSSING_LOG_CEILING:
             raise ValueError("no crossing below the search ceiling")
+        hi_x = ctx.exp(hi_y)
     for _ in range(EVAL_BITS + 64):
+        if float(lo_x) == float(hi_x):
+            break
         mid = (lo_y + hi_y) / 2
-        if short(mid) <= 0:
-            lo_y = mid
+        x = ctx.exp(mid)
+        if short(mid, x) <= 0:
+            lo_y, lo_x = mid, x
         else:
-            hi_y = mid
-    return float(ctx.exp(lo_y))
+            hi_y, hi_x = mid, x
+    return float(lo_x)
 
 
 def n_cap_general(M: int, hE: float) -> BoundReport:

@@ -496,15 +496,21 @@ _SIEVE_MODULI = (64, 63, 65, 11, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 _SIEVE_BLOCK = 1 << 14
 
 
-def _sieve_rows() -> Tuple[Tuple[int, bytes, Tuple[int, ...], bytes], ...]:
-    """Per modulus m: the row a^4 mod m over a in [0, m), its distinct values, and the square flags mod m."""
+def _sieve_rows() -> Tuple[Tuple[int, Tuple[bytes, ...], bytes], ...]:
+    """Per modulus m: the rows c a^4 mod m over a in [0, m), one per c in [0, m), and the square flags mod m.
+
+    The row for c > 0 maps a^4 mod m through t -> c t mod m, which is every
+    c-th byte of the first c copies of 0..m-1; the c = 0 row is all zeros.
+    """
     rows = []
     for m in _SIEVE_MODULI:
         fourth = bytes(pow(a, 4, m) for a in range(m))
+        ramp, pad = bytes(range(m)) * m, bytes(256 - m)
+        scaled = (bytes(m),) + tuple(fourth.translate(ramp[: m * c : c] + pad) for c in range(1, m))
         square = bytearray(m)
         for b in range(m):
             square[b * b % m] = 1
-        rows.append((m, fourth, tuple(sorted(set(fourth))), bytes(square)))
+        rows.append((m, scaled, bytes(square)))
     return tuple(rows)
 
 
@@ -515,21 +521,20 @@ def _square_cofactor_masks(c3: int, c0: int, count: int, block: int) -> List[Tup
     """Residue masks for w(a) = c3 a^4 + c0, tiled to cover any block of a.
 
     For each modulus m the byte at a mod m is 1 when w(a) mod m is a square
-    mod m, so a 0 proves w(a) is no square.  Moduli that reject nothing are
+    mod m, so a 0 proves w(a) is no square.  The byte is square[(v + c0) mod m]
+    at v = c3 a^4 mod m, read from the precomputed row of c3 mod m through a
+    rotated copy of the square flags.  Moduli that reject nothing are
     skipped, and moduli are added until the expected number of survivors
     among `count` values of a, taking the residues as independent (the moduli
     are coprime), falls below one.
     """
     masks = []
     expected = float(count)
-    for m, fourth, values, square in _SIEVE_ROWS:
+    for m, scaled, square in _SIEVE_ROWS:
         if expected < 1:
             break
-        cm, dm = c3 % m, c0 % m
-        table = bytearray(256)
-        for t in values:
-            table[t] = square[(cm * t + dm) % m]
-        row = fourth.translate(table)
+        dm = c0 % m
+        row = scaled[c3 % m].translate(square[dm:] + square[:dm] + bytes(256 - m))
         kept = row.count(1)
         if kept < m:
             masks.append((m, row * (block // m + 2)))
@@ -577,8 +582,9 @@ def search_integral_points(N: int, x_max: int) -> List[RatPoint]:
     is a square modulo every m, so a rejected a provably carries no point;
     each survivor is kept only when isqrt(w)^2 == w, so every hit is proven
     exactly.  Moduli are added until fewer than one survivor is expected over
-    the range.  The a run in blocks of _SIEVE_BLOCK, and the rows depend only
-    on m and are built once, so memory does not grow with x_max.
+    the range.  The a run in blocks of _SIEVE_BLOCK, and a row depends only on
+    m and the residues of c3 and c0, read from tables built once at import,
+    so memory does not grow with x_max.
     """
     primes = _square_free_primes(N)
     if x_max < 1:
@@ -610,6 +616,13 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6) -> IntegralPointTable:
     point to be a multiple of another).
     The square-free N come from a sieve, so the search's validation is the
     only factorization of each N.
+
+    Each N computes one height per 2-torsion class {P + T : T in E[2]}: the
+    points of a class share x(2P), as 2T = O, and canonical_height's float
+    depends only on the curve and x(2P), so a point whose x(2P) is already
+    in the call's class_heights reuses that float, exactly.  Two points with
+    the same x(2P) differ by 2-torsion up to sign, so both are torsion or
+    neither is.  Nothing is kept across calls.
     """
     square_free = [True] * (N_max + 1)
     for p in range(2, math.isqrt(max(N_max, 0)) + 1):
@@ -622,7 +635,14 @@ def reproduce_table(N_max: int = 75, x_max: int = 10**6) -> IntegralPointTable:
         if not points:
             continue
         c = make_curve(-N * N, 0)
-        heights = tuple(float(canonical_height(Multiples(c, P))) for P in points)
+        class_heights = {}  # x(2P) -> the height of P's 2-torsion class
+        heights = []
+        for P in points:
+            walk = Multiples(c, P)
+            key = walk[2]
+            if key not in class_heights:
+                class_heights[key] = float(canonical_height(walk))
+            heights.append(class_heights[key])
         ratio_ok = all(hp < HEIGHT_RATIO_LIMIT * hq for hp in heights for hq in heights)
-        rows.append(TableRow(N, tuple(points), heights, ratio_ok))
+        rows.append(TableRow(N, tuple(points), tuple(heights), ratio_ok))
     return IntegralPointTable(tuple(rows), N_max, x_max)

@@ -30,12 +30,18 @@ prod_k (m_k / (2^(4W) g_k))^(4^(depth-k)) with scale = max(|a|, b) for
 x_P = a/b, kept as an integer mantissa and an exact binary exponent.  One
 logarithm of that product ends the run, so k doublings cost O(k)
 big-integer work and a single mpf logarithm.
+
+canonical_height starts the engine at x_{2P}, the reduced abscissa of the
+walk's 2P (which the torsion scan of an integral P has already computed),
+and runs depth - 1 steps: scale and (u, v) start from x_{2P}, and the steps
+reach x_{2^depth P} as depth steps from x_P would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from ._precision import context
@@ -88,8 +94,8 @@ def _mantissa(x: int, bits: int) -> Tuple[int, int]:
     return (x >> t, t) if t >= 0 else (x << -t, t)
 
 
-def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: int) -> object:
-    """Return s_depth = h(x_{2^depth P}) as an mpf at precision_bits.
+def _renormalized_doubling(c: Curve, x: Fraction, depth: int, precision_bits: int) -> object:
+    """Return s_depth = h(x_{2^depth P}) as an mpf at precision_bits, for the abscissa x = x_P.
 
     Exact phase: the residues of the exact numerator and denominator are kept
     modulo K, a power of disc^2 large enough to survive depth steps of
@@ -111,7 +117,7 @@ def _renormalized_doubling(c: Curve, P: RatPoint, depth: int, precision_bits: in
     A, B = c.A, c.B
     d2 = c.discriminant * c.discriminant
     K = d2 ** (depth + 2)
-    a, b = P.x.numerator, P.x.denominator
+    a, b = x.numerator, x.denominator
     residues = (a % K, b % K)
     scale = max(abs(a), b)
     u, v = (a << W) // scale, (b << W) // scale
@@ -151,18 +157,25 @@ def canonical_height(walk: Multiples, tol: float = 1e-10) -> HeightEstimate:
     scan) returns exactly 0.  The doubling runs at HEIGHT_BITS and raises
     PrecisionExhausted when the required depth exceeds DEPTH_CAP.  The point
     and curve are the walk's.
+
+    The engine starts from the walk's exact, reduced x_{2P} and runs
+    depth - 1 doublings, so the float returned is a function of the curve
+    and x_{2P} alone.  For T in E[2], 2(P + T) = 2P, so P and every P + T
+    (and their negatives) get the same float: one height per 2-torsion
+    class, exactly.  iterations still reports depth.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     order = torsion_order(walk)
     if order is not None:
         return HeightEstimate(0.0, tol, 0, order)
-    c, P = walk.curve, walk.point
+    c = walk.curve
     hE = float(curve_height(c))
     depth = max(1, math.ceil(math.log(2 * hE / tol, 4)))
     if depth > DEPTH_CAP:
         raise PrecisionExhausted(f"tolerance {tol} needs doubling depth {depth}, beyond the cap {DEPTH_CAP}")
-    s = _renormalized_doubling(c, P, depth, HEIGHT_BITS)
+    X, D = walk[2]
+    s = _renormalized_doubling(c, Fraction(X, D * D), depth - 1, HEIGHT_BITS)
     return HeightEstimate(float(s / (2 * 4**depth)), tol, depth, None)
 
 

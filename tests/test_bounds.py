@@ -11,8 +11,11 @@ import math
 import numpy as np
 import pytest
 
+from ellmult import bounds
+from ellmult._precision import context
 from ellmult.bounds import (
     DAVID_C,
+    EVAL_BITS,
     calculus_threshold,
     composite_cap,
     crossing_point,
@@ -160,6 +163,46 @@ def test_crossing_point_degenerate():
     assert crossing_point(lambda x: 1) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         crossing_point(lambda x: x**3)
+
+
+def _bisected_crossing(rhs):
+    """crossing_point with all EVAL_BITS + 64 bisection steps: the reference for its early stop."""
+    ctx = context(EVAL_BITS)
+
+    def short(y):
+        return 2 * y - ctx.ln(rhs(ctx.exp(y)))
+
+    lo_y = ctx.ln(2)
+    if short(lo_y) > 0:
+        return 2.0
+    hi_y = lo_y + 1
+    while short(hi_y) <= 0:
+        hi_y += 50
+    for _ in range(EVAL_BITS + 64):
+        mid = (lo_y + hi_y) / 2
+        if short(mid) <= 0:
+            lo_y = mid
+        else:
+            hi_y = mid
+    return float(ctx.exp(lo_y))
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 4, 6, 12])
+def test_crossing_point_stops_on_the_float_that_full_bisection_returns(monkeypatch, M):
+    solve, seen = bounds.crossing_point, []
+
+    def recording(rhs):
+        calls = []
+        got = solve(lambda x: calls.append(x) or rhs(x))
+        seen.append((rhs, got, len(calls)))
+        return got
+
+    monkeypatch.setattr(bounds, "crossing_point", recording)
+    for hE in (11.0, 30.0, 100.0, 777.7, 3000.0, 2.5e4, 1e5):
+        n_cap_general(M, hE)
+        rhs, got, calls = seen[-1]
+        assert got == _bisected_crossing(rhs), (M, hE)
+        assert calls <= 80, (M, hE, calls)
 
 
 def test_n_cap_general_small_height_sentinel():

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellmult import analytic, congruent, curves, factorization
+from ellmult import analytic, congruent, curves, factorization, heights
 from ellmult._precision import context
 from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
@@ -491,6 +491,53 @@ def test_sieve_keeps_every_square():
                 assert all(tiled[a % m] == 1 for m, tiled in masks), (c3, a, r)
 
 
+def _residue_tables(m):
+    """The row a^4 mod m over a in [0, m), its distinct values, and the square flags mod m."""
+    fourth = bytes(pow(a, 4, m) for a in range(m))
+    square = bytearray(m)
+    for b in range(m):
+        square[b * b % m] = 1
+    return fourth, sorted(set(fourth)), bytes(square)
+
+
+_FOURTH_POWERS = {m: _residue_tables(m) for m in congruent._SIEVE_MODULI}
+
+
+def _per_call_masks(c3, c0, count, block):
+    """The masks with each translate table built in the call, by a loop over the fourth-power residues mod m.
+
+    The reference for the rows that congruent precomputes at import.
+    """
+    masks = []
+    expected = float(count)
+    for m in congruent._SIEVE_MODULI:
+        if expected < 1:
+            break
+        fourth, values, square = _FOURTH_POWERS[m]
+        cm, dm = c3 % m, c0 % m
+        table = bytearray(256)
+        for t in values:
+            table[t] = square[(cm * t + dm) % m]
+        row = fourth.translate(table)
+        kept = row.count(1)
+        if kept < m:
+            masks.append((m, row * (block // m + 2)))
+            expected *= kept / m
+    return masks
+
+
+def test_precomputed_masks_match_per_call_construction():
+    # c3, c0 in [0, 97) give every residue pair (c3 mod m, c0 mod m) of every modulus; a count of 10^60
+    # keeps every modulus that rejects anything, the smaller counts stop early, and block sets the tiling
+    top = max(congruent._SIEVE_MODULI)
+    for c3 in range(top):
+        for c0 in range(top):
+            assert congruent._square_cofactor_masks(c3, c0, 10**60, 1) == _per_call_masks(c3, c0, 10**60, 1), (c3, c0)
+    for c3, c0 in ((1, -25), (-125, 3125), (6**3, -6 * 36), (-(29**3), 29**3)):
+        for count, block in ((1, 1), (40, 40), (10**4, 1 << 14)):
+            assert congruent._square_cofactor_masks(c3, c0, count, block) == _per_call_masks(c3, c0, count, block)
+
+
 @pytest.mark.parametrize("N", [5, 6, 29, 77, 78, 210])
 def test_sieved_search_matches_unsieved_loop_at_1e9(N):
     assert _points(N, 10**9) == _unsieved_points(N, 10**9)
@@ -553,6 +600,21 @@ def test_table_factors_each_N_once(monkeypatch):
     assert calls == square_free
 
 
+def test_table_runs_the_engine_once_per_two_torsion_class(monkeypatch, table):
+    # the 38 golden points fall into 21 classes {P + T : T in E[2]}, one x(2P) each
+    engine, starts = heights._renormalized_doubling, []
+
+    def counting(c, x, *rest):
+        starts.append((c.A, x))
+        return engine(c, x, *rest)
+
+    monkeypatch.setattr(heights, "_renormalized_doubling", counting)
+    assert reproduce_table(75) == table
+    assert len(starts) == len(set(starts)) == 21
+    classes = {(row.N, Multiples(congruent_curve(row.N), P)[2]) for row in table.rows for P in row.points}
+    assert sum(len(row.points) for row in table.rows) == 38 and len(classes) == 21
+
+
 def test_table_heights(table):
     for row in table.rows:
         assert row.ratio_ok
@@ -571,7 +633,7 @@ def test_golden_heights_are_depth_19_values():
         c = congruent_curve(int(N))
         P = rational_point(int(x), int(y))
         assert canonical_height(Multiples(c, P)).iterations == 19
-        converged = _renormalized_doubling(c, P, 40, 512) / (2 * 4**40)
+        converged = _renormalized_doubling(c, P.x, 40, 512) / (2 * 4**40)
         assert abs(float(hhat) - converged) < 2 * curve_height(c).value / 4**19, (N, x)
 
 

@@ -253,6 +253,20 @@ def test_walk_edges_and_general_reduction_match_multiply(monkeypatch, c, P, orde
     assert len(divisions) == (n_max - 2 if order is None else max(order - 3, 0))
 
 
+@pytest.mark.parametrize("N, x, y", [(5, -4, 6), (6, 12, 36), (34, -16, 120)])
+@pytest.mark.parametrize("t", [10007, 2**61 - 1])
+def test_step_reduces_a_pair_that_is_not_in_lowest_terms(N, x, y, t):
+    # (X t^2, D t) stands for x((n-1)P) as (X, D) does; D t does not divide H, so the trial division leaves a
+    # remainder and the step reduces S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2 without any patched divmod
+    c, P = make_curve(-N * N, 0), rational_point(x, y)
+    for n in range(3, 9):
+        walk = Multiples(c, P)
+        (a, d), (X, D), (Xn, Dn) = walk[1], walk[n - 1], walk[n]
+        assert (a * Dn * Dn - Xn * d * d) % (D * t)  # H, which D divides and D t does not
+        walk._pairs[n - 2] = (X * t * t, D * t)
+        assert walk._step() == Multiples(c, P)[n + 1] == _x_pair(multiply(c, n + 1, P)), (N, x, n, t)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-(2**300), 2**300), st.integers(1, 2**150), st.integers(1, 2**40), st.integers(0, 4))
 def test_square_gcd_is_the_gcd_with_the_square_of_the_denominator(X, D, f, e):

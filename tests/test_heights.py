@@ -82,7 +82,7 @@ def test_torsion_height_is_zero():
 
 def _doubling_trace(c, P, depth):
     """h(x_{2^k P}) for k = 0..depth, one engine run per depth, at 192 bits."""
-    return [float(_renormalized_doubling(c, P, k, 192)) for k in range(depth + 1)]
+    return [float(_renormalized_doubling(c, P.x, k, 192)) for k in range(depth + 1)]
 
 
 def _assert_trace_is_exact(c, P, depth):
@@ -162,7 +162,7 @@ def test_fixed_point_engine_matches_mpf_oracle_at_twice_the_precision(golden_mul
         oracle = list(_mpf_doubling(c, P, 20, 2 * bits))
         assert [k for k, _ in oracle] == list(range(21))
         for k, exact in oracle:
-            s = _renormalized_doubling(c, P, k, bits)
+            s = _renormalized_doubling(c, P.x, k, bits)
             assert s.context.prec == bits
             assert abs(s - exact) <= abs(exact) * 2.0 ** -(bits - 4), (c, P, k)
 
@@ -171,9 +171,9 @@ def test_vanishing_duplication_forms_exhaust_precision():
     # y^2 = x^3 - 3x + 2 is nodal at x = 1, where both duplication forms vanish;
     # it is built past make_curve's smoothness check with a stand-in discriminant.
     nodal = Curve(-3, 2, 1, Fraction(0))
-    assert _renormalized_doubling(nodal, rational_point(1, 0), 0, 128) == 0
+    assert _renormalized_doubling(nodal, Fraction(1), 0, 128) == 0
     with pytest.raises(PrecisionExhausted, match="duplication forms vanished"):
-        _renormalized_doubling(nodal, rational_point(1, 0), 3, 128)
+        _renormalized_doubling(nodal, Fraction(1), 3, 128)
 
 
 def _exact_gcds(c, P, depth):
@@ -229,7 +229,7 @@ def test_engine_matches_exact_doubling_on_random_curves(point):
 
 def test_internal_oracle_agreement():
     fast = canonical_height(Multiples(E5, P5), 1e-10)
-    deep = _renormalized_doubling(E5, P5, 28, 512) / (2 * 4**28)
+    deep = _renormalized_doubling(E5, P5.x, 28, 512) / (2 * 4**28)
     assert abs(fast.value - deep) < 1e-8
     assert fast.tolerance == 1e-10
     assert fast.iterations >= 1
@@ -276,3 +276,36 @@ def test_precision_exhausted_on_shallow_cap():
     with pytest.raises(PrecisionExhausted):
         # 1e-20 needs doubling depth 36, beyond DEPTH_CAP
         canonical_height(Multiples(E5, P5), 1e-20)
+
+
+def _two_torsion_class(c, P):
+    """P + T for every T in E[2] of y^2 = x^3 - N^2 x, with -P; all share x(2P)."""
+    N = math.isqrt(-c.A)
+    return [P] + [add(c, P, rational_point(t, 0)) for t in (0, N, -N)] + [multiply(c, -1, P)]
+
+
+def _assert_one_height_per_class(c, P, tol=1e-10):
+    heights = {canonical_height(Multiples(c, Q), tol).value for Q in _two_torsion_class(c, P)}
+    assert len(heights) == 1, (c, P, heights)
+
+
+def test_two_torsion_translates_share_the_height_on_golden_points(golden_multiples):
+    for N, x, y, _ in golden_multiples:
+        _assert_one_height_per_class(make_curve(-N * N, 0), rational_point(x, y))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_two_torsion_translates_share_the_height_on_random_congruent_points(golden_multiples, data):
+    N, x, y, _ = data.draw(st.sampled_from(golden_multiples), label="golden")
+    n = data.draw(st.integers(1, 4), label="n")
+    tol = data.draw(st.sampled_from((1e-10, 1e-6, 1e-13)), label="tol")
+    c = make_curve(-N * N, 0)
+    _assert_one_height_per_class(c, multiply(c, n, rational_point(x, y)), tol)
+
+
+def test_depth_one_height_is_the_naive_height_of_the_double():
+    # tol = 10 needs one doubling on E5 (2 h(E) / 10 < 4), which the engine reads off the walk's 2P
+    est = canonical_height(Multiples(E5, P5), 10.0)
+    assert est.iterations == 1
+    assert est.value == pytest.approx(naive_height(multiply(E5, 2, P5).x) / 8, rel=1e-15)
