@@ -13,7 +13,6 @@ import argparse
 import contextlib
 import csv
 import inspect
-import json
 import math
 import re
 import sys
@@ -22,7 +21,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from . import analytic, bounds, congruent, heights, localdata
+from . import _jsontext, analytic, bounds, congruent, heights, localdata
 from .curves import Multiples, curve_height, make_curve, quasi_minimalize, rational_point, scale_point
 from .divpoly import ward_terms
 from .errors import (
@@ -95,10 +94,17 @@ def _flatten(prefix: str, value, out: List[Tuple[str, object]]) -> None:
 
 
 def _emit(args: argparse.Namespace, body: dict) -> int:
-    """Write the subcommand's document, schema and command first, in its --format."""
+    """Write the subcommand's document, schema and command first, in its --format.
+
+    JSON comes from _jsontext.dumps, the text of json.dumps(doc, indent=2,
+    sort_keys=True, allow_nan=False) byte for byte, which converts ints of
+    2048 digits or more by divide and conquer; the whole text is built before
+    it is printed, so a non-finite float raises json's ValueError and prints
+    nothing.
+    """
     doc = {"schema": SCHEMA_VERSION, "command": args.command, **body}
     if args.output_format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        print(_jsontext.dumps(doc))
         return EXIT_OK
     rows: List[Tuple[str, object]] = []
     _flatten("", doc, rows)
@@ -114,7 +120,7 @@ def _emit(args: argparse.Namespace, body: dict) -> int:
 
 def _emit_error(exc: BaseException, exit_code: int) -> None:
     error = {"type": type(exc).__name__, "message": str(exc), "exit_code": exit_code}
-    print(json.dumps({"schema": SCHEMA_VERSION, "error": error}, indent=2, sort_keys=True))
+    print(_jsontext.dumps({"schema": SCHEMA_VERSION, "error": error}))
 
 
 def _mp_pair(z) -> List[float]:

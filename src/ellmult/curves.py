@@ -6,6 +6,7 @@ works on integer triples.  Nothing in this module rounds.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -194,20 +195,43 @@ class Multiples:
     The constructor is the one on-curve check.  walk[n] is the pair (X, D) of
     nP for n >= 1, with x(nP) = X/D^2, or None at infinity; reading it extends
     the walk by one step per missing multiple.  2P comes from add_triples.
-    Every later step uses x alone: applied to Q and -Q, the addition law
-    (Silverman, AEC III.2.3; Brier and Joye, PKC 2002) gives
+    Every later step uses x alone.  With (a, d) the pair of P, e = d^2 and
+    E = D_n^2, let H = a E - X_n e, which is (x(P) - x(nP)) e E; H = 0 means
+    nP = -P, so (n+1)P is at infinity.  Applied to nP + P and nP - P, the
+    addition law (Silverman, AEC III.2.3; Brier and Joye, PKC 2002) gives
 
-        x(nP + P) + x(nP - P) = 2 [(x1 + x2)(x1 x2 + A) + 2B] / (x1 - x2)^2,
+        x((n+1)P) x((n-1)P) = [(x1 x2 - A)^2 - 4B (x1 + x2)] / (x1 - x2)^2
+                            = R / H^2,
+        R = (a X_n - A e E)^2 - 4B e E (X_n e + a E).
 
-    so with (a, d) the pair of P, e = d^2 and E = D_n^2, x((n+1)P) = S / H^2 -
-    X_{n-1} / D_{n-1}^2, where H = a E - X_n e and S = 2[(X_n e + a E)(a X_n
-    + A e E) + 2B e^2 E^2].  The step divides D_{n-1} out of H, giving Q, and
-    D_{n-1}^2 out of S - X_{n-1} Q^2, giving X over Q^2; where either
-    division leaves a remainder it reduces S D_{n-1}^2 - X_{n-1} H^2 over
-    (H D_{n-1})^2 instead.  The trial divisions were exact at every step on
-    the golden points; what the gcd still removes comes from the bad primes
-    (Ayad 1992).  H = 0 means nP = -P, so (n+1)P is at infinity.  From the
+    The product step divides D_{n-1} out of H, giving Q, and X_{n-1} out of
+    R, giving X = x((n+1)P) Q^2, so x((n+1)P) = X / Q^2.  On B = 0, R is one
+    square.  Where X_{n-1} = 0 or either division leaves a remainder, the
+    general step uses the sum law x((n+1)P) + x((n-1)P) = S / H^2, with
+    S = 2[(X_n e + a E)(a X_n + A e E) + 2B e^2 E^2], and reduces
+    S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2 by one full gcd.  From the
     first None, at the order m of P, walk[n] is walk[n mod m].
+
+    The product step's X / Q^2 is in lowest terms unless Q shares a prime
+    with G = gcd(2Y, 3X^2 + A D^4, discriminant) of P's triple (X, Y, D), so
+    it takes the gcd only then.  Proof.  The primes of G are S_P, those
+    where P reduces to a singular point: at p not dividing D both partial
+    derivatives vanish at P mod p exactly when p divides 2Y and
+    3X^2 + A D^4, and a singular point makes p divide the discriminant.  No
+    prime of D divides G: as gcd(X, D) = 1 it would divide 3X^2 only as
+    p = 3, and as Y^2 = X^3 mod p it would divide 2Y only as p = 2.  Let
+    Psi_m and Phi_m be the division-polynomial values at P cleared of d, so
+    that x(mP) = Phi_m / Psi_m^2.  By Ayad (Manuscripta Math. 76, 1992), a
+    prime outside S_P divides no gcd(Phi_m, Psi_m^2), so there
+    v_p(Psi_m) = v_p(D_m) for every m.  From x(P) - x(nP) =
+    psi_{n-1} psi_{n+1} / psi_n^2, H = Psi_{n-1} Psi_{n+1} D_n^2 / Psi_n^2,
+    so outside S_P, v_p(Q) = v_p(H) - v_p(D_{n-1}) = v_p(D_{n+1}).  As
+    X / Q^2 equals X_{n+1} / D_{n+1}^2 in lowest terms, D_{n+1} divides Q,
+    and the reducing factor v = |Q| / D_{n+1} divides Q and has every prime
+    in S_P.  So gcd(Q, G) = 1 forces v = 1.  G divides the discriminant, so
+    the gate is one gcd with a small number.  ward_terms cannot catch a pair
+    left unreduced by a factor t, because g_n would absorb t^2; the tests
+    compare the walk with multiply in lowest terms instead.
     """
 
     def __init__(self, c: Curve, P: RatPoint) -> None:
@@ -228,6 +252,12 @@ class Multiples:
             return pairs[n - 1] if n else None
         return pairs[n - 1]
 
+    @functools.cached_property
+    def _singular(self) -> int:
+        """G = gcd(2Y, 3X^2 + A D^4, discriminant) of P's triple: its primes are S_P."""
+        X, Y, D = self._triple
+        return math.gcd(2 * Y, 3 * X * X + self.curve.A * D**4, self.curve.discriminant)
+
     def _step(self) -> Pair:
         """The pair of (n+1)P, where the walk holds P, ..., nP, none of them at infinity."""
         pairs, c = self._pairs, self.curve
@@ -241,12 +271,15 @@ class Multiples:
         if not H:
             return None
         eE = e * E
-        S = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE)
         Q, r = divmod(H, Dp)
-        if not r:
-            X, r = divmod(S - Xp * Q * Q, Dp * Dp)
-        if r:
+        if not r and Xp:
+            t = a * Xn - c.A * eE
+            X, r = divmod(t * t - 4 * c.B * eE * (Xe + aE), Xp)  # R / X_{n-1}
+        if r or not Xp:  # the general step
+            S = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE)
             X, Q = S * Dp * Dp - Xp * H * H, H * Dp
+        elif math.gcd(Q, self._singular) == 1:
+            return X, abs(Q)  # the reducing factor divides Q and has its primes in S_P
         D = abs(Q)
         v = _square_gcd(X, D, f"x({len(pairs) + 1}P)")
         if v != 1:

@@ -21,10 +21,13 @@ x(nP) = k_n / h_n^2.
 The group law gives x(nP) = X_n / D_n^2 independently, in lowest terms, and
 ward_terms(...).D is that route's sequence.  curves.Multiples walks it on x
 alone: past 2P, the addition law for x on nP + P and nP - P (Silverman, AEC
-III.2.3; Brier and Joye 2002) gives x((n+1)P) = S / H^2 - x((n-1)P), with
-H = (x(P) - x(nP)) (d D_n)^2 for P = (a/d^2, .).  The step divides D_{n-1}
-out of H and D_{n-1}^2 out of the numerator, reduces by one gcd, and falls
-back to one gcd on the undivided fraction where a division is inexact; no
+III.2.3; Brier and Joye 2002) gives x((n+1)P) x((n-1)P) = R / H^2, with
+H = (x(P) - x(nP)) (d D_n)^2 for P = (a/d^2, .).  The product step divides
+D_{n-1} out of H, giving Q, and X_{n-1} out of R, giving x((n+1)P) = X / Q^2,
+and takes a gcd only where Q shares a prime with gcd(2Y, 3X^2 + A D^4,
+discriminant) of P: by Ayad (1992) the fraction is in lowest terms at every
+other prime.  Where X_{n-1} = 0 or a division is inexact, the general step
+reduces the sum form x((n+1)P) = S / H^2 - x((n-1)P) by one full gcd.  No
 step recovers y.  H = 0 puts (n+1)P at infinity, and from there the walk
 repeats with the order of P.
 ward_terms walks the group law once and compares the two routes at every n:

@@ -1,9 +1,10 @@
+import builtins
 import math
 from fractions import Fraction
 
 import pytest
 from conftest import integral_points
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ellmult import curves
@@ -265,6 +266,84 @@ def test_step_reduces_a_pair_that_is_not_in_lowest_terms(N, x, y, t):
         assert (a * Dn * Dn - Xn * d * d) % (D * t)  # H, which D divides and D t does not
         walk._pairs[n - 2] = (X * t * t, D * t)
         assert walk._step() == Multiples(c, P)[n + 1] == _x_pair(multiply(c, n + 1, P)), (N, x, n, t)
+
+
+@st.composite
+def scaled_bases(draw):
+    """(c, base): an integral point with |A| <= 300 on the model scaled by u, and its 1, 2 or 3 multiple there."""
+    A, x, y = draw(st.integers(-300, 300)), draw(st.integers(-12, 12)), draw(st.integers(0, 40))
+    B = y * y - x**3 - A * x
+    assume(4 * A**3 + 27 * B**2 != 0)
+    u = draw(st.sampled_from([1, 2, 3, 6]))
+    c = make_curve(u**4 * A, u**6 * B)
+    return c, multiply(c, draw(st.sampled_from([1, 2, 3])), rational_point(u * u * x, u**3 * y))
+
+
+@settings(max_examples=120, deadline=None)
+@given(scaled_bases())
+def test_walk_is_in_lowest_terms_on_scaled_models_and_bases(base):
+    # scaling by u adds the primes of u to S_P, and the bases 2P and 3P are not integral
+    _assert_walk_matches_multiply(*base, 14)
+
+
+def _reductions(monkeypatch, walk, n):
+    """(what, v) of every _square_gcd call while the walk goes from 2P to nP."""
+    walk[2]
+    calls = []
+    square_gcd = curves._square_gcd
+
+    def record(X, D, what):
+        calls.append((what, square_gcd(X, D, what)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(curves, "_square_gcd", record)
+    walk[n]
+    return calls
+
+
+def test_gate_keeps_the_reference_point_from_every_gcd(monkeypatch):
+    # G = gcd(2*6, 3*16 - 25, discriminant) = 1: S_P is empty, so no step reduces
+    walk = Multiples(E5, rational_point(-4, 6))
+    assert walk._singular == 1
+    assert _reductions(monkeypatch, walk, 50) == []
+    _assert_walk_matches_multiply(E5, rational_point(-4, 6), 50)
+
+
+@pytest.mark.parametrize(
+    "N, x, y, G", [(29, 284229, 151531380, 2 * 29**2), (5, 45, 300, 2 * 5**2), (34, -16, 120, 4), (7, 25, 120, 2)]
+)
+def test_gate_opens_at_the_even_multiples_of_golden_points(monkeypatch, N, x, y, G):
+    # Q shares a prime with G at the even multiples only, and each gcd there removes a factor
+    c, P = make_curve(-N * N, 0), rational_point(x, y)
+    walk = Multiples(c, P)
+    assert walk._singular == G
+    calls = _reductions(monkeypatch, walk, 30)
+    assert [what for what, _ in calls] == [f"x({n}P)" for n in range(4, 31, 2)]
+    assert all(v > 1 for _, v in calls)
+    assert [walk[n] for n in range(1, 31)] == [_x_pair(multiply(c, n, P)) for n in range(1, 31)]
+
+
+def test_gate_shuts_where_q_misses_the_singular_primes(monkeypatch):
+    # (0, 4) on y^2 = x^3 - 16x + 16 has G = 8, and 6P's Q is odd
+    c, P = make_curve(-16, 16), rational_point(0, 4)
+    walk = Multiples(c, P)
+    assert walk._singular == 8
+    whats = [what for what, _ in _reductions(monkeypatch, walk, 8)]
+    assert "x(4P)" in whats and "x(6P)" not in whats
+    _assert_walk_matches_multiply(c, P)
+
+
+def test_step_takes_the_sum_form_where_x_of_the_previous_multiple_is_0(monkeypatch):
+    # P = (0, 4) on y^2 = x^3 - 16x + 16: X_1 = 0, so 3P cannot come from R / X_1; the step makes one
+    # trial division, by D_1, and reduces the sum form by the full gcd
+    c, P = make_curve(-16, 16), rational_point(0, 4)
+    walk = Multiples(c, P)
+    walk[2]
+    divisions = []
+    monkeypatch.setattr(curves, "divmod", lambda a, b: divisions.append(b) or builtins.divmod(a, b), raising=False)
+    assert _reductions(monkeypatch, walk, 3) == [("x(3P)", 4)]
+    assert divisions == [1]
+    assert walk[3] == _x_pair(multiply(c, 3, P))
 
 
 @settings(max_examples=200, deadline=None)
