@@ -10,8 +10,13 @@ floats by float.__repr__, True, False and None as true, false and null,
 tuples as lists, dict items sorted by key.  A non-finite float raises json's
 own ValueError, and an object json cannot write raises its TypeError, before
 any text is returned.  Unlike json, the writer takes only str keys, as every
-document has, and it neither detects a document that contains itself nor
-applies the interpreter's int-to-str digit cap.
+document has (the string encoder raises TypeError on any other), and it
+neither detects a document that contains itself nor applies the
+interpreter's int-to-str digit cap.
+
+The split and its 2048-digit threshold were timed on CPython 3.11 only.
+From 3.12 on, int.__repr__ itself converts large ints by divide and conquer;
+whether the split still gains there is unmeasured.
 
 The writer recurses through module-level functions: a nested function that
 calls itself is a reference cycle, which would keep each document's chunk
@@ -114,8 +119,6 @@ def _write(value, newline: str, out: List[str]) -> None:
         inner = newline + _INDENT
         separator = "{" + inner
         for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
             out.append(separator)
             out.append(_string(key))
             out.append(": ")
