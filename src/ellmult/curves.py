@@ -6,7 +6,6 @@ works on integer triples.  Nothing in this module rounds.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,6 +188,27 @@ def add_triples(c: Curve, T1: Triple, T2: Triple) -> Triple:
     return X, Y, D
 
 
+def singular_gcd(c: Curve, T: Pair) -> int:
+    """gcd(3X^2 + A D^4, 2(X^3 + A X D^4 + B D^6), discriminant) for T = (X, D), and 1 at infinity.
+
+    Its primes are S_P, the primes p where the point P with pair T reduces
+    to a singular point of the model mod p; it is the one test of that
+    criterion.  Proof.  With x = X/D^2 and y = Y/D^3, at p not dividing D
+    both partial derivatives of y^2 - x^3 - A x - B vanish at P mod p
+    exactly when p divides 3X^2 + A D^4 and 2Y, and 2Y has the primes of
+    2Y^2 = 2(X^3 + A X D^4 + B D^6), so the pair needs no Y.  A singular
+    point mod p makes p divide the discriminant, so the gcd with it drops
+    no prime.  At p dividing D, P reduces to the point at infinity, which
+    is nonsingular, and no such p divides the gcd: as gcd(X, D) = 1 it
+    would divide 3X^2 only as p = 3, and 2X^3 only as p = 2.
+    """
+    if T is None:
+        return 1
+    X, D = T
+    D4 = D**4
+    return math.gcd(3 * X * X + c.A * D4, 2 * (X**3 + c.A * X * D4 + c.B * D4 * D * D), c.discriminant)
+
+
 class Multiples:
     """The pairs of P, 2P, 3P, ... on c, each computed once, on first use.
 
@@ -213,13 +233,8 @@ class Multiples:
     first None, at the order m of P, walk[n] is walk[n mod m].
 
     The product step's X / Q^2 is in lowest terms unless Q shares a prime
-    with G = gcd(2Y, 3X^2 + A D^4, discriminant) of P's triple (X, Y, D), so
-    it takes the gcd only then.  Proof.  The primes of G are S_P, those
-    where P reduces to a singular point: at p not dividing D both partial
-    derivatives vanish at P mod p exactly when p divides 2Y and
-    3X^2 + A D^4, and a singular point makes p divide the discriminant.  No
-    prime of D divides G: as gcd(X, D) = 1 it would divide 3X^2 only as
-    p = 3, and as Y^2 = X^3 mod p it would divide 2Y only as p = 2.  Let
+    with G = singular_gcd(c, walk[1]), whose primes are S_P, so it takes the
+    gcd only then.  Proof.  Let
     Psi_m and Phi_m be the division-polynomial values at P cleared of d, so
     that x(mP) = Phi_m / Psi_m^2.  By Ayad (Manuscripta Math. 76, 1992), a
     prime outside S_P divides no gcd(Phi_m, Psi_m^2), so there
@@ -240,6 +255,7 @@ class Multiples:
         self._triple = to_triple(c, P)
         # (X, Y, D)[::2] is the pair (X, D)
         self._pairs: List[Pair] = [None if self._triple is None else self._triple[::2]]
+        self._singular = singular_gcd(c, self._pairs[0])
 
     def __getitem__(self, n: int) -> Pair:
         if n < 1:
@@ -251,12 +267,6 @@ class Multiples:
             n %= len(pairs)
             return pairs[n - 1] if n else None
         return pairs[n - 1]
-
-    @functools.cached_property
-    def _singular(self) -> int:
-        """G = gcd(2Y, 3X^2 + A D^4, discriminant) of P's triple: its primes are S_P."""
-        X, Y, D = self._triple
-        return math.gcd(2 * Y, 3 * X * X + self.curve.A * D**4, self.curve.discriminant)
 
     def _step(self) -> Pair:
         """The pair of (n+1)P, where the walk holds P, ..., nP, none of them at infinity."""

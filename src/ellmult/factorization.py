@@ -7,7 +7,7 @@ silently get a partial factorization.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from .errors import FactorizationTooLarge
 
@@ -46,11 +46,6 @@ def factor_int(n: int) -> Dict[int, int]:
             for q, e in sympy.factorint(n).items():
                 out[int(q)] = out.get(int(q), 0) + int(e)
     return out
-
-
-def prime_divisors(n: int) -> List[int]:
-    """Sorted prime divisors of |n|."""
-    return sorted(factor_int(n))
 
 
 def valuation(n: int, p: int) -> int:

@@ -18,11 +18,12 @@ first step with g = 1, because every later g is 1 too.  With x = a/b in
 lowest terms and f(x) = x^3 + A x + B, the forms are F = b^4 (f'^2 - 8 x f)
 and G = 4 b^4 f.  For odd p, p divides both exactly when p does not divide b
 and f(x) = f'(x) = 0 mod p, that is when the point reduces to the singular
-point of the model mod p.  The points with nonsingular reduction form a
-subgroup (Silverman, AEC VII.2.1), so once g = 1 no later double reduces to
-the singular point at an odd p.  At p = 2, 4 | G always, and an odd F makes
-the next a odd and 4 | b, so the next F = a^4 mod 2 is odd again.  A point
-whose g never reaches 1 stays in the exact phase to the end.
+point of the model mod p: p divides curves.singular_gcd of its pair.  The
+points with nonsingular reduction form a subgroup (Silverman, AEC VII.2.1),
+so once g = 1 no later double reduces to the singular point at an odd p.
+At p = 2, 4 | G always, and an odd F makes the next a odd and 4 | b, so the
+next F = a^4 mod 2 is odd again.  A point whose g never reaches 1 stays in
+the exact phase to the end.
 
 In the log phase no residue is kept, and no floating-point work is done in
 the loop.  The sum telescopes into one product, scale^(4^depth) times

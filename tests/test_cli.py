@@ -1,6 +1,7 @@
 """Exit codes, settings, and output shapes of the command line."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -14,10 +15,12 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
+from conftest import integral_points
+from hypothesis import given, settings
 from mpmath.ctx_mp import MPContext
 
 import ellmult
-from ellmult import analytic, bounds, cli, congruent, curves, factorization, heights
+from ellmult import analytic, bounds, cli, congruent, curves, factorization, heights, localdata
 from ellmult._precision import context
 from test_analytic import _polyroots
 
@@ -325,7 +328,7 @@ def test_analyze_factors_N_once(capsys, monkeypatch):
         calls[n] += 1
         return original(n)
 
-    for module in (congruent, curves, factorization):
+    for module in (congruent, curves, factorization, localdata):
         monkeypatch.setattr(module, "factor_int", counting)
     code, _ = run(capsys, "analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "30")
     assert code == 0
@@ -403,6 +406,27 @@ def test_scaled_models_give_the_same_answers(capsys, command, N, x, y):
         assert doc["curve"]["A"] == -N * N and (doc["point"]["x"], doc["point"]["y"]) == (str(x), str(y))
         answers.append(_model_free_part(command[0], doc))
     assert answers[1:] == answers[:1] * 3
+
+
+def _analyze_code_and_doc(A, B, x, y):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(["analyze", "--n-max", "5", f"--A={A}", f"--B={B}", f"--x={x}", f"--y={y}"])
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@settings(max_examples=40, deadline=None)
+@given(integral_points())
+def test_scaled_random_models_give_the_same_reduction_and_height(point):
+    # beyond the congruent family: the local data and hhat of (A, B, x, y) survive (u^4 A, u^6 B, u^2 x, u^3 y)
+    A, B, x, y = point
+    code, doc = _analyze_code_and_doc(A, B, x, y)
+    assert code == 0
+    for u in (2, 3, 6):
+        scaled_code, scaled = _analyze_code_and_doc(u**4 * A, u**6 * B, u * u * x, u**3 * y)
+        assert scaled_code == 0
+        assert scaled["reduction"] == doc["reduction"], u
+        assert scaled["heights"]["canonical"] == doc["heights"]["canonical"], u
 
 
 def test_periods_isolates_roots_once(capsys, monkeypatch):

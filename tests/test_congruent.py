@@ -45,7 +45,7 @@ from ellmult.congruent import (
 from ellmult.curves import INFINITY, Multiples, curve_height, rational_point
 from ellmult.divpoly import psi_value_binary, ward_terms
 from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
-from ellmult.factorization import factor_int, is_square_free, prime_divisors, valuation
+from ellmult.factorization import factor_int, is_square_free, valuation
 from ellmult.heights import _renormalized_doubling, canonical_height, height_window_check
 
 GOLDEN_CSV = resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
@@ -705,7 +705,7 @@ def test_table_ord_l_structure(table):
             g = math.gcd(abs(a), row.N)
             if g == 1:
                 continue
-            for ell in prime_divisors(g):
+            for ell in sorted(factor_int(g)):
                 for n in (3, 5, 7):
                     if 2 * n % ell == 0:
                         continue

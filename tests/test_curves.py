@@ -19,6 +19,8 @@ from ellmult.curves import (
     quasi_minimalize,
     rational_point,
     scale_point,
+    singular_gcd,
+    to_triple,
 )
 from ellmult.errors import InternalInvariantError, OffCurve, SingularCurve
 from ellmult.factorization import factor_int
@@ -286,6 +288,25 @@ def test_walk_is_in_lowest_terms_on_scaled_models_and_bases(base):
     _assert_walk_matches_multiply(*base, 14)
 
 
+def _triple_gcd(c, T):
+    """gcd(2Y, 3X^2 + A D^4, discriminant) of the triple (X, Y, D): the criterion with Y, for reference."""
+    X, Y, D = T
+    return math.gcd(2 * Y, 3 * X * X + c.A * D**4, c.discriminant)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scaled_bases())
+def test_singular_gcd_has_the_primes_of_the_triple_gcd(base):
+    # on the base and its multiples to 6, integral or not, on models scaled by u in {1, 2, 3, 6}
+    c, P = base
+    assert singular_gcd(c, None) == 1
+    for n in range(1, 7):
+        T = to_triple(c, multiply(c, n, P))
+        if T is None:
+            break
+        assert set(factor_int(singular_gcd(c, T[::2]))) == set(factor_int(_triple_gcd(c, T))), (c, P, n)
+
+
 def _reductions(monkeypatch, walk, n):
     """(what, v) of every _square_gcd call while the walk goes from 2P to nP."""
     walk[2]
@@ -302,9 +323,9 @@ def _reductions(monkeypatch, walk, n):
 
 
 def test_gate_keeps_the_reference_point_from_every_gcd(monkeypatch):
-    # G = gcd(2*6, 3*16 - 25, discriminant) = 1: S_P is empty, so no step reduces
+    # G = gcd(3*16 - 25, 2*36, discriminant) = 1: S_P is empty, so no step reduces
     walk = Multiples(E5, rational_point(-4, 6))
-    assert walk._singular == 1
+    assert walk._singular == singular_gcd(E5, walk[1]) == 1
     assert _reductions(monkeypatch, walk, 50) == []
     _assert_walk_matches_multiply(E5, rational_point(-4, 6), 50)
 
@@ -316,7 +337,7 @@ def test_gate_opens_at_the_even_multiples_of_golden_points(monkeypatch, N, x, y,
     # Q shares a prime with G at the even multiples only, and each gcd there removes a factor
     c, P = make_curve(-N * N, 0), rational_point(x, y)
     walk = Multiples(c, P)
-    assert walk._singular == G
+    assert walk._singular == singular_gcd(c, walk[1]) == G
     calls = _reductions(monkeypatch, walk, 30)
     assert [what for what, _ in calls] == [f"x({n}P)" for n in range(4, 31, 2)]
     assert all(v > 1 for _, v in calls)
@@ -324,10 +345,10 @@ def test_gate_opens_at_the_even_multiples_of_golden_points(monkeypatch, N, x, y,
 
 
 def test_gate_shuts_where_q_misses_the_singular_primes(monkeypatch):
-    # (0, 4) on y^2 = x^3 - 16x + 16 has G = 8, and 6P's Q is odd
+    # (0, 4) on y^2 = x^3 - 16x + 16 has G = gcd(-16, 2*16, discriminant) = 16, and 6P's Q is odd
     c, P = make_curve(-16, 16), rational_point(0, 4)
     walk = Multiples(c, P)
-    assert walk._singular == 8
+    assert walk._singular == singular_gcd(c, walk[1]) == 16
     whats = [what for what, _ in _reductions(monkeypatch, walk, 8)]
     assert "x(4P)" in whats and "x(6P)" not in whats
     _assert_walk_matches_multiply(c, P)

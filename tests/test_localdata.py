@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from ellmult import cli, curves, localdata
 from ellmult.curves import INFINITY, Multiples, make_curve, multiply, rational_point
 from ellmult.errors import CapExceeded, UnreliableAtSmallPrime
-from ellmult.localdata import bad_primes, global_M
+from ellmult.factorization import factor_int
+from ellmult.localdata import global_M
 
 E5 = make_curve(-25, 0)
 E15 = make_curve(-225, 0)
@@ -29,12 +30,16 @@ def _trial_primes(n):
     return out
 
 
+def _bad_primes(c):
+    return sorted(factor_int(c.discriminant))
+
+
 def test_bad_primes_values():
-    assert bad_primes(E5) == [2, 5]
-    assert bad_primes(make_curve(0, 1)) == [2, 3]
+    assert _bad_primes(E5) == [2, 5]
+    assert _bad_primes(make_curve(0, 1)) == [2, 3]
     # bad primes of y^2 = x^3 - N^2 x are exactly the primes of 2N
     for N in (5, 6, 7, 15, 34):
-        assert bad_primes(make_curve(-N * N, 0)) == _trial_primes(2 * N)
+        assert _bad_primes(make_curve(-N * N, 0)) == _trial_primes(2 * N)
 
 
 def _orders(c, P):
@@ -119,7 +124,8 @@ def test_commands_walk_a_fixed_number_of_times(monkeypatch, capsys, command, A, 
 
 @pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
 def test_cap_exceeded_names_the_smallest_prime(monkeypatch):
-    monkeypatch.setattr(localdata, "_nonsingular_mod", lambda c, p, T: False)
+    # every prime divides 0, so no multiple ever reduces to a nonsingular point
+    monkeypatch.setattr(localdata, "singular_gcd", lambda c, T: 0)
     with pytest.raises(CapExceeded) as caught:
         global_M(Multiples(E5, P5))
     # ord_2(10^6) + 4 = 10 steps; p = 5 overruns its cap as well
@@ -135,13 +141,13 @@ def _nonsingular_by_triple(c, p, T):
 
 
 def _pair_criterion_verdicts(c, P, n_max=12):
-    """(p, verdict) on nP for n <= n_max at p = 2, 3 and every odd bad prime; the pair's verdict must be the triple's."""
+    """(p, verdict) on nP, n <= n_max, at p = 2, 3 and every odd bad prime; singular_gcd must agree with the triple."""
     verdicts = []
     for n in range(1, n_max + 1):
         T = curves.to_triple(c, multiply(c, n, P))
         pair = None if T is None else (T[0], T[2])
-        for p in sorted({2, 3, *bad_primes(c)}):
-            verdict = localdata._nonsingular_mod(c, p, pair)
+        for p in sorted({2, 3, *_bad_primes(c)}):
+            verdict = curves.singular_gcd(c, pair) % p != 0
             assert verdict == _nonsingular_by_triple(c, p, T), (c, P, n, p)
             verdicts.append((p, verdict))
     return verdicts
@@ -170,7 +176,7 @@ def _oracle_m(c, P):
     import math as _m
 
     out = 1
-    for p in bad_primes(c):
+    for p in _bad_primes(c):
         r = 1
         while True:
             Q = multiply(c, r, P)
