@@ -2,21 +2,22 @@
 
 json writes an int with int.__repr__, whose decimal conversion is quadratic
 in the digit count.  This writer converts an int of 2048 digits or more by
-divide and conquer: divmod by 10^(1024 * 2^k), with the powers kept in
+divide and conquer: division by 10^(1024 * 2^k), with the powers kept in
 _POWERS, the high part written the same way and the low part zero-padded to
 1024 * 2^k digits, down to chunks of 1024 digits that int.__repr__ writes.
-Everything else is written as json writes it: strings escaped to ASCII,
-floats by float.__repr__, True, False and None as true, false and null,
-tuples as lists, dict items sorted by key.  A non-finite float raises json's
-own ValueError, and an object json cannot write raises its TypeError, before
-any text is returned.  Unlike json, the writer takes only str keys, as every
-document has (the string encoder raises TypeError on any other), and it
-neither detects a document that contains itself nor applies the
-interpreter's int-to-str digit cap.
+Each split goes through _bigint.divmod, whose recursive division makes the
+conversion subquadratic.  Everything else is written as json writes it:
+strings escaped to ASCII, floats by float.__repr__, True, False and None as
+true, false and null, tuples as lists, dict items sorted by key.  A
+non-finite float raises json's own ValueError, and an object json cannot
+write raises its TypeError, before any text is returned.  Unlike json, the
+writer takes only str keys, as every document has (the string encoder raises
+TypeError on any other), and it neither detects a document that contains
+itself nor applies the interpreter's int-to-str digit cap.
 
-The split and its 2048-digit threshold were timed on CPython 3.11 only.
-From 3.12 on, int.__repr__ itself converts large ints by divide and conquer;
-whether the split still gains there is unmeasured.
+The split, its 2048-digit threshold and the division were timed on CPython
+3.11 only.  From 3.12 on, int.__repr__ itself converts large ints by divide
+and conquer; whether the split still gains there is unmeasured.
 
 The writer recurses through module-level functions: a nested function that
 calls itself is a reference cycle, which would keep each document's chunk
@@ -29,6 +30,8 @@ import json
 import math
 from json.encoder import encode_basestring_ascii as _string
 from typing import List
+
+from . import _bigint
 
 _LEAF_DIGITS = 1024
 _POWERS = [10**_LEAF_DIGITS]  # _POWERS[k] = 10^(1024 * 2^k), extended on demand
@@ -66,7 +69,7 @@ def _digits(n: int, out: List[str]) -> None:
     k = 0
     while n >= _power(k + 1):  # _POWERS[k + 1] = _POWERS[k]^2
         k += 1
-    high, low = divmod(n, _POWERS[k])
+    high, low = _bigint.divmod(n, _POWERS[k])
     _digits(high, out)
     _padded(low, k, out)
 
@@ -76,7 +79,7 @@ def _padded(n: int, k: int, out: List[str]) -> None:
     if not k:
         out.append(int.__repr__(n).zfill(_LEAF_DIGITS))
         return
-    high, low = divmod(n, _POWERS[k - 1])
+    high, low = _bigint.divmod(n, _POWERS[k - 1])
     _padded(high, k - 1, out)
     _padded(low, k - 1, out)
 

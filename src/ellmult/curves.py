@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
+from . import _bigint
 from .errors import InternalInvariantError, OffCurve, SingularCurve
 from .factorization import factor_int, valuation
 
@@ -225,7 +226,8 @@ class Multiples:
         R = (a X_n - A e E)^2 - 4B e E (X_n e + a E).
 
     The product step divides D_{n-1} out of H, giving Q, and X_{n-1} out of
-    R, giving X = x((n+1)P) Q^2, so x((n+1)P) = X / Q^2.  On B = 0, R is one
+    R, giving X = x((n+1)P) Q^2, so x((n+1)P) = X / Q^2; both divisions go
+    through _bigint.divmod, subquadratic at large n.  On B = 0, R is one
     square.  Where X_{n-1} = 0 or either division leaves a remainder, the
     general step uses the sum law x((n+1)P) + x((n-1)P) = S / H^2, with
     S = 2[(X_n e + a E)(a X_n + A e E) + 2B e^2 E^2], and reduces
@@ -281,10 +283,10 @@ class Multiples:
         if not H:
             return None
         eE = e * E
-        Q, r = divmod(H, Dp)
+        Q, r = _bigint.divmod(H, Dp)
         if not r and Xp:
             t = a * Xn - c.A * eE
-            X, r = divmod(t * t - 4 * c.B * eE * (Xe + aE), Xp)  # R / X_{n-1}
+            X, r = _bigint.divmod(t * t - 4 * c.B * eE * (Xe + aE), Xp)  # R / X_{n-1}
         if r or not Xp:  # the general step
             S = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE)
             X, Q = S * Dp * Dp - Xp * H * H, H * Dp

@@ -32,10 +32,11 @@ form x((n+1)P) = S / H^2 - x((n-1)P) by one full gcd.  No step recovers
 y.  H = 0 puts (n+1)P at infinity, and from there the walk repeats with the
 order of P.
 ward_terms walks the group law once and compares the two routes at every n:
-it divides g_n = h_n^2 / D_n^2 and requires the division to be exact and
-k_n = g_n X_n.  As gcd(X_n, D_n) = 1, that proves g_n = gcd(k_n, h_n^2)
-without computing the gcd, and that both routes give the same x(nP).  A
-disagreement raises InternalInvariantError.
+it requires D_n | h_n and k_n = g_n X_n with g_n = (h_n / D_n)^2.  That is
+the same test as D_n^2 | h_n^2, since a rational number whose square is an
+integer is itself an integer, without squaring D_n.  As gcd(X_n, D_n) = 1,
+it proves g_n = gcd(k_n, h_n^2) without computing the gcd, and that both
+routes give the same x(nP).  A disagreement raises InternalInvariantError.
 
 Every h_n and k_n is an exact integer, at torsion base points too, and
 h_n = 0 exactly when nP is the point at infinity; ward_terms requires the
@@ -96,25 +97,27 @@ def _require_integral(P: RatPoint) -> Tuple[int, int]:
     return P.x.numerator, P.y.numerator
 
 
-def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int], List[int]]:
-    """h_0..h_n_max, their squares, and k_0..k_n_max (k_0 = 1) at an integral base point."""
+def _h_k(c: Curve, P: RatPoint, n_max: int) -> Tuple[List[int], List[int]]:
+    """h_0..h_n_max and k_0..k_n_max (k_0 = 1) at an integral base point."""
     a, b = _require_integral(P)
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     f = _x_parts(c.A, c.B, a, n_max + 1)  # k_n needs h_{n+1}
     h = [v if n % 2 else 2 * b * v for n, v in enumerate(f)]
-    h2 = [v * v for v in h[: n_max + 1]]
-    k = [1] + [a * h2[n] - h[n + 1] * h[n - 1] for n in range(1, n_max + 1)]
-    return h[: n_max + 1], h2, k
+    k = [1] + [a * h[n] * h[n] - h[n + 1] * h[n - 1] for n in range(1, n_max + 1)]
+    return h[: n_max + 1], k
 
 
 def ward_terms(walk: Multiples, n_max: int) -> WardSequence:
     """Full sequence bundle to index n_max: h, k by recurrence, D off the walk, g from both.
 
-    The walk's point is the base point.  Raises InternalInvariantError where
-    the two routes disagree on nP.
+    The walk's point is the base point.  At each n it requires D_n | h_n and
+    k_n = g_n X_n with g_n = (h_n / D_n)^2; D_n | h_n is D_n^2 | h_n^2
+    without the squares, as a rational number whose square is an integer is
+    itself an integer.  Raises InternalInvariantError where the two routes
+    disagree on nP.
     """
-    h, h2, k = _h_k(walk.curve, walk.point, n_max)
+    h, k = _h_k(walk.curve, walk.point, n_max)
     D: List[OptInt] = [None]
     g: List[OptInt] = [None]
     for n in range(1, n_max + 1):
@@ -127,8 +130,9 @@ def ward_terms(walk: Multiples, n_max: int) -> WardSequence:
             continue
         X, Dn = T
         # h_n^2 = g_n D_n^2 and k_n = g_n X_n with gcd(X_n, D_n) = 1 make g_n = gcd(k_n, h_n^2)
-        gn, r = divmod(h2[n], Dn * Dn)
-        if not gn or r or k[n] != gn * X:
+        q, r = divmod(h[n], Dn)
+        gn = q * q
+        if not q or r or k[n] != gn * X:
             raise InternalInvariantError(f"the group law and the recurrence disagree on x({n}P)")
         D.append(Dn)
         g.append(gn)
@@ -147,5 +151,5 @@ def psi_value_binary(n: int, x: int, N: int) -> int:
 
 def x_multiple_exact(c: Curve, P: RatPoint, n: int) -> Optional[Fraction]:
     """x(nP) as k_n / h_n^2, or None when nP is at infinity; recurrence route only."""
-    h, h2, k = _h_k(c, P, n)
-    return Fraction(k[n], h2[n]) if h[n] else None
+    h, k = _h_k(c, P, n)
+    return Fraction(k[n], h[n] * h[n]) if h[n] else None

@@ -1,4 +1,4 @@
-"""Shared fixtures: reference points with their multiples by an independent group law, random integral points, and the default int-to-str cap."""
+"""Shared fixtures: reference points with their multiples by an independent group law, random integral points, patching every alias of a function, and the default int-to-str cap."""
 
 import math
 import sys
@@ -73,6 +73,16 @@ def golden_multiples():
 def other_multiples():
     """(A, B, x, y, [None, P, ..., 40P]) for OTHER_POINTS, as golden_multiples builds them."""
     return [(A, B, x, y, _multiples(A, x, y)) for A, B, x, y in OTHER_POINTS]
+
+
+def patch_aliases(monkeypatch, func, replacement):
+    """Bind replacement, for the test's length, at every attribute of a loaded ellmult module that names func."""
+    for name, module in list(sys.modules.items()):
+        if module is None or not (name == "ellmult" or name.startswith("ellmult.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is func:
+                monkeypatch.setattr(module, attr, replacement)
 
 
 @pytest.fixture

@@ -15,12 +15,12 @@ from pathlib import Path
 from typing import Optional
 
 import pytest
-from conftest import integral_points
+from conftest import integral_points, patch_aliases
 from hypothesis import given, settings
 from mpmath.ctx_mp import MPContext
 
 import ellmult
-from ellmult import analytic, bounds, cli, congruent, curves, factorization, heights, localdata
+from ellmult import analytic, bounds, cli, curves, factorization, heights
 from ellmult._precision import context
 from test_analytic import _polyroots
 
@@ -328,8 +328,7 @@ def test_analyze_factors_N_once(capsys, monkeypatch):
         calls[n] += 1
         return original(n)
 
-    for module in (congruent, curves, factorization, localdata):
-        monkeypatch.setattr(module, "factor_int", counting)
+    patch_aliases(monkeypatch, original, counting)
     code, _ = run(capsys, "analyze", "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--n-max", "30")
     assert code == 0
     # gcd(A, B) = N^2 once where quasi_minimalize looks for primes to strip,
@@ -1284,6 +1283,21 @@ def test_eds_writes_terms_past_the_digit_cap(capsys, default_digit_cap):
     row = json.loads(out, parse_int=str)["rows"][-1]
     assert max(len(row[key].lstrip("-")) for key in ("h", "k", "D")) > default_digit_cap
     assert sys.get_int_max_str_digits() == default_digit_cap
+
+
+def test_eds_at_scale_matches_json_and_the_group_law(capsys):
+    # on the N = 29 golden point at n = 60, R and X_{n-1} pass the division's recursion threshold and the
+    # largest terms have over 16,000 digits, so the walk's divisions and the writer's splits both recurse
+    code, out = run(capsys, "eds", "--A", "-841", "--B", "0", "--x", "284229", "--y", "151531380", "--n-max", "60")
+    assert code == 0
+    with cli._integers_of_any_length():
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    rows = doc["rows"]
+    assert max(abs(row["k"]) for row in rows) > 10**16000
+    c, P = curves.make_curve(-841, 0), curves.rational_point(284229, 151531380)
+    for n in (2, 19, 37, 52, 60):
+        assert rows[n]["D"] ** 2 == curves.multiply(c, n, P).x.denominator, n
 
 
 def test_eds_reads_a_point_past_the_digit_cap(capsys, default_digit_cap):

@@ -13,10 +13,11 @@ from fractions import Fraction
 from importlib import resources
 
 import pytest
+from conftest import patch_aliases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ellmult import analytic, congruent, curves, factorization, heights
+from ellmult import analytic, congruent, curves, heights
 from ellmult._precision import context
 from ellmult.bounds import poly_growth_check
 from ellmult.congruent import (
@@ -592,8 +593,7 @@ def test_table_factors_each_N_once(monkeypatch):
         calls.append(n)
         return factor_int(n)
 
-    for module in (congruent, curves, factorization):
-        monkeypatch.setattr(module, "factor_int", counting)
+    patch_aliases(monkeypatch, factor_int, counting)
     table = reproduce_table(75)
     assert tuple(row.N for row in table.rows) == GOLDEN_N
     # one factorization per square-free N, the search's validation; none for the others

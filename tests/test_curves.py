@@ -251,7 +251,7 @@ def test_walk_edges_and_general_reduction_match_multiply(monkeypatch, c, P, orde
     walk = Multiples(c, P)
     walk[2]
     divisions = []
-    monkeypatch.setattr(curves, "divmod", lambda a, b: divisions.append(b) or (a // b, 1), raising=False)
+    monkeypatch.setattr(curves._bigint, "divmod", lambda a, b: divisions.append(b) or (a // b, 1))
     assert [walk[n] for n in range(1, n_max + 1)] == expected
     assert len(divisions) == (n_max - 2 if order is None else max(order - 3, 0))
 
@@ -361,7 +361,7 @@ def test_step_takes_the_sum_form_where_x_of_the_previous_multiple_is_0(monkeypat
     walk = Multiples(c, P)
     walk[2]
     divisions = []
-    monkeypatch.setattr(curves, "divmod", lambda a, b: divisions.append(b) or builtins.divmod(a, b), raising=False)
+    monkeypatch.setattr(curves._bigint, "divmod", lambda a, b: divisions.append(b) or builtins.divmod(a, b))
     assert _reductions(monkeypatch, walk, 3) == [("x(3P)", 4)]
     assert divisions == [1]
     assert walk[3] == _x_pair(multiply(c, 3, P))

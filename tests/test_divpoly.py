@@ -97,6 +97,9 @@ WRONG_PAIRS = {
     "X off by one": ((-4, 6), 7, lambda T: (T[0] + 1, T[1])),
     "infinity at a finite n": ((-4, 6), 7, lambda T: None),
     "finite at infinity": ((0, 0), 4, lambda T: (0, 1)),
+    # g_7 = 2^24 5^48 on (45, 300): 5 D_7 still divides h_7, and only k_7 = g_7 X_7 refuses the pair
+    "D times a prime of g": ((45, 300), 7, lambda T: (T[0], 5 * T[1])),
+    "D times a prime that misses h": ((45, 300), 7, lambda T: (T[0], 3 * T[1])),
 }
 
 

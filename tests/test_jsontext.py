@@ -118,8 +118,9 @@ def test_unwritable_values_raise_json_type_error(value):
 
 
 def test_writer_leaves_no_garbage_for_the_cycle_collector():
-    # a writer that recursed through a nested function would leave a cycle holding each document's chunks
-    doc = {"rows": [{"n": n, "h": -(7 ** (n * 1000)), "k": 3.5} for n in range(8)], "note": "x"}
+    # a writer or a division that recursed through a nested function would leave a cycle holding each
+    # document's chunks; 3^80000 has 38,172 digits, so its splits take the recursive division
+    doc = {"rows": [{"n": n, "h": -(7 ** (n * 1000)), "k": 3.5} for n in range(8)], "note": "x", "big": 3**80000}
     gc.collect()
     gc.disable()
     try:
