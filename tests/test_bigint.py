@@ -31,6 +31,18 @@ def test_divmod_matches_the_builtin(ab):
     assert _bigint.divmod(*ab) == builtins.divmod(*ab)
 
 
+@pytest.mark.parametrize("case", ["trial quotient two too large", "trial quotient capped at 2^h - 1"])
+def test_the_first_half_step_corrects_its_trial_quotient(case):
+    # b has 2h bits, the smallest high half and the largest low half; the dividend's top 3h bits
+    # a12 2^h make the first half step's trial quotient a12 / b1 = 2^h - 2, two above the true one,
+    # or a12 = b - 1 with a12 / b1 >= 2^h, where the step takes 2^h - 1 instead
+    h = T + 48  # so that the trial division a12 / b1 recurses too
+    b = 2 ** (2 * h - 1) + 2**h - 1
+    a12 = (2**h - 2) * 2 ** (h - 1) if case == "trial quotient two too large" else b - 1
+    a = a12 << 2 * h
+    assert _bigint.divmod(a, b) == builtins.divmod(a, b)
+
+
 @pytest.mark.parametrize("bits", [1, T + 1, 9 * T])
 def test_zero_divided_by_anything_and_anything_by_zero(bits):
     b = 2**bits - 1
