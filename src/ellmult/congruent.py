@@ -10,9 +10,10 @@ The search enumerates abscissas x = +-s a^2 over the square-free divisors s
 of N, the only shapes an integral point can take.  It sieves the a with
 quadratic-residue masks modulo small numbers, which reject only a whose
 abscissa provably carries no point, and checks each survivor exactly.
-The threshold search starts each cap branch at its boundary solved in floats
-and gallops, then bisects, to the exact boundary; since both branches are
-monotone in N, that returns what a linear scan returns from any start.
+The threshold of each cap branch is solved in floats, certified by two
+128-bit floor evaluations per branch: the branch holds at the floor N of
+its float solution and fails at N + 1, and since each branch is monotone
+in N, that makes N the last N where it holds.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Tuple, Union
 
 from . import analytic, bounds
 from ._precision import context
 from .curves import Curve, Multiples, RatPoint, make_curve, rational_point
 from .divpoly import psi_value_binary
-from .errors import NotBoundedComponent, ParityMismatch, TorsionInput
+from .errors import InternalInvariantError, NotBoundedComponent, ParityMismatch, TorsionInput
 from .factorization import factor_int, valuation
 from .heights import canonical_height, naive_height
 from .reports import BoundReport, value_report
@@ -341,69 +342,36 @@ def gap_floor(n1: int, N: int) -> BoundReport:
     return value_report("gap-floor", {"n1": n1, "N": N}, _gap_floor_value(n1, N), GAP_FLOOR_CITATION)
 
 
-def _last_true(predicate, lo: int, hi: int, start: int) -> Optional[int]:
-    """Largest N in [lo, hi) with predicate(N), for a predicate that holds on a prefix of [lo, hi).
-
-    Gallops from start, clamped into [lo, hi), by steps 1, 2, 4, ... toward
-    the boundary, then bisects the bracket it found.  Throughout, yes is
-    lo - 1 or an N where the predicate holds, and no is hi or an N where it
-    fails.  On a prefix predicate every N <= yes holds and every N >= no
-    fails, so the answer lies in [yes, no) whatever the start, and the result
-    is the linear scan's.  A start k away from the answer costs about
-    2 log2 k evaluations; a start next to it costs two.
-    """
-    if lo >= hi:
-        return None
-    start = min(max(start, lo), hi - 1)
-    step = 1
-    if predicate(start):
-        yes, no = start, hi
-        while yes + step < hi:
-            if not predicate(yes + step):
-                no = yes + step
-                break
-            yes += step
-            step *= 2
-    else:
-        yes, no = lo - 1, start
-        while no - step >= lo:
-            if predicate(no - step):
-                yes = no - step
-                break
-            no -= step
-            step *= 2
-    while no - yes > 1:
-        mid = (yes + no) // 2
-        if predicate(mid):
-            yes = mid
-        else:
-            no = mid
-    return yes if yes >= lo else None
+def _certified_boundary(predicate, y: float) -> int:
+    """N = floor(e^y), for a predicate on N >= 2 that holds at N and fails at N + 1; else InternalInvariantError."""
+    N = int(math.exp(y))
+    if N < 2 or not predicate(N) or predicate(N + 1):
+        raise InternalInvariantError(f"N = {N} from the float solution e^{y!r} is not the boundary of its branch")
+    return N
 
 
 def resolve_N_threshold() -> BoundReport:
-    """Largest N in [2, 5000) compatible with each branch of the multiplier cap at n1 = 11.
+    """Largest N compatible with each branch of the multiplier cap at n1 = 11.
 
     Branch one compares the gap floor against log(3.6e27), branch two against
-    log(9.196e23 (log N)^{5/2}).  Each branch holds on a prefix of N, so
-    _last_true finds the last N where it holds, or None where it fails
-    already at N = 2.  The report's inputs are branch1 and branch2, and its
-    threshold is branch one's N.  The floor is a log N + b, with
-    a = 121/8 - 1/2 and b = log(omega1/2), which increases, so branch one's
-    margin decreases.  Branch two's margin
-    log(9.196e23) + (5/2) log log N - floor has derivative
+    log(9.196e23 (log N)^{5/2}).  The report's inputs are branch1 and
+    branch2, and its threshold is branch one's N.  Each boundary is solved in
+    floats, certified by two 128-bit floor evaluations per branch.
+
+    The floor is a y + b with y = log N, a = 121/8 - 1/2, b = log(omega1/2).
+    Branch one's solution is y = (log(3.6e27) - b) / a, e^y = 75.188.  Branch
+    two solves a y + b = log(9.196e23) + 2.5 log y by Newton steps from branch
+    one's y, which lies above its root (the equation is convex and increasing
+    in y there, so the steps fall monotonically onto it), to e^y = 54.106.
+    Their margins above N = 75 and 54, 0.188 and 0.106, dwarf the float error.
+
+    The floor increases in N, so branch one's margin decreases.  Branch two's
+    margin log(9.196e23) + (5/2) log log N - floor has derivative
     (2.5 / log N - 14.625) / N < 0 for N >= 2, since 2.5 / log 2 < 3.61.
     Consecutive floors differ by 14.625 log(1 + 1/N), far above the rounding
     of the returned float for any N below 10^12, so the computed predicates
-    are monotone too and _last_true returns what a linear scan returns.
-
-    Each search starts at the floor of its branch's solution in floats:
-    branch one's at y = (log(3.6e27) - b) / a with y = log N, branch two's
-    a y + b = log(9.196e23) + 2.5 log y by Newton steps from branch one's y,
-    which lies above its root (the equation is convex and increasing in y
-    there, so the steps fall monotonically onto it).  A start next to the
-    boundary costs two floor evaluations per branch; a wrong start costs more
-    evaluations, never a different answer.
+    hold on a prefix of N too, and holding at N and failing at N + 1
+    certifies N as the last N where a branch holds.
     """
     ctx = context(bounds.EVAL_BITS)
     cap_small = ctx.ln(ctx.mpf(N_CAP_SMALL))
@@ -412,12 +380,9 @@ def resolve_N_threshold() -> BoundReport:
     y2 = y1
     for _ in range(4):
         y2 -= (a * y2 + b - math.log(N_CAP_COEFF) - 2.5 * math.log(y2)) / (a - 2.5 / y2)
-    branch1 = _last_true(lambda N: _gap_floor_value(11, N) <= cap_small, 2, 5000, int(math.exp(y1)))
-    branch2 = _last_true(
-        lambda N: _gap_floor_value(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")),
-        2,
-        5000,
-        int(math.exp(y2)),
+    branch1 = _certified_boundary(lambda N: _gap_floor_value(11, N) <= cap_small, y1)
+    branch2 = _certified_boundary(
+        lambda N: _gap_floor_value(11, N) <= ctx.ln(ctx.mpf(N_CAP_COEFF) * ctx.ln(N) ** ctx.mpf("2.5")), y2
     )
     return value_report("threshold-N", {"branch1": branch1, "branch2": branch2}, branch1, THRESHOLD_CITATION)
 

@@ -172,7 +172,12 @@ def canonical_height(walk: Multiples, tol: float = 1e-10) -> HeightEstimate:
         return HeightEstimate(0.0, tol, 0, order)
     c = walk.curve
     hE = float(curve_height(c))
-    depth = max(1, math.ceil(math.log(2 * hE / tol, 4)))
+    ratio = 2 * hE / tol
+    if math.isinf(ratio):
+        # tol so small that the ratio overflows: the depth from logs lies far beyond the cap
+        depth = math.ceil((math.log(2 * hE) - math.log(tol)) / math.log(4))
+    else:
+        depth = max(1, math.ceil(math.log(ratio, 4)))
     if depth > DEPTH_CAP:
         raise PrecisionExhausted(f"tolerance {tol} needs doubling depth {depth}, beyond the cap {DEPTH_CAP}")
     X, D = walk[2]

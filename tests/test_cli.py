@@ -284,6 +284,17 @@ def test_precision_exhausted_exit_4(capsys):
     assert doc["error"]["exit_code"] == 4
 
 
+@pytest.mark.filterwarnings("ignore::ellmult.errors.UnreliableAtSmallPrime")
+@pytest.mark.parametrize("command", ["heights", "analyze"])
+@pytest.mark.parametrize("tol, depth", [("1e-308", 514), ("5e-324", 539)])
+def test_tolerance_near_the_float_floor_exits_4(capsys, command, tol, depth):
+    # 2 h(E) / tol overflows to inf here, so the depth comes from logs
+    code, doc = run_json(capsys, command, "--A", "-25", "--B", "0", "--x", "-4", "--y", "6", "--tol", tol)
+    assert code == 4
+    assert doc["error"]["type"] == "PrecisionExhausted"
+    assert doc["error"]["message"] == f"tolerance {tol} needs doubling depth {depth}, beyond the cap 24"
+
+
 # --- work done per command ---------------------------------------------------------
 
 

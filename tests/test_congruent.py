@@ -45,7 +45,7 @@ from ellmult.congruent import (
 )
 from ellmult.curves import INFINITY, Multiples, curve_height, rational_point
 from ellmult.divpoly import psi_value_binary, ward_terms
-from ellmult.errors import NotBoundedComponent, ParityMismatch, TorsionInput
+from ellmult.errors import InternalInvariantError, NotBoundedComponent, ParityMismatch, TorsionInput
 from ellmult.factorization import factor_int, is_square_free, valuation
 from ellmult.heights import _renormalized_doubling, canonical_height, height_window_check
 
@@ -310,38 +310,20 @@ def _branch_predicates():
     )
 
 
-def _linear_scan(values, lo, hi):
-    """Last N in [lo, hi) with values[N], or None."""
-    return max((N for N in range(lo, hi) if values[N]), default=None)
+def test_resolve_N_threshold_matches_linear_scan():
+    # the last N in [2, 5000) where each branch holds, found by testing every N
+    scans = tuple(max(N for N in range(2, 5000) if predicate(N)) for predicate in _branch_predicates())
+    assert scans == _resolved_branches() == (75, 54)
 
 
-@pytest.mark.parametrize("hi", [3, 56, 76, 77, 100, 5000])
-def test_resolve_N_threshold_matches_linear_scan(hi):
-    # the gallop from every start in [-5, hi + 10) against the last N in [2, hi) where each branch holds
-    scans = []
-    for predicate in _branch_predicates():
-        values = {N: predicate(N) for N in range(2, hi)}
-        last = _linear_scan(values, 2, hi)
-        for start in range(-5, hi + 10):
-            assert congruent._last_true(values.__getitem__, 2, hi, start) == last, start
-        scans.append(last)
-    if hi == 5000:
-        assert tuple(scans) == _resolved_branches() == (75, 54)
+@pytest.mark.parametrize("N", [74.5, 76.5, 1.5])
+def test_certified_boundary_rejects_a_missed_solution(N):
+    # N = 74 also holds at N + 1 = 75, N = 76 already fails, and N = 1 lies below the range
+    with pytest.raises(InternalInvariantError, match="not the boundary"):
+        congruent._certified_boundary(_branch_predicates()[0], math.log(N))
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 40), (-3, 17), (0, 64), (5, 6)])
-def test_last_true_on_synthetic_predicates(lo, hi):
-    for start in range(lo - 5, hi + 5):
-        assert congruent._last_true(lambda N: True, lo, hi, start) == hi - 1
-        assert congruent._last_true(lambda N: False, lo, hi, start) is None
-        assert congruent._last_true(lambda N: True, hi, hi, start) is None
-        assert congruent._last_true(lambda N: True, hi, lo, start) is None
-        # a prefix that ends at every point of the range
-        for last in range(lo, hi):
-            assert congruent._last_true(lambda N: N <= last, lo, hi, start) == last
-
-
-def test_resolve_N_threshold_bisects(monkeypatch):
+def test_resolve_N_threshold_checks_each_float_solution(monkeypatch):
     calls = []
     reports = []
     floor, report = congruent._gap_floor_value, congruent.value_report
@@ -357,9 +339,9 @@ def test_resolve_N_threshold_bisects(monkeypatch):
     monkeypatch.setattr(congruent, "_gap_floor_value", counted)
     monkeypatch.setattr(congruent, "value_report", counted_report)
     assert _resolved_branches() == (75, 54)
-    # each search starts at its branch's float solution, so it evaluates the floor only next to the boundary
-    assert len(calls) <= 6
-    # the search compares plain floats and builds one report at the end
+    # each branch evaluates the floor at its float solution's floor N and at N + 1
+    assert calls == [75, 76, 54, 55]
+    # the checks compare plain floats and build one report at the end
     assert reports == ["threshold-N"]
 
 
