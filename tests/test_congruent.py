@@ -310,17 +310,35 @@ def _branch_predicates():
     )
 
 
-def test_resolve_N_threshold_matches_linear_scan():
-    # the last N in [2, 5000) where each branch holds, found by testing every N
-    scans = tuple(max(N for N in range(2, 5000) if predicate(N)) for predicate in _branch_predicates())
-    assert scans == _resolved_branches() == (75, 54)
+@pytest.mark.parametrize("branch, last", [(0, 75), (1, 54)])
+def test_resolve_N_threshold_matches_linear_scan(branch, last):
+    # the last N in [2, 5000) where the branch holds, found by testing every N
+    predicate = _branch_predicates()[branch]
+    assert max(N for N in range(2, 5000) if predicate(N)) == _resolved_branches()[branch] == last
 
 
-@pytest.mark.parametrize("N", [74.5, 76.5, 1.5])
-def test_certified_boundary_rejects_a_missed_solution(N):
-    # N = 74 also holds at N + 1 = 75, N = 76 already fails, and N = 1 lies below the range
+@pytest.mark.parametrize("branch, N", [(0, 74.5), (0, 76.5), (0, 1.5), (1, 53.5), (1, 55.5)])
+def test_certified_boundary_rejects_a_missed_solution(branch, N):
+    # N = 74 (53) also holds at N + 1, N = 76 (55) already fails, and N = 1 lies below the range
     with pytest.raises(InternalInvariantError, match="not the boundary"):
-        congruent._certified_boundary(_branch_predicates()[0], math.log(N))
+        congruent._certified_boundary(_branch_predicates()[branch], math.log(N))
+
+
+@pytest.mark.parametrize("last", [2, 3, 40, 4999])
+def test_certified_boundary_on_synthetic_predicates(last):
+    def predicate(N):
+        return N <= last
+
+    # any y with floor(e^y) = last is certified, whatever its fraction
+    for fraction in (0.01, 0.5, 0.99):
+        assert congruent._certified_boundary(predicate, math.log(last + fraction)) == last
+    # a y below the boundary holds at N + 1 (or gives N < 2), one above fails at N, and an always-true predicate
+    # holds at N + 1
+    for wrong in (last - 0.5, last + 1.5):
+        with pytest.raises(InternalInvariantError, match="not the boundary"):
+            congruent._certified_boundary(predicate, math.log(wrong))
+    with pytest.raises(InternalInvariantError, match="not the boundary"):
+        congruent._certified_boundary(lambda N: True, math.log(last + 0.5))
 
 
 def test_resolve_N_threshold_checks_each_float_solution(monkeypatch):
