@@ -1,10 +1,11 @@
 """Command-line front end: settings, subcommands, and report emission.
 
-Exit codes are stable: 0 success, 2 input error, 3 verification mismatch,
-4 precision exhausted.  Errors are emitted as machine-readable JSON whatever
-the requested output format.  Each subcommand takes --format and only the
-settings it reads, each checked where it is parsed.  Argv is the only input:
-a setting not given as a flag takes its default.
+Exit codes are stable: 0 success, 1 stdout closed by its reader (a broken
+pipe, as in `| head`; nothing goes to stderr), 2 input error, 3 verification
+mismatch, 4 precision exhausted.  Errors are emitted as machine-readable JSON
+whatever the requested output format.  Each subcommand takes --format and
+only the settings it reads, each checked where it is parsed.  Argv is the
+only input: a setting not given as a flag takes its default.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import contextlib
 import csv
 import inspect
 import math
+import os
 import re
 import sys
 import typing
@@ -38,6 +40,7 @@ GOLDEN_RESOURCE = "data/table_n75.csv"
 GOLDEN_N_MAX = 75
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_PRECISION = 4
@@ -459,7 +462,7 @@ def _integers_of_any_length() -> Iterator[None]:
         sys.set_int_max_str_digits(cap)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def _run(argv: Optional[List[str]]) -> int:
     with _integers_of_any_length():
         try:
             # parsing raises ValueError (usage) or ZeroDivisionError (Fraction("1/0")): exit 2 below
@@ -471,6 +474,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (EllmultError, ValueError, TypeError, ArithmeticError) as exc:
             _emit_error(exc, EXIT_INPUT)
             return EXIT_INPUT
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        status = _run(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so the interpreter's flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

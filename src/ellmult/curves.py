@@ -225,30 +225,65 @@ class Multiples:
                             = R / H^2,
         R = (a X_n - A e E)^2 - 4B e E (X_n e + a E).
 
-    The product step divides D_{n-1} out of H, giving Q, and X_{n-1} out of
-    R, giving X = x((n+1)P) Q^2, so x((n+1)P) = X / Q^2; both divisions go
+    The step divides D_{n-1} out of H, giving Q, and X_{n-1} out of R,
+    giving X = x((n+1)P) Q^2, so x((n+1)P) = X / Q^2; both divisions go
     through _bigint.divmod, subquadratic at large n.  On B = 0, R is one
-    square.  Where X_{n-1} = 0 or either division leaves a remainder, the
-    general step uses the sum law x((n+1)P) + x((n-1)P) = S / H^2, with
-    S = 2[(X_n e + a E)(a X_n + A e E) + 2B e^2 E^2], and reduces
-    S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2 by one full gcd.  From the
-    first None, at the order m of P, walk[n] is walk[n mod m].
+    square.  Where X_{n-1} = 0, the pair (0, D_{n-1}) is in lowest terms
+    only with D_{n-1} = 1, so Q = H, and the sum law
+    x((n+1)P) + x((n-1)P) = S / H^2 gives X = S with no division, where
+    S = 2[(X_n e + a E)(a X_n + A e E) + 2B e^2 E^2].  Both divisions are
+    exact, by the theorem below, so a remainder raises
+    InternalInvariantError.  From the first None, at the order m of P,
+    walk[n] is walk[n mod m].
 
-    The product step's X / Q^2 is in lowest terms unless Q shares a prime
-    with G = singular_gcd(c, walk[1]), whose primes are S_P, so it takes the
-    gcd only then.  Proof.  Let
-    Psi_m and Phi_m be the division-polynomial values at P cleared of d, so
-    that x(mP) = Phi_m / Psi_m^2.  By Ayad (Manuscripta Math. 76, 1992), a
+    Theorem.  For n >= 2 with (n-1)P, nP and (n+1)P not at infinity,
+    D_{n-1} D_{n+1} divides H, on any model with integer A, B and from any
+    rational P.  Proof, at one prime p (Silverman, AEC IV.1 and VII.2).  Let
+    E_k be the point at infinity and the points with v_p(x) <= -2k, and
+    z = -x/y.  For any Weierstrass equation with p-integral coefficients,
+    so at p = 2 and 3 and on models that are not minimal too, E_k is a
+    subgroup and v_p(z) = k on E_k outside E_(k+1): the proof of AEC
+    VII.2.2 does not use minimality.  Let k = v_p(D_{n-1}),
+    k' = v_p(D_{n+1}) and z_m = z(mP), and let F be the formal group law.
+    As F(X, -X) = 0, F(X, -Y) is X - Y times a unit of Z_p[[X, Y]], and
+    F(X, Y) is X + Y times one.  One of n and n + 1 is even, so 2P is not
+    at infinity.
+      p | d.  P is in E_1, so (n-1)P, nP and (n+1)P are all in E_1 or all
+      outside it, and outside it k = k' = 0.  Inside it, x = z^-2 +
+      sum_i c_i z^(2i) with p-integral c_i, even in z as z(-Q) = -z(Q) on
+      y^2 = x^3 + A x + B.  So H is z_n^2 - z_1^2 times a unit, and as
+      z_{n-1} = F(z_n, -z_1) and z_{n+1} = F(z_n, z_1), v_p(H) = k + k'.
+      p does not divide d but divides D_n.  nP is in E_1 and P is not, so
+      neither (n-1)P nor (n+1)P is, and k = k' = 0.
+      p divides neither d nor D_n.  Then v_p(H) = v_p(x(nP) - x(P)).  For Q
+      in E_1 with z = z(Q), f(z) = x(P + Q) - x(P) is a power series in z
+      with p-integral coefficients and f(0) = 0: with Q = (z/w, -1/w), the
+      addition law's numerator and denominator times w^2 are
+      x(P) z^2 + O(z^3) and z^2 (1 + O(z^2)).  As nP = P + (n-1)P,
+      v_p(H) >= k, and as nP = -(P - (n+1)P), v_p(H) >= k'.  If k and k'
+      are both positive, 2P = (n+1)P - (n-1)P is in E_1, and f vanishes at
+      w = z(-2P) != 0 too, as P - 2P = -P.  So f = z (z - w) h with h
+      p-integral, and z_{n-1} - w is z_{n+1} times a unit, as
+      z_{n+1} = F(z_{n-1}, -w); so v_p(H) >= k + k'.
+    So Q = H / D_{n-1} is an integer and D_{n+1} divides it.  With
+    t = Q / D_{n+1}, R = x((n+1)P) x((n-1)P) H^2 = X_{n+1} X_{n-1} t^2, so
+    where X_{n-1} != 0 the second division is exact and X = X_{n+1} t^2;
+    where X_{n-1} = 0, S = x((n+1)P) H^2 = X_{n+1} t^2 as well.
+
+    X / Q^2 is in lowest terms unless Q shares a prime with
+    G = singular_gcd(c, walk[1]), whose primes are S_P, so the step takes
+    the gcd only then.  Proof.  Let Psi_m and Phi_m be the
+    division-polynomial values at P cleared of d, so that
+    x(mP) = Phi_m / Psi_m^2.  By Ayad (Manuscripta Math. 76, 1992), a
     prime outside S_P divides no gcd(Phi_m, Psi_m^2), so there
     v_p(Psi_m) = v_p(D_m) for every m.  From x(P) - x(nP) =
     psi_{n-1} psi_{n+1} / psi_n^2, H = Psi_{n-1} Psi_{n+1} D_n^2 / Psi_n^2,
-    so outside S_P, v_p(Q) = v_p(H) - v_p(D_{n-1}) = v_p(D_{n+1}).  As
-    X / Q^2 equals X_{n+1} / D_{n+1}^2 in lowest terms, D_{n+1} divides Q,
-    and the reducing factor v = |Q| / D_{n+1} divides Q and has every prime
-    in S_P.  So gcd(Q, G) = 1 forces v = 1.  G divides the discriminant, so
-    the gate is one gcd with a small number.  ward_terms cannot catch a pair
-    left unreduced by a factor t, because g_n would absorb t^2; the tests
-    compare the walk with multiply in lowest terms instead.
+    so outside S_P, v_p(Q) = v_p(H) - v_p(D_{n-1}) = v_p(D_{n+1}), and the
+    reducing factor |t| has every prime in S_P.  So gcd(Q, G) = 1 forces
+    |t| = 1.  G divides the discriminant, so the gate is one gcd with a
+    small number.  ward_terms cannot catch a pair left unreduced by a
+    factor t, because g_n would absorb t^2; the tests compare the walk with
+    multiply in lowest terms instead.
     """
 
     def __init__(self, c: Curve, P: RatPoint) -> None:
@@ -284,15 +319,16 @@ class Multiples:
             return None
         eE = e * E
         Q, r = _bigint.divmod(H, Dp)
-        if not r and Xp:
+        if Xp:
             t = a * Xn - c.A * eE
-            X, r = _bigint.divmod(t * t - 4 * c.B * eE * (Xe + aE), Xp)  # R / X_{n-1}
-        if r or not Xp:  # the general step
-            S = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE)
-            X, Q = S * Dp * Dp - Xp * H * H, H * Dp
-        elif math.gcd(Q, self._singular) == 1:
-            return X, abs(Q)  # the reducing factor divides Q and has its primes in S_P
+            X, s = _bigint.divmod(t * t - 4 * c.B * eE * (Xe + aE), Xp)  # R / X_{n-1}
+        else:  # X_{n-1} = 0 makes D_{n-1} = 1, and x((n+1)P) = S / H^2
+            X, s = 2 * ((Xe + aE) * (a * Xn + c.A * eE) + 2 * c.B * eE * eE), 0
+        if r or s:
+            raise InternalInvariantError(f"D_(n-1) D_(n+1) does not divide H at x({len(pairs) + 1}P)")
         D = abs(Q)
+        if math.gcd(Q, self._singular) == 1:
+            return X, D  # the reducing factor divides Q and has its primes in S_P
         v = _square_gcd(X, D, f"x({len(pairs) + 1}P)")
         if v != 1:
             X, D = X // (v * v), D // v

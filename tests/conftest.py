@@ -58,15 +58,17 @@ def chord_tangent():
     return _chord_tangent
 
 
+# (N, x, y) of each golden row, read at collection so that tests can be parametrized over them
+GOLDEN_POINTS = tuple(
+    tuple(int(v) for v in line.split(",")[:3])
+    for line in resources.files("ellmult").joinpath("data/table_n75.csv").read_text().strip().split("\n")[1:]
+)
+
+
 @pytest.fixture(scope="session")
 def golden_multiples():
     """(N, x, y, [None, P, 2P, ..., 40P]) for each golden row, by n - 1 chord additions on Fractions."""
-    text = resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
-    out = []
-    for line in text.strip().split("\n")[1:]:
-        N, x, y = (int(v) for v in line.split(",")[:3])
-        out.append((N, x, y, _multiples(-N * N, x, y)))
-    return out
+    return [(N, x, y, _multiples(-N * N, x, y)) for N, x, y in GOLDEN_POINTS]
 
 
 @pytest.fixture(scope="session")

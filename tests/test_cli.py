@@ -1254,6 +1254,25 @@ def test_table_csv_at_a_wider_window_matches_golden(capsys):
     assert out == resources.files("ellmult").joinpath("data/table_n75.csv").read_text()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_a_reader_that_closes_stdout_gets_exit_1_and_no_traceback(fmt):
+    # the document is about 870 kB, far more than a pipe holds, so the CLI is still writing when the
+    # reader has taken its 100 bytes and closed the pipe, as `| head -c 100` does
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["eds", "--A=-841", "--B=0", "--x=284229", "--y=151531380", "--n-max", "60", "--format", fmt]
+    with subprocess.Popen(
+        [sys.executable, "-m", "ellmult.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        head = child.stdout.read(100)
+        child.stdout.close()
+        stderr = child.stderr.read()
+    assert len(head) == 100
+    assert (child.returncode, stderr) == (cli.EXIT_BROKEN_PIPE, b"") == (1, b"")
+
+
 def test_import_does_not_load_numpy():
     src = str(Path(cli.__file__).resolve().parents[1])
     probe = (

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from conftest import integral_points
+from conftest import GOLDEN_POINTS, integral_points
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -241,33 +241,39 @@ WALK_EDGES = (
 
 
 @pytest.mark.parametrize("c, P, order", WALK_EDGES)
-def test_walk_edges_and_general_reduction_match_multiply(monkeypatch, c, P, order):
+def test_walk_edges_match_multiply_and_a_trial_remainder_raises(monkeypatch, c, P, order):
     # to three times the order, so the walk's periodic tail past the first None is read too
     n_max = 3 * order if order else 20
     expected = [_x_pair(multiply(c, n, P)) for n in range(1, n_max + 1)]
     _assert_walk_matches_multiply(c, P, n_max)
-    # every trial division reports a remainder, so every step past 2P that is not at infinity
-    # reduces S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2; 2P is read first, as add_triples divides too
+    # every trial division reports a remainder, which D_{n-1} D_{n+1} | H rules out, so the walks that
+    # step past 2P to a finite 3P raise there and the others never divide; 2P is read first
     walk = Multiples(c, P)
     walk[2]
     divisions = []
     monkeypatch.setattr(curves._bigint, "divmod", lambda a, b: divisions.append(b) or (a // b, 1))
-    assert [walk[n] for n in range(1, n_max + 1)] == expected
-    assert len(divisions) == (n_max - 2 if order is None else max(order - 3, 0))
+    if order is None or order > 3:
+        with pytest.raises(InternalInvariantError, match=r"does not divide H at x\(3P\)"):
+            walk[3]
+        assert divisions
+    else:
+        assert [walk[n] for n in range(1, n_max + 1)] == expected
+        assert divisions == []
 
 
 @pytest.mark.parametrize("N, x, y", [(5, -4, 6), (6, 12, 36), (34, -16, 120)])
 @pytest.mark.parametrize("t", [10007, 2**61 - 1])
-def test_step_reduces_a_pair_that_is_not_in_lowest_terms(N, x, y, t):
-    # (X t^2, D t) stands for x((n-1)P) as (X, D) does; D t does not divide H, so the trial division leaves a
-    # remainder and the step reduces S D_{n-1}^2 - X_{n-1} H^2 over (H D_{n-1})^2 without any patched divmod
+def test_step_rejects_a_pair_that_is_not_in_lowest_terms(N, x, y, t):
+    # (X t^2, D t) stands for x((n-1)P) as (X, D) does, but breaks the walk's invariant: D t does not
+    # divide H, so the trial division leaves a remainder and the step raises without any patched divmod
     c, P = make_curve(-N * N, 0), rational_point(x, y)
     for n in range(3, 9):
         walk = Multiples(c, P)
         (a, d), (X, D), (Xn, Dn) = walk[1], walk[n - 1], walk[n]
         assert (a * Dn * Dn - Xn * d * d) % (D * t)  # H, which D divides and D t does not
         walk._pairs[n - 2] = (X * t * t, D * t)
-        assert walk._step() == Multiples(c, P)[n + 1] == _x_pair(multiply(c, n + 1, P)), (N, x, n, t)
+        with pytest.raises(InternalInvariantError, match=rf"does not divide H at x\({n + 1}P\)"):
+            walk._step()
 
 
 @st.composite
@@ -286,6 +292,36 @@ def scaled_bases(draw):
 def test_walk_is_in_lowest_terms_on_scaled_models_and_bases(base):
     # scaling by u adds the primes of u to S_P, and the bases 2P and 3P are not integral
     _assert_walk_matches_multiply(*base, 14)
+
+
+@settings(max_examples=120, deadline=None)
+@given(scaled_bases())
+def test_trial_divisors_divide_h_on_scaled_models_and_bases(base):
+    # the theorem in the Multiples docstring: D_{n-1} D_{n+1} divides H = a D_n^2 - X_n d^2 wherever (n-1)P,
+    # nP and (n+1)P are finite, at 2, 3 and the primes of u too; the pairs come from double-and-add, not the walk
+    c, P = base
+    pairs = [None] + [_x_pair(multiply(c, n, P)) for n in range(1, 15)]
+    for n in range(2, 14):
+        if None in pairs[n - 1 : n + 2]:
+            continue
+        (a, d), (_, Dp), (Xn, Dn), (_, Dq) = pairs[1], pairs[n - 1], pairs[n], pairs[n + 1]
+        assert (a * Dn * Dn - Xn * d * d) % (Dp * Dq) == 0, (c, P, n)
+
+
+@pytest.mark.parametrize("A, B, x, y, m", [(-60, 256, 2, 12, 2), (-57, 169, -7, 15, 3)])
+def test_walk_steps_past_a_multiple_with_x_0(A, B, x, y, m):
+    # x(mP) = 0, so the step to (m+1)P takes X = S with D_m = 1
+    c, P = make_curve(A, B), rational_point(x, y)
+    assert multiply(c, m, P).x == 0
+    _assert_walk_matches_multiply(c, P, 24)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-300, 300), st.integers(1, 40))
+def test_walk_steps_past_a_base_point_with_x_0(A, b):
+    # (0, b) on y^2 = x^3 + A x + b^2: X_1 = 0, so the step to 3P takes X = S
+    assume(4 * A**3 + 27 * b**4 != 0)
+    _assert_walk_matches_multiply(make_curve(A, b * b), rational_point(0, b), 24)
 
 
 def _triple_gcd(c, T):
@@ -330,18 +366,25 @@ def test_gate_keeps_the_reference_point_from_every_gcd(monkeypatch):
     _assert_walk_matches_multiply(E5, rational_point(-4, 6), 50)
 
 
-@pytest.mark.parametrize(
-    "N, x, y, G", [(29, 284229, 151531380, 2 * 29**2), (5, 45, 300, 2 * 5**2), (34, -16, 120, 4), (7, 25, 120, 2)]
-)
-def test_gate_opens_at_the_even_multiples_of_golden_points(monkeypatch, N, x, y, G):
-    # Q shares a prime with G at the even multiples only, and each gcd there removes a factor
+# G = singular_gcd of the base point, where it was worked out by hand
+GOLDEN_G = {(29, 284229, 151531380): 2 * 29**2, (5, 45, 300): 2 * 5**2, (34, -16, 120): 4, (7, 25, 120): 2}
+
+
+@pytest.mark.parametrize("N, x, y", GOLDEN_POINTS)
+def test_gate_opens_at_the_even_multiples_of_golden_points(monkeypatch, golden_multiples, N, x, y):
+    # G = 1 on two golden points, so no step reduces; on the other 36, Q shares a prime with G at the even
+    # multiples only, and each gcd there removes a factor
     c, P = make_curve(-N * N, 0), rational_point(x, y)
     walk = Multiples(c, P)
-    assert walk._singular == singular_gcd(c, walk[1]) == G
-    calls = _reductions(monkeypatch, walk, 30)
-    assert [what for what, _ in calls] == [f"x({n}P)" for n in range(4, 31, 2)]
-    assert all(v > 1 for _, v in calls)
-    assert [walk[n] for n in range(1, 31)] == [_x_pair(multiply(c, n, P)) for n in range(1, 31)]
+    assert walk._singular == singular_gcd(c, walk[1]) == GOLDEN_G.get((N, x, y), walk._singular)
+    calls = _reductions(monkeypatch, walk, 40)
+    if (N, x, y) in ((5, -4, 6), (65, -16, 252)):
+        assert walk._singular == 1 and calls == []
+    else:
+        assert [what for what, _ in calls] == [f"x({n}P)" for n in range(4, 41, 2)]
+        assert all(v > 1 for _, v in calls)
+    multiples = next(row[3] for row in golden_multiples if row[:3] == (N, x, y))
+    assert [walk[n] for n in range(1, 41)] == [(q.numerator, math.isqrt(q.denominator)) for q, _ in multiples[1:]]
 
 
 def test_gate_shuts_where_q_misses_the_singular_primes(monkeypatch):
@@ -356,7 +399,7 @@ def test_gate_shuts_where_q_misses_the_singular_primes(monkeypatch):
 
 def test_step_takes_the_sum_form_where_x_of_the_previous_multiple_is_0(monkeypatch):
     # P = (0, 4) on y^2 = x^3 - 16x + 16: X_1 = 0, so 3P cannot come from R / X_1; the step makes one
-    # trial division, by D_1, and reduces the sum form by the full gcd
+    # trial division, by D_1 = 1, takes X = S, and Q = H shares 2 with G = 16, so the gate opens
     c, P = make_curve(-16, 16), rational_point(0, 4)
     walk = Multiples(c, P)
     walk[2]
